@@ -8,6 +8,7 @@ alternating an SVM dual solve with a trace-constrained PSD metric update.
 from hfa.core import (
     HfaConfig,
     HfaModel,
+    KernelExpansion,
     LinearHfaModel,
     hfa_train,
     hfa_train_linear,
@@ -50,6 +51,7 @@ __all__ = [
     "ExperimentRun",
     "HfaConfig",
     "HfaModel",
+    "KernelExpansion",
     "KernelSpec",
     "LinearHfaModel",
     "SyntheticSpec",

@@ -276,7 +276,7 @@ def cmd_train(cfg: CliConfig) -> None:
 def cmd_predict(cfg: CliConfig) -> None:
     model_set = load_model_set(_require_path(cfg.model, "--model"))
     test = _load_dataset(_require_path(cfg.target, "--target"))
-    d_t = model_set.models[0][1].target.dim
+    d_t = model_set.models[0][1].dim
     if len(test) and test.dim != d_t:
         raise ValueError(f"test features have dimension {test.dim}, model expects target dimension {d_t}")
     X = test.X

@@ -45,6 +45,7 @@ log = logging.getLogger("hfa")
 __all__ = [
     "HfaConfig",
     "HfaModel",
+    "KernelExpansion",
     "LinearHfaModel",
     "PrecomputedKernels",
     "augment_source",
@@ -299,60 +300,64 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
 
 
 @dataclass(frozen=True)
-class HfaModel:
-    """Trained kernelized model over one binary source/target pair.
+class KernelExpansion:
+    """Deployed predictor f(x) = k(X, x)' coef + bias over stored target rows X.
 
-    beta splits as (beta_source, beta_target) in training order; the
-    stored factor matrices satisfy ks_sqrt @ ks_sqrt ~= Ks + ridge*I and
-    kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
+    Both experiment arms predict in this form: the cross-domain model with
+    coef = Kt^{-1/2} (H v)_t + beta_t, the target-only SVM with coef = beta.
     """
 
-    source: Dataset
-    target: Dataset
-    kernel_source: KernelSpec
-    kernel_target: KernelSpec
-    metric: TransformMetric
-    beta: np.ndarray
+    X: np.ndarray
+    kernel: KernelSpec
+    coef: np.ndarray
     bias: float
-    ks_sqrt: np.ndarray
-    kt_sqrt: np.ndarray
-    kt_inv_sqrt: np.ndarray
-    objective_trace: np.ndarray
 
     @property
-    def n_source(self) -> int:
-        return len(self.source)
-
-    @property
-    def n_target(self) -> int:
-        return len(self.target)
-
-    @property
-    def beta_source(self) -> np.ndarray:
-        return self.beta[: self.n_source]
-
-    @property
-    def beta_target(self) -> np.ndarray:
-        return self.beta[self.n_source:]
-
-    def lifted_coefficients(self) -> np.ndarray:
-        """v = [Ks^{1/2} beta_s ; Kt^{1/2} beta_t], the metric-space image of beta."""
-        return np.concatenate([self.ks_sqrt @ self.beta_source, self.kt_sqrt @ self.beta_target])
+    def dim(self) -> int:
+        return self.X.shape[1]
 
     def decision_function(self, X) -> np.ndarray:
         """Decision values for target-domain rows X, shape (m,)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.target.dim:
-            raise ValueError(f"expected target-domain rows of dimension {self.target.dim}, got {X.shape}")
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected target-domain rows of dimension {self.dim}, got {X.shape}")
         if X.shape[0] == 0:
             return np.empty(0)
-        v = self.lifted_coefficients()
-        hv_target = (self.metric.matrix @ v)[self.n_source:]
-        coef = self.kt_inv_sqrt @ hv_target + self.beta_target
-        k_t = cross_gram(self.kernel_target, self.target.X, X)
-        return k_t.T @ coef + self.bias
+        return cross_gram(self.kernel, self.X, X).T @ self.coef + self.bias
+
+
+@dataclass(frozen=True)
+class HfaModel:
+    """Trained kernelized model over one binary source/target pair.
+
+    Prediction delegates to `expansion`, all that a saved model keeps; the
+    other fields are training diagnostics. beta splits as (beta_source,
+    beta_target) in training order; ks_sqrt @ ks_sqrt ~= Ks + ridge*I and
+    kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
+    """
+
+    expansion: KernelExpansion
+    kernel_source: KernelSpec
+    metric: TransformMetric
+    beta: np.ndarray
+    ks_sqrt: np.ndarray
+    kt_sqrt: np.ndarray
+    kt_inv_sqrt: np.ndarray
+    objective_trace: np.ndarray
+
+    @property
+    def kernel_target(self) -> KernelSpec:
+        return self.expansion.kernel
+
+    @property
+    def bias(self) -> float:
+        return self.expansion.bias
+
+    def decision_function(self, X) -> np.ndarray:
+        """Decision values for target-domain rows X, shape (m,)."""
+        return self.expansion.decision_function(X)
 
 
 def hfa_train(
@@ -378,7 +383,7 @@ def hfa_train(
 
     Returns
     -------
-    HfaModel
+    HfaModel, whose `expansion` is the deployed predictor
     """
     _validate_binary_pair(source, target)
     if kernels is None:
@@ -387,14 +392,15 @@ def hfa_train(
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
     metric, sol, trace = _alternate(kernels.factors, y, cfg, monitor)
+    n_s = len(source)
+    beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
+    v = np.concatenate([kernels.ks_sqrt @ beta_s, kernels.kt_sqrt @ beta_t])
+    coef = kernels.kt_inv_sqrt @ (metric.matrix @ v)[n_s:] + beta_t
     return HfaModel(
-        source=source,
-        target=target,
+        expansion=KernelExpansion(target.X, kernels.kernel_target, coef, sol.bias),
         kernel_source=kernels.kernel_source,
-        kernel_target=kernels.kernel_target,
         metric=metric,
         beta=sol.beta,
-        bias=sol.bias,
         ks_sqrt=kernels.ks_sqrt,
         kt_sqrt=kernels.kt_sqrt,
         kt_inv_sqrt=kernels.kt_inv_sqrt,
@@ -402,11 +408,11 @@ def hfa_train(
     )
 
 
-def predict(model: HfaModel, x) -> float:
+def predict(model: HfaModel | KernelExpansion, x) -> float:
     """Decision value for one target-domain vector."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.target.dim:
-        raise ValueError(f"expected a target-domain vector of dimension {model.target.dim}")
+    if x.ndim != 1:
+        raise ValueError(f"expected one target-domain vector, got shape {x.shape}")
     return float(model.decision_function(x[None, :])[0])
 
 

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.core import HfaConfig, HfaModel, PrecomputedKernels, hfa_train, prepare_kernels
+from hfa.core import HfaConfig, HfaModel, KernelExpansion, PrecomputedKernels, hfa_train, prepare_kernels
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
-from hfa.linalg import KernelSpec, cross_gram, gram_matrix
+from hfa.linalg import KernelSpec, gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 __all__ = [
     "ExperimentReport",
     "ExperimentRun",
-    "SvmTModel",
     "train_multiclass",
     "svm_t_baseline",
     "classify",
@@ -30,27 +29,6 @@ __all__ = [
     "run_experiment",
     "render_report",
 ]
-
-
-@dataclass(frozen=True)
-class SvmTModel:
-    """Target-only kernel SVM for one binary relabeling."""
-
-    target: Dataset
-    kernel: KernelSpec
-    beta: np.ndarray  # alpha * y in training order
-    bias: float
-
-    def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.target.dim:
-            raise ValueError(f"expected target-domain rows of dimension {self.target.dim}, got {X.shape}")
-        if X.shape[0] == 0:
-            return np.empty(0)
-        k = cross_gram(self.kernel, self.target.X, X)
-        return k.T @ self.beta + self.bias
 
 
 def _resolve_classes(source: Dataset, target: Dataset, classes) -> list[int]:
@@ -105,8 +83,9 @@ def svm_t_baseline(
     cfg: HfaConfig = HfaConfig(),
     classes=None,
     kernel: KernelSpec | None = None,
-) -> list[tuple[int, SvmTModel]]:
-    """One-vs-rest SVMs on the target Gram matrix only.
+) -> list[tuple[int, KernelExpansion]]:
+    """One-vs-rest SVMs on the target Gram matrix only, as kernel
+    expansions with coef = beta.
 
     kernel overrides the config-resolved spec; an experiment passes the
     cross-domain arm's target kernel here so both arms share it.
@@ -127,7 +106,7 @@ def svm_t_baseline(
     for c in class_list:
         y = np.where(target.y == c, 1.0, -1.0)
         sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol)
-        models.append((c, SvmTModel(target=target, kernel=spec, beta=sol.beta, bias=sol.bias)))
+        models.append((c, KernelExpansion(target.X, spec, sol.beta, sol.bias)))
     return models
 
 

@@ -1,10 +1,14 @@
-"""JSON persistence for trained models.
+"""JSON persistence for trained models (format version 2).
 
-One binary model serializes as a "hfa-model" object carrying the dual
-coefficients, bias, coupling metric, kernel specs, training vectors and
-Gram factors. A one-vs-rest collection serializes as "hfa-model-set"
-with the class labels alongside. Floats are written with Python's
+A saved model is the target kernel expansion f(x) = k(X_t, x)' coef + b
+that prediction needs, and none of the training state. One binary model
+serializes as a "hfa-model" object: the target rows X_t, the target
+kernel spec, coef (one value per X_t row) and bias. A one-vs-rest
+collection serializes as "hfa-model-set": the class labels, one shared
+X_t and kernel, coef as a classes x n_t matrix (one row per class), one
+bias per class, and free-form metadata. Floats are written with Python's
 shortest round-trip repr, so loading reproduces decision values exactly.
+Files of any other version are rejected.
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import HfaModel
-from hfa.data import Dataset
+from hfa.core import HfaModel, KernelExpansion
 from hfa.linalg import KernelSpec
-from hfa.metric import TransformMetric
 
 __all__ = [
     "ModelFormatError",
@@ -31,7 +33,7 @@ __all__ = [
 
 FORMAT_MODEL = "hfa-model"
 FORMAT_MODEL_SET = "hfa-model-set"
-VERSION = 1
+VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -42,29 +44,18 @@ def _array(a: np.ndarray) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def _dataset_record(d: Dataset) -> dict:
-    return {"domain": d.domain, "X": _array(d.X), "y": [int(v) for v in d.y]}
+def _expansion(model: HfaModel | KernelExpansion) -> KernelExpansion:
+    return model.expansion if isinstance(model, HfaModel) else model
 
 
-def _kernel_record(spec: KernelSpec) -> dict:
-    return {"family": spec.family, "gamma": spec.gamma}
+def _shared_record(e: KernelExpansion) -> dict:
+    return {"kernel": {"family": e.kernel.family, "gamma": e.kernel.gamma}, "X_t": _array(e.X)}
 
 
-def _model_record(model: HfaModel) -> dict:
-    return {
-        "source": _dataset_record(model.source),
-        "target": _dataset_record(model.target),
-        "kernel_source": _kernel_record(model.kernel_source),
-        "kernel_target": _kernel_record(model.kernel_target),
-        "metric": _array(model.metric.matrix),
-        "metric_budget": model.metric.budget,
-        "beta": _array(model.beta),
-        "bias": model.bias,
-        "ks_sqrt": _array(model.ks_sqrt),
-        "kt_sqrt": _array(model.kt_sqrt),
-        "kt_inv_sqrt": _array(model.kt_inv_sqrt),
-        "objective_trace": _array(model.objective_trace),
-    }
+def _write(record: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+        fh.write("\n")
 
 
 def _require(record: dict, key: str, path):
@@ -73,44 +64,7 @@ def _require(record: dict, key: str, path):
     return record[key]
 
 
-def _dataset_from(record: dict, path) -> Dataset:
-    X = np.asarray(_require(record, "X", path), dtype=float)
-    y = np.asarray(_require(record, "y", path), dtype=np.int64)
-    if X.size == 0:
-        X = X.reshape(0, 0)
-    return Dataset(str(_require(record, "domain", path)), X, y)
-
-
-def _kernel_from(record: dict, path) -> KernelSpec:
-    gamma = record.get("gamma")
-    return KernelSpec(str(_require(record, "family", path)), gamma)
-
-
-def _model_from(record: dict, path) -> HfaModel:
-    try:
-        return HfaModel(
-            source=_dataset_from(_require(record, "source", path), path),
-            target=_dataset_from(_require(record, "target", path), path),
-            kernel_source=_kernel_from(_require(record, "kernel_source", path), path),
-            kernel_target=_kernel_from(_require(record, "kernel_target", path), path),
-            metric=TransformMetric(
-                np.asarray(_require(record, "metric", path), dtype=float),
-                float(_require(record, "metric_budget", path)),
-            ),
-            beta=np.asarray(_require(record, "beta", path), dtype=float),
-            bias=float(_require(record, "bias", path)),
-            ks_sqrt=np.asarray(_require(record, "ks_sqrt", path), dtype=float),
-            kt_sqrt=np.asarray(_require(record, "kt_sqrt", path), dtype=float),
-            kt_inv_sqrt=np.asarray(_require(record, "kt_inv_sqrt", path), dtype=float),
-            objective_trace=np.asarray(_require(record, "objective_trace", path), dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"{path}: {exc}") from exc
-
-
-def _load_json(path) -> dict:
+def _load_json(path, fmt: str) -> dict:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -119,24 +73,71 @@ def _load_json(path) -> dict:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
+    if payload.get("format") != fmt:
+        raise ModelFormatError(f"{path}: expected format {fmt!r}, got {payload.get('format')!r}")
+    if payload.get("version") != VERSION:
+        raise ModelFormatError(f"{path}: model format version {payload.get('version')!r} cannot be read "
+                               f"(only version {VERSION}); retrain with `hfa train` to write a current file")
     return payload
 
 
-def save_model(model: HfaModel, path) -> None:
-    """Write one binary model as a "hfa-model" JSON file."""
-    record = {"format": FORMAT_MODEL, "version": VERSION}
-    record.update(_model_record(model))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
+def _list(value, length: int, path, field: str, per: str) -> list:
+    """A JSON list of exactly `length` entries, one per `per`."""
+    if not isinstance(value, list) or len(value) != length:
+        got = f"{len(value)} entries" if isinstance(value, list) else f"a {type(value).__name__}"
+        raise ModelFormatError(f"{path}: field {field!r} has {got}, expected {length} (one per {per})")
+    return value
 
 
-def load_model(path) -> HfaModel:
-    """Read a "hfa-model" JSON file back into a model."""
-    payload = _load_json(path)
-    if payload.get("format") != FORMAT_MODEL:
-        raise ModelFormatError(f"{path}: expected format {FORMAT_MODEL!r}, got {payload.get('format')!r}")
-    return _model_from(payload, path)
+def _vector(value, length: int, path, field: str, per: str) -> np.ndarray:
+    value = _list(value, length, path, field, per)
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: field {field!r}: {exc}") from exc
+    if vec.ndim != 1:
+        raise ModelFormatError(f"{path}: field {field!r} must be a list of numbers")
+    return vec
+
+
+def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
+    """The target rows and kernel spec every expansion in a file uses."""
+    kernel = _require(payload, "kernel", path)
+    if not isinstance(kernel, dict):
+        raise ModelFormatError(f"{path}: field 'kernel' must be an object")
+    family = _require(kernel, "family", path)
+    rows = _require(payload, "X_t", path)
+    try:
+        spec = KernelSpec(family, kernel.get("gamma"))
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: field 'kernel': {exc}") from exc
+    try:
+        X = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: field 'X_t': {exc}") from exc
+    if X.ndim != 2:
+        raise ModelFormatError(f"{path}: field 'X_t' must be a 2-D array of rows, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ModelFormatError(f"{path}: field 'X_t' has non-finite values")
+    return X, spec
+
+
+def save_model(model: HfaModel | KernelExpansion, path) -> None:
+    """Write one binary model's kernel expansion as a "hfa-model" JSON file."""
+    e = _expansion(model)
+    _write({"format": FORMAT_MODEL, "version": VERSION, **_shared_record(e),
+            "coef": _array(e.coef), "bias": float(e.bias)}, path)
+
+
+def load_model(path) -> KernelExpansion:
+    """Read a "hfa-model" JSON file back into its kernel expansion."""
+    payload = _load_json(path, FORMAT_MODEL)
+    X, spec = _shared_from(payload, path)
+    coef = _vector(_require(payload, "coef", path), X.shape[0], path, "coef", "X_t row")
+    bias = _require(payload, "bias", path)
+    if isinstance(bias, bool) or not isinstance(bias, (int, float)):
+        raise ModelFormatError(f"{path}: field 'bias' must be a number")
+    return KernelExpansion(X, spec, coef, float(bias))
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class ModelSet:
     travel with the models (e.g. feature standardization parameters).
     """
 
-    models: tuple[tuple[int, HfaModel], ...]
+    models: tuple[tuple[int, KernelExpansion], ...]
     metadata: dict
 
     @property
@@ -158,34 +159,45 @@ class ModelSet:
 def save_model_set(models, path, metadata: dict | None = None) -> None:
     """Write a one-vs-rest collection as a "hfa-model-set" JSON file.
 
-    models is a list of (class label, model) pairs as produced by the
-    multiclass trainer; class order is preserved.
+    models is a nonempty list of (class label, model) pairs as produced
+    by the multiclass trainer; every model must share the target rows
+    and kernel, and class order is preserved.
     """
-    record = {
+    if not models:
+        raise ValueError("a model set needs at least one model")
+    expansions = [_expansion(m) for _, m in models]
+    first = expansions[0]
+    for (c, _), e in zip(models, expansions):
+        if e.kernel != first.kernel or not np.array_equal(e.X, first.X):
+            raise ValueError(f"class {c}: every model in a set must share the target rows and kernel")
+    _write({
         "format": FORMAT_MODEL_SET,
         "version": VERSION,
         "classes": [int(c) for c, _ in models],
-        "models": [_model_record(m) for _, m in models],
+        **_shared_record(first),
+        "coef": [_array(e.coef) for e in expansions],
+        "bias": [float(e.bias) for e in expansions],
         "metadata": metadata if metadata is not None else {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
+    }, path)
 
 
 def load_model_set(path) -> ModelSet:
-    """Read a "hfa-model-set" JSON file back into models plus metadata."""
-    payload = _load_json(path)
-    if payload.get("format") != FORMAT_MODEL_SET:
-        raise ModelFormatError(f"{path}: expected format {FORMAT_MODEL_SET!r}, got {payload.get('format')!r}")
+    """Read a "hfa-model-set" JSON file back into (class, expansion) pairs
+    that share one X_t array, plus metadata."""
+    payload = _load_json(path, FORMAT_MODEL_SET)
     classes = _require(payload, "classes", path)
-    models = _require(payload, "models", path)
-    if len(classes) != len(models):
-        raise ModelFormatError(f"{path}: {len(classes)} classes but {len(models)} models")
-    if len(models) == 0:
-        raise ModelFormatError(f"{path}: empty model set")
-    pairs = tuple((int(c), _model_from(m, path)) for c, m in zip(classes, models))
+    if not isinstance(classes, list) or len(classes) == 0:
+        raise ModelFormatError(f"{path}: field 'classes' must be a nonempty list")
+    try:
+        labels = [int(c) for c in classes]
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: field 'classes': {exc}") from exc
+    X, spec = _shared_from(payload, path)
+    rows = _list(_require(payload, "coef", path), len(labels), path, "coef", "class in 'classes'")
+    coef = [_vector(row, X.shape[0], path, f"coef[{i}]", "X_t row") for i, row in enumerate(rows)]
+    bias = _vector(_require(payload, "bias", path), len(labels), path, "bias", "class in 'classes'")
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ModelFormatError(f"{path}: metadata must be an object")
-    return ModelSet(models=pairs, metadata=metadata)
+    models = tuple((c, KernelExpansion(X, spec, w, float(b))) for c, w, b in zip(labels, coef, bias))
+    return ModelSet(models=models, metadata=metadata)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, prepare_kernels
+from hfa.core import HfaConfig, KernelExpansion, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.evaluate import (
     ExperimentReport,
-    SvmTModel,
     accuracy,
     classify,
     decision_matrix,
@@ -119,7 +118,7 @@ def test_svm_t_matches_direct_dual_solve():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, target.dim))
     for c, model in models:
-        assert isinstance(model, SvmTModel)
+        assert isinstance(model, KernelExpansion)
         y = np.where(target.y == c, 1.0, -1.0)
         sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol)
         from hfa.linalg import cross_gram

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, hfa_train
+from hfa.core import HfaConfig, KernelExpansion, hfa_train
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
 from hfa.model_io import (
     ModelFormatError,
@@ -28,43 +28,82 @@ def small_model(seed=0):
     return hfa_train(source, target, HfaConfig(t_max=5))
 
 
+def small_set(kernel_family="rbf"):
+    spec = SyntheticSpec(latent_dim=3, num_classes=3, d_s=8, d_t=6,
+                         source_per_class=8, target_per_class=4, seed=2)
+    source, target = generate_synthetic(spec)
+    return target, train_multiclass(source, target, HfaConfig(t_max=3, kernel_family=kernel_family))
+
+
+def edit_record(path, edit):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    edit(record)
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+def count_floats(value) -> int:
+    if isinstance(value, float):
+        return 1
+    if isinstance(value, list):
+        return sum(count_floats(v) for v in value)
+    if isinstance(value, dict):
+        return sum(count_floats(v) for v in value.values())
+    return 0
+
+
 def test_single_model_round_trip_exact(tmp_path):
     model = small_model()
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
+    assert isinstance(loaded, KernelExpansion)
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((9, model.target.dim))
+    X = rng.standard_normal((9, loaded.dim))
     a = model.decision_function(X)
     b = loaded.decision_function(X)
     assert np.array_equal(a, b)  # exact float reproduction, stronger than 1e-12
     assert np.max(np.abs(a - b)) <= 1e-12
-    assert np.array_equal(loaded.beta, model.beta)
+    assert np.array_equal(loaded.coef, model.expansion.coef)
     assert loaded.bias == model.bias
-    assert np.array_equal(loaded.metric.matrix, model.metric.matrix)
-    assert loaded.metric.budget == model.metric.budget
-    assert np.array_equal(loaded.ks_sqrt, model.ks_sqrt)
-    assert np.array_equal(loaded.kt_inv_sqrt, model.kt_inv_sqrt)
-    assert np.array_equal(loaded.objective_trace, model.objective_trace)
-    assert loaded.kernel_target == model.kernel_target
-    assert np.array_equal(loaded.source.X, model.source.X)
-    assert np.array_equal(loaded.target.y, model.target.y)
+    assert np.array_equal(loaded.X, model.expansion.X)
+    assert loaded.kernel == model.kernel_target
+    # a loaded expansion saves back to the same bytes
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_set_round_trip(tmp_path):
-    spec = SyntheticSpec(latent_dim=3, num_classes=3, d_s=8, d_t=6,
-                         source_per_class=8, target_per_class=4, seed=2)
-    source, target = generate_synthetic(spec)
-    models = train_multiclass(source, target, HfaConfig(t_max=3))
+    target, models = small_set()
     path = tmp_path / "set.json"
     save_model_set(models, path, metadata={"note": "fixture"})
     loaded = load_model_set(path)
     assert loaded.classes == [0, 1, 2]
     assert loaded.metadata == {"note": "fixture"}
-    X = target.X[:5]
+    X = np.random.default_rng(7).standard_normal((11, target.dim))
+    shared = loaded.models[0][1].X
     for (c0, m0), (c1, m1) in zip(models, loaded.models):
         assert c0 == c1
         assert np.array_equal(m0.decision_function(X), m1.decision_function(X))
+        assert np.array_equal(m1.coef, m0.expansion.coef)
+        assert m1.bias == m0.bias
+        assert np.array_equal(m1.X, m0.expansion.X)
+        assert m1.X is shared  # one X_t array serves every class
+        assert m1.coef.flags.c_contiguous
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+def test_model_set_file_holds_only_the_expansion(tmp_path, family):
+    target, models = small_set(family)
+    path = tmp_path / "set.json"
+    save_model_set(models, path)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    for stale in ("metric", "ks_sqrt", "kt_sqrt", "kt_inv_sqrt", "source", "models"):
+        assert stale not in record
+    n_t, d_t, k = len(target), target.dim, len(models)
+    # X_t, one coef row and one bias per class, and the RBF bandwidth:
+    # nothing of order n^2 is stored
+    assert count_floats(record) == n_t * d_t + k * n_t + k + (family == "rbf")
 
 
 def test_model_set_default_metadata(tmp_path):
@@ -72,6 +111,14 @@ def test_model_set_default_metadata(tmp_path):
     path = tmp_path / "set.json"
     save_model_set([(0, model)], path)
     assert load_model_set(path).metadata == {}
+
+
+def test_model_set_needs_shared_target_rows(tmp_path):
+    a, b = small_model(0), small_model(1)
+    with pytest.raises(ValueError, match="share the target rows"):
+        save_model_set([(0, a), (1, b)], tmp_path / "set.json")
+    with pytest.raises(ValueError, match="at least one model"):
+        save_model_set([], tmp_path / "set.json")
 
 
 def test_wrong_format_tag(tmp_path):
@@ -84,6 +131,23 @@ def test_wrong_format_tag(tmp_path):
     save_model_set([(0, model)], many)
     with pytest.raises(ModelFormatError, match="hfa-model"):
         load_model(many)
+
+
+@pytest.mark.parametrize("version", [1, 3, None, "2"])
+def test_other_versions_rejected(tmp_path, version):
+    model = small_model()
+    single = tmp_path / "single.json"
+    save_model(model, single)
+    many = tmp_path / "many.json"
+    save_model_set([(0, model)], many)
+    for path, load in ((single, load_model), (many, load_model_set)):
+        edit_record(path, lambda r: r.update(version=version))
+        with pytest.raises(ModelFormatError) as info:
+            load(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"version {version!r}" in message
+        assert "retrain with `hfa train`" in message
 
 
 def test_malformed_json(tmp_path):
@@ -100,10 +164,8 @@ def test_missing_field(tmp_path):
     model = small_model()
     path = tmp_path / "model.json"
     save_model(model, path)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    del record["beta"]
-    path.write_text(json.dumps(record), encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="beta"):
+    edit_record(path, lambda r: r.pop("coef"))
+    with pytest.raises(ModelFormatError, match="coef"):
         load_model(path)
 
 
@@ -111,16 +173,65 @@ def test_set_length_mismatch_and_empty(tmp_path):
     model = small_model()
     path = tmp_path / "set.json"
     save_model_set([(0, model)], path)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["classes"] = [0, 1]
-    path.write_text(json.dumps(record), encoding="utf-8")
+    edit_record(path, lambda r: r.update(classes=[0, 1]))
     with pytest.raises(ModelFormatError, match="classes"):
         load_model_set(path)
-    record["classes"] = []
-    record["models"] = []
-    path.write_text(json.dumps(record), encoding="utf-8")
+    edit_record(path, lambda r: r.update(classes=[], coef=[], bias=[]))
     with pytest.raises(ModelFormatError, match="empty"):
         load_model_set(path)
+
+
+def _set_file(tmp_path):
+    _, models = small_set()
+    path = tmp_path / "set.json"
+    save_model_set(models, path)
+    return path
+
+
+def _rejected(path, *fragments):
+    with pytest.raises(ModelFormatError) as info:
+        load_model_set(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    for fragment in fragments:
+        assert fragment in message
+
+
+def test_coef_rows_must_match_classes(tmp_path):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r["coef"].pop())
+    _rejected(path, "'coef'", "2 entries", "expected 3")
+
+
+def test_coef_row_must_match_target_rows(tmp_path):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r["coef"][1].append(0.5))
+    _rejected(path, "'coef[1]'", "X_t row")
+
+
+def test_bias_must_match_classes(tmp_path):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r.update(bias=r["bias"][:2]))
+    _rejected(path, "'bias'", "2 entries", "expected 3")
+
+
+@pytest.mark.parametrize("rows, fragment", [
+    ([1.0, 2.0], "2-D"),
+    ([[[1.0]]], "2-D"),
+    ([[1.0, 2.0], [3.0]], "'X_t'"),
+    ([[1.0, float("nan")]], "non-finite"),
+    ([[1.0, float("inf")]], "non-finite"),
+])
+def test_X_t_must_be_a_finite_matrix(tmp_path, rows, fragment):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r.update(X_t=rows))
+    _rejected(path, "'X_t'", fragment)
+
+
+def test_unknown_kernel_family(tmp_path):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r["kernel"].update(family="poly"))
+    _rejected(path, "'kernel'", "unknown kernel family 'poly'")
 
 
 def test_file_is_plain_text_with_named_arrays(tmp_path):
@@ -128,5 +239,5 @@ def test_file_is_plain_text_with_named_arrays(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     text = path.read_text(encoding="utf-8")
-    for name in ("beta", "bias", "metric", "kernel_target", "ks_sqrt", "kt_inv_sqrt"):
+    for name in ("X_t", "kernel", "coef", "bias"):
         assert f'"{name}"' in text
