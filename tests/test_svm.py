@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, solve_qp_batch
@@ -167,8 +170,69 @@ def test_warm_start_agrees_with_cold_start():
 def test_guard_on_iteration_budget():
     K = np.array([[1.0, -1.0], [-1.0, 1.0]])
     y = np.array([1.0, -1.0])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="violating-pair gap"):
         solve_dual(DualProblem(K, y, 1.0), tol=1e-12, max_iter=1)
+    # the message names the budget, n, tol and the gap left after the last update
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 3))
+    K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2))
+    y = np.array([1.0, -1.0] * 10)
+    with pytest.raises(RuntimeError) as info:
+        solve_dual(DualProblem(K, y, 1.0), tol=1e-6, max_iter=3)
+    message = str(info.value)
+    assert "after 3 pair updates" in message and "n=20" in message and "tol=1e-06" in message
+    gap = float(re.search(r"violating-pair gap (\S+),", message).group(1))
+    assert 1e-6 < gap < np.inf
+
+
+def _violating_gap(K, y, C, alpha):
+    """max_{I_up} G - min_{I_low} G recomputed from alpha, as solve_dual defines it."""
+    G = y - K @ (alpha * y)
+    eps = 1e-12 * C
+    below_C, above_0 = alpha < C - eps, alpha > eps
+    up = np.where(y > 0, below_C, above_0)
+    low = np.where(y > 0, above_0, below_C)
+    return (G[up].max() if up.any() else -np.inf) - (G[low].min() if low.any() else np.inf)
+
+
+@st.composite
+def psd_problems_with_warm_start(draw):
+    """Random PSD K (full rank, or low rank A A'), both label signs, C in [1e-3, 1e2],
+    and a feasible warm start with alphas at 0, at C and strictly inside the box."""
+    n = draw(st.integers(6, 16))
+    rank = draw(st.one_of(st.just(n + 2), st.integers(1, n - 1)))
+    n_pos = draw(st.integers(2, n - 2))
+    C = 10.0 ** draw(st.floats(-3.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, rank))
+    y = rng.permutation(np.r_[np.ones(n_pos), -np.ones(n - n_pos)])
+    # equal alphas on (positive, negative) pairs keep y'alpha = 0
+    pos, neg = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+    m = min(pos.size, neg.size)
+    values = np.r_[C, rng.uniform(0.05, 0.95) * C, rng.choice([0.0, C, 0.5 * C], m - 2)]
+    if pos.size == neg.size:
+        values[-1] = 0.0  # every index is paired: make one pair sit at 0
+    warm = np.zeros(n)
+    warm[pos[:m]] = values
+    warm[neg[:m]] = values
+    return A @ A.T, y, C, warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_problems_with_warm_start())
+def test_exit_conditions_cold_and_warm(case):
+    K, y, C, warm = case
+    n, tol = y.size, 1e-6
+    p = DualProblem(K, y, C)
+    cold = solve_dual(p, tol)
+    warm_sol = solve_dual(p, tol, warm_start=warm)
+    # recomputing G from alpha differs from SMO's running G by round-off only
+    roundoff = 64 * np.finfo(float).eps * n * C * np.abs(p.K).max()
+    for sol in (cold, warm_sol):
+        assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= C)
+        assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
+        assert _violating_gap(p.K, y, C, sol.alpha) <= tol + roundoff
+    assert warm_sol.objective == pytest.approx(cold.objective, rel=1e-8)
 
 
 def test_decision_values_contract():
