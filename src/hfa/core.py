@@ -16,7 +16,7 @@ feature dimensions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from hfa.linalg import (
     symmetrize,
 )
 from hfa.metric import (
-    LineSearchParams,
     MetricFactors,
     TransformMetric,
     _scalar_inner_loop,
@@ -41,6 +40,9 @@ from hfa.metric import (
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
 
 log = logging.getLogger("hfa")
+
+# SMO stopping gap for every dual solve in training
+SVM_TOL = 1e-6
 
 __all__ = [
     "HfaConfig",
@@ -66,9 +68,14 @@ __all__ = [
 class HfaConfig:
     """Training settings shared by both paths.
 
-    lam is the metric trace budget. kernel_gamma None selects the
-    per-domain median-distance bandwidth at training time; ridge None
-    selects the scale-aware default for each Gram matrix.
+    C is the SVM box bound and lam the metric trace budget. kernel_gamma
+    None selects the per-domain median-distance bandwidth at training
+    time; ridge None selects the scale-aware default for each Gram
+    matrix. The alternation stops after t_max outer iterations or when
+    the dual objective changes by at most conv_tol relative. standardize
+    asks the experiment runner to z-score each domain's features.
+    The SMO tolerance (SVM_TOL) and the metric step rule
+    (hfa.metric.METRIC_STEPS and its backtracking constants) are fixed.
     """
 
     C: float = 1.0
@@ -78,9 +85,6 @@ class HfaConfig:
     t_max: int = 100
     conv_tol: float = 1e-5
     ridge: float | None = None
-    metric_steps: int = 10
-    svm_tol: float = 1e-6
-    line_search: LineSearchParams = field(default_factory=LineSearchParams)
     standardize: bool = False
 
     def __post_init__(self):
@@ -98,10 +102,6 @@ class HfaConfig:
             raise ValueError("conv_tol must be positive")
         if self.ridge is not None and not self.ridge > 0:
             raise ValueError("ridge must be positive when given")
-        if self.metric_steps < 1:
-            raise ValueError("metric_steps must be at least 1")
-        if not self.svm_tol > 0:
-            raise ValueError("svm_tol must be positive")
 
     def kernel_spec_for(self, X: np.ndarray) -> KernelSpec:
         """Resolve the kernel for one domain's training rows."""
@@ -258,15 +258,15 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
 
     Each outer iteration updates the metric with a bounded number of
     line-searched projected-gradient steps at fixed beta, then re-solves
-    the dual on the updated kernel (warm started). Because the metric
-    steps compose to H <- gamma*H + delta*vv', the working kernel is
-    maintained by a rank-1 update instead of a fresh triple product.
+    the dual on the updated kernel (warm started). The metric steps
+    compose to H <- gamma*H + delta*vv', so the metric gains one atom and
+    the working kernel a rank-1 term instead of a fresh triple product.
+    Both updates keep an exactly symmetric coupling exactly symmetric.
     """
-    budget = cfg.lam
-    metric = initial_metric(factors.metric_order, budget)
-    coupling = factors.lift.T @ (metric.matrix @ factors.lift)
-    K = symmetrize(factors.base + coupling)
-    sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol)
+    metric = initial_metric(factors.metric_order, cfg.lam)
+    coupling = symmetrize(factors.lift.T @ (metric.scale * factors.lift))
+    K = factors.base + coupling
+    sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
     objective = [sol.objective]
     log.info("outer 0 objective %.10e", sol.objective)
     if monitor is not None:
@@ -274,21 +274,13 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
     for tau in range(1, cfg.t_max):
         v = lift_vector(factors, sol.beta)
         if float(v @ v) > 0.0:
-            gamma, delta = _scalar_inner_loop(
-                metric,
-                v,
-                cfg.metric_steps,
-                cfg.line_search,
-                trace_base=metric.trace,
-                energy_base=float(v @ (metric.matrix @ v)),
-                const=float(sol.beta @ (factors.base @ sol.beta)),
-            )
+            gamma, delta = _scalar_inner_loop(metric, v, const=float(sol.beta @ (factors.base @ sol.beta)))
             if (gamma, delta) != (1.0, 0.0):
-                metric = TransformMetric(gamma * metric.matrix + delta * np.outer(v, v), budget)
+                metric = metric.rank1_update(gamma, delta, v)
                 u = factors.lift.T @ v
-                coupling = symmetrize(gamma * coupling + delta * np.outer(u, u))
-                K = symmetrize(factors.base + coupling)
-        sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol, warm_start=sol.alpha)
+                coupling = gamma * coupling + delta * np.outer(u, u)
+                K = factors.base + coupling
+        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         objective.append(sol.objective)
         log.info("outer %d objective %.10e", tau, sol.objective)
         if monitor is not None:
@@ -395,7 +387,7 @@ def hfa_train(
     n_s = len(source)
     beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
     v = np.concatenate([kernels.ks_sqrt @ beta_s, kernels.kt_sqrt @ beta_t])
-    coef = kernels.kt_inv_sqrt @ (metric.matrix @ v)[n_s:] + beta_t
+    coef = kernels.kt_inv_sqrt @ metric.apply(v)[n_s:] + beta_t
     return HfaModel(
         expansion=KernelExpansion(target.X, kernels.kernel_target, coef, sol.bias),
         kernel_source=kernels.kernel_source,
@@ -443,7 +435,7 @@ class LinearHfaModel:
         """Effective target-space weights: metric coupling plus the direct term."""
         d_s = self.source.dim
         v = np.concatenate([self.source.X.T @ self.beta_source, self.target.X.T @ self.beta_target])
-        hv_target = (self.metric.matrix @ v)[d_s:]
+        hv_target = self.metric.apply(v)[d_s:]
         return hv_target + self.target.X.T @ self.beta_target
 
     def decision_function(self, X) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.core import HfaConfig, HfaModel, KernelExpansion, PrecomputedKernels, hfa_train, prepare_kernels
+from hfa.core import SVM_TOL, HfaConfig, HfaModel, KernelExpansion, PrecomputedKernels, hfa_train, prepare_kernels
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
 from hfa.linalg import KernelSpec, gram_matrix
 from hfa.svm import DualProblem, solve_dual
@@ -105,7 +105,7 @@ def svm_t_baseline(
     models = []
     for c in class_list:
         y = np.where(target.y == c, 1.0, -1.0)
-        sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol)
+        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
         models.append((c, KernelExpansion(target.X, spec, sol.beta, sol.bias)))
     return models
 

@@ -1,4 +1,4 @@
-"""Symmetric-matrix primitives and kernel evaluation.
+"""Kernel Gram blocks and symmetric-matrix primitives.
 
 Everything here works on dense float64 arrays. Functions that return a
 symmetric matrix symmetrize it as (M + M') / 2 before returning, so
@@ -13,18 +13,12 @@ import numpy as np
 
 __all__ = [
     "KernelSpec",
-    "kernel_value",
     "gram_matrix",
     "cross_gram",
     "median_heuristic_gamma",
     "symmetrize",
     "sym_eigen",
-    "matrix_sqrt",
-    "matrix_inv_sqrt",
-    "psd_project",
-    "trace_cap",
     "default_ridge",
-    "frobenius_inner",
 ]
 
 
@@ -56,18 +50,6 @@ def _as_sample_matrix(X) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError(f"expected a matrix of row samples, got ndim={X.ndim}")
     return X
-
-
-def kernel_value(spec: KernelSpec, a, b) -> float:
-    """Evaluate k(a, b) for a single pair of vectors."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if spec.family == "linear":
-        return float(a @ b)
-    d = a - b
-    return float(np.exp(-spec.gamma * (d @ d)))
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -169,55 +151,6 @@ def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], V[:, ::-1]
 
 
-def matrix_sqrt(M, ridge: float = 0.0) -> np.ndarray:
-    """Symmetric square root V diag(sqrt(max(w + ridge, 0))) V'.
-
-    Negative eigenvalues surviving the ridge are clipped to zero, so the
-    result is PSD for any symmetric input.
-    """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    w, V = sym_eigen(M)
-    s = np.sqrt(np.maximum(w + ridge, 0.0))
-    return symmetrize((V * s) @ V.T)
-
-
-def matrix_inv_sqrt(M, ridge: float) -> np.ndarray:
-    """Symmetric inverse square root V diag(1 / sqrt(max(w, 0) + ridge)) V'.
-
-    The ridge must be positive; it alone bounds the denominator, so the
-    result is finite for any symmetric input including singular ones.
-    """
-    if not ridge > 0:
-        raise ValueError("ridge must be positive")
-    w, V = sym_eigen(M)
-    s = 1.0 / np.sqrt(np.maximum(w, 0.0) + ridge)
-    return symmetrize((V * s) @ V.T)
-
-
-def psd_project(M) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues at 0."""
-    M = np.asarray(M, dtype=float)
-    w, V = sym_eigen(M)
-    if w.size == 0 or w[-1] >= 0.0:
-        # already PSD, return unchanged apart from symmetrization
-        return symmetrize(M)
-    s = np.maximum(w, 0.0)
-    return symmetrize((V * s) @ V.T)
-
-
-def trace_cap(M, cap: float) -> np.ndarray:
-    """Scale M by cap / trace(M) when trace(M) > cap, else return M as is."""
-    if not cap > 0:
-        raise ValueError("cap must be positive")
-    M = np.asarray(M, dtype=float)
-    _check_square(M)
-    t = float(np.trace(M))
-    if t <= cap:
-        return M
-    return M * (cap / t)
-
-
 def default_ridge(M) -> float:
     """Scale-aware ridge 1e-8 * trace(M) / order, floored at 1e-12."""
     M = np.asarray(M, dtype=float)
@@ -227,11 +160,3 @@ def default_ridge(M) -> float:
         return 1e-12
     return max(1e-8 * float(np.trace(M)) / n, 1e-12)
 
-
-def frobenius_inner(A, B) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return float(np.tensordot(A, B))

@@ -1,14 +1,21 @@
-"""Trace-constrained PSD metric and its linear subproblem.
+"""Trace-constrained PSD metric in factored form and its scalar step rule.
 
 At fixed dual coefficients beta the adversarial objective is linear in
 the metric H:
 
     G(H) = -1/2 (beta' F beta + v' H v),    v = lift @ beta,
 
-minimized over the feasible set {H PSD, trace(H) <= budget}. The
-minimizer is the rank-1 vertex budget * vv' / ||v||^2 (sdp_closed_form);
-the alternation deliberately walks toward it with damped projected-
-gradient steps instead of jumping, which keeps the outer loop stable.
+minimized over the feasible set {H PSD, trace(H) <= budget}. Its
+minimizer is the rank-1 vertex budget * vv' / ||v||^2; the alternation
+deliberately walks toward it with damped projected-gradient steps
+instead of jumping, which keeps the outer loop stable. Every such step
+maps H to gamma * H + delta * vv' with gamma, delta >= 0, and the walk
+starts from a scaled identity, so H is always
+
+    H = scale * I + sum_k weights[k] * atoms[k] atoms[k]',
+
+which is how TransformMetric stores it. The dense matrix route that the
+step rule reproduces is the reference in tests/metric_oracle.py.
 """
 
 from __future__ import annotations
@@ -17,58 +24,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.linalg import frobenius_inner, psd_project, symmetrize, trace_cap
-
 __all__ = [
     "TransformMetric",
     "MetricFactors",
-    "LineSearchParams",
+    "METRIC_STEPS",
     "initial_metric",
     "lift_vector",
-    "sdp_objective",
-    "sdp_gradient",
-    "sdp_closed_form",
-    "sdp_pgd_step",
-    "line_search",
-    "optimize_metric",
 ]
+
+# projected-gradient steps per outer iteration, and the backtracking
+# constants of their step-size search
+METRIC_STEPS = 10
+_SHRINK = 0.5
+_ETA_MIN = 1e-12
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
 class TransformMetric:
-    """PSD matrix with a trace budget.
+    """PSD metric scale * I + sum_k weights[k] * atoms[k] atoms[k]' with a trace budget.
 
-    The matrix couples the two domain blocks of the working kernel; its
+    The metric couples the two domain blocks of the working kernel; its
     order is d_s+d_t on the explicit-feature path and n_s+n_t on the
-    kernelized path.
+    kernelized path. scale and weights are nonnegative, so the metric is
+    PSD by construction; atoms holds one row per rank-1 term.
     """
 
-    matrix: np.ndarray
+    order: int
     budget: float
+    scale: float
+    atoms: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"metric must be square, got {M.shape}")
+        atoms = np.asarray(self.atoms, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if self.order < 1:
+            raise ValueError("order must be positive")
         if not self.budget > 0:
             raise ValueError("trace budget must be positive")
-        object.__setattr__(self, "matrix", symmetrize(M))
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
+        if not (np.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"scale must be finite and nonnegative, got {self.scale}")
+        if atoms.ndim != 2 or atoms.shape[1] != self.order:
+            raise ValueError(f"atoms must have {self.order} columns, got shape {atoms.shape}")
+        if weights.shape != (atoms.shape[0],):
+            raise ValueError(f"need one weight per atom, got {weights.shape} for {atoms.shape[0]} atoms")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("atoms and weights must be finite")
+        if np.any(weights < 0):
+            raise ValueError("weights must be nonnegative")
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return self.scale * self.order + float(self.weights @ np.einsum("ij,ij->i", self.atoms, self.atoms))
+
+    def energy(self, v: np.ndarray) -> float:
+        """v' H v."""
+        proj = self.atoms @ v
+        return self.scale * float(v @ v) + float(self.weights @ (proj * proj))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """H v."""
+        return self.scale * v + self.atoms.T @ (self.weights * (self.atoms @ v))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense order x order metric, built on each access; for inspection."""
+        roots = self.atoms.T * np.sqrt(self.weights)
+        dense = roots @ roots.T  # numpy's A @ A.T kernel returns an exactly symmetric result
+        dense[np.diag_indices(self.order)] += self.scale
+        return dense
+
+    def rank1_update(self, gamma: float, delta: float, v: np.ndarray) -> TransformMetric:
+        """The metric gamma * H + delta * vv', with one more atom."""
+        return TransformMetric(
+            self.order,
+            self.budget,
+            gamma * self.scale,
+            np.vstack([self.atoms, v]),
+            np.append(gamma * self.weights, delta),
+        )
 
     def is_feasible(self, tol: float = 1e-10) -> bool:
-        """PSD within -tol*trace and trace within budget*(1+tol)."""
-        t = self.trace
-        if t > self.budget * (1.0 + tol):
-            return False
-        w = np.linalg.eigvalsh(self.matrix)
-        return bool(w.min() >= -tol * max(t, 1.0) if w.size else True)
+        """Trace within budget * (1 + tol); PSD holds by construction."""
+        return self.trace <= self.budget * (1.0 + tol)
 
 
 @dataclass(frozen=True)
@@ -106,21 +148,11 @@ class MetricFactors:
         return self.lift.shape[0]
 
 
-@dataclass(frozen=True)
-class LineSearchParams:
-    """Backtracking constants for the projected-gradient step."""
-
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    eta_min: float = 1e-12
-    max_backtracks: int = 50
-
-
 def initial_metric(order: int, budget: float) -> TransformMetric:
     """Scaled identity (budget/order) * I, the alternation's start point."""
     if order < 1:
         raise ValueError("order must be positive")
-    return TransformMetric(np.eye(order) * (budget / order), budget)
+    return TransformMetric(order, budget, budget / order, np.empty((0, order)), np.empty(0))
 
 
 def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
@@ -130,163 +162,40 @@ def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
     return factors.lift @ beta
 
 
-def sdp_objective(beta: np.ndarray, metric: TransformMetric, factors: MetricFactors) -> float:
-    """G(H) = -1/2 (beta' base beta + v' H v)."""
-    beta = np.asarray(beta, dtype=float)
-    if metric.order != factors.metric_order:
-        raise ValueError(f"metric order {metric.order} != factor order {factors.metric_order}")
-    v = lift_vector(factors, beta)
-    return -0.5 * float(beta @ (factors.base @ beta) + v @ (metric.matrix @ v))
-
-
-def sdp_gradient(beta: np.ndarray, factors: MetricFactors) -> np.ndarray:
-    """dG/dH = -1/2 vv'; symmetric, negative semidefinite, rank <= 1."""
-    v = lift_vector(factors, beta)
-    return -0.5 * np.outer(v, v)
-
-
-def sdp_closed_form(beta: np.ndarray, budget: float, factors: MetricFactors) -> TransformMetric:
-    """Analytic minimizer budget * vv' / ||v||^2; zero metric when v = 0."""
-    if not budget > 0:
-        raise ValueError("trace budget must be positive")
-    v = lift_vector(factors, beta)
-    nv = float(v @ v)
-    p = factors.metric_order
-    if nv == 0.0:
-        # objective is constant in H, any feasible point is optimal
-        return TransformMetric(np.zeros((p, p)), budget)
-    return TransformMetric(np.outer(v, v) * (budget / nv), budget)
-
-
-def _project_feasible(M: np.ndarray, budget: float) -> np.ndarray:
-    return trace_cap(psd_project(M), budget)
-
-
 def _stall_threshold(gnorm: float, trace: float, f0: float) -> float:
     return 1e-13 * (gnorm * max(trace, 1.0) + abs(f0))
 
 
-def sdp_pgd_step(
-    metric: TransformMetric, beta: np.ndarray, eta: float, factors: MetricFactors
-) -> TransformMetric:
-    """One projected-gradient update H <- project(H - eta * dG/dH).
-
-    The projection clips negative eigenvalues, then rescales onto the
-    trace budget; along the actual gradient direction the update adds a
-    PSD rank-1 term, so the eigenvalue clip only absorbs round-off.
-    """
-    if not eta >= 0:
-        raise ValueError("step size must be nonnegative")
-    grad = sdp_gradient(beta, factors)
-    stepped = metric.matrix - eta * grad
-    return TransformMetric(_project_feasible(stepped, metric.budget), metric.budget)
-
-
-def line_search(
-    metric: TransformMetric,
-    beta: np.ndarray,
-    grad: np.ndarray,
-    factors: MetricFactors,
-    params: LineSearchParams = LineSearchParams(),
-) -> tuple[float, bool]:
-    """Backtracking step-size choice for the projected-gradient update.
-
-    Starts from eta0 = trace(H) / (||grad||_F + eps) and halves until the
-    projected candidate satisfies the sufficient-decrease test
-
-        G(P(H - eta g)) <= G(H) + c * <g, P(H - eta g) - H>,
-
-    with the inner product required to be negative so an accepted step
-    makes actual progress.
-
-    Returns
-    -------
-    (eta, stalled) : tuple of float and bool
-        stalled is True when no step above eta_min passes the test, which
-        happens exactly when H already sits at the feasible minimizer.
-    """
-    grad = np.asarray(grad, dtype=float)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm == 0.0:
-        raise ValueError("line search requires a nonzero gradient")
-    f0 = sdp_objective(beta, metric, factors)
-    # progress below round-off scale counts as a stall, not a step
-    stall = _stall_threshold(gnorm, metric.trace, f0)
-    eps = np.finfo(float).eps
-    eta = metric.trace / (gnorm + eps)
-    if eta <= params.eta_min:
-        eta = 1.0 / (gnorm + eps)
-    for _ in range(params.max_backtracks):
-        cand = _project_feasible(metric.matrix - eta * grad, metric.budget)
-        ref = frobenius_inner(grad, cand - metric.matrix)
-        f1 = sdp_objective(beta, TransformMetric(cand, metric.budget), factors)
-        if ref < -stall and f1 <= f0 + params.sufficient_decrease * ref:
-            return eta, False
-        eta *= params.shrink
-        if eta < params.eta_min:
-            break
-    return params.eta_min, True
-
-
-def optimize_metric(
-    metric: TransformMetric,
-    beta: np.ndarray,
-    factors: MetricFactors,
-    steps: int = 10,
-    params: LineSearchParams = LineSearchParams(),
-) -> TransformMetric:
-    """Run up to `steps` line-searched projected-gradient updates at fixed beta.
-
-    Stops early when the line search stalls (H at the subproblem
-    optimum). A zero gradient (beta = 0) returns the metric unchanged.
-    """
-    grad = sdp_gradient(beta, factors)
-    if not np.any(grad):
-        return metric
-    for _ in range(steps):
-        eta, stalled = line_search(metric, beta, grad, factors, params)
-        if stalled:
-            break
-        metric = sdp_pgd_step(metric, beta, eta, factors)
-    return metric
-
-
-def _scalar_inner_loop(
-    metric: TransformMetric,
-    v: np.ndarray,
-    steps: int,
-    params: LineSearchParams,
-    trace_base: float,
-    energy_base: float,
-    const: float = 0.0,
-) -> tuple[float, float]:
+def _scalar_inner_loop(metric: TransformMetric, v: np.ndarray, const: float) -> tuple[float, float]:
     """Coefficients (gamma, delta) with H_out = gamma * H_in + delta * vv'.
 
-    Because the gradient -1/2 vv' is constant at fixed beta, every
-    projected step maps (gamma, delta) affinely: add (eta/2) to delta,
-    then scale both by the trace cap. Running the whole inner loop on
-    these two scalars reproduces optimize_metric without materializing
-    any intermediate matrix; the caller applies the result as a rank-1
-    update. trace_base = trace(H_in), energy_base = v' H_in v, const =
-    beta' base beta (only its magnitude matters, for the stall scale).
+    Runs METRIC_STEPS line-searched projected-gradient steps on
+    G(H) = -1/2 (const + v'Hv). Because the gradient -1/2 vv' is constant
+    at fixed beta, every projected step maps (gamma, delta) affinely: add
+    (eta/2) to delta, then scale both by the trace cap. So the whole loop
+    runs on these two scalars plus trace(H_in) and v'H_in v, and the
+    caller applies the result as a rank-1 update. const = beta' base beta
+    only sets the stall scale. A step is accepted when the v-energy rises
+    by more than that scale; the objective is exactly linear in H, so
+    this is the sufficient-decrease test.
     """
     nv2 = float(v @ v)
     nv4 = nv2 * nv2
     gnorm = 0.5 * nv2  # ||-(1/2) vv'||_F = ||v||^2 / 2
     eps = np.finfo(float).eps
     budget = metric.budget
+    trace_base = metric.trace
+    energy_base = metric.energy(v)
     gamma, delta = 1.0, 0.0
-    for _ in range(steps):
+    for _ in range(METRIC_STEPS):
         tr = gamma * trace_base + delta * nv2
         energy = gamma * energy_base + delta * nv4
-        # objective is exactly linear in H, so the sufficient-decrease
-        # test reduces to the v-energy rising by more than the stall scale
         stall = 2.0 * _stall_threshold(gnorm, tr, -0.5 * (const + energy))
         eta = tr / (gnorm + eps)
-        if eta <= params.eta_min:
+        if eta <= _ETA_MIN:
             eta = 1.0 / (gnorm + eps)
         accepted = False
-        for _ in range(params.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             d_new = delta + 0.5 * eta
             tr_new = gamma * trace_base + d_new * nv2
             scale = 1.0 if tr_new <= budget else budget / tr_new
@@ -296,8 +205,8 @@ def _scalar_inner_loop(
                 delta = scale * d_new
                 accepted = True
                 break
-            eta *= params.shrink
-            if eta < params.eta_min:
+            eta *= _SHRINK
+            if eta < _ETA_MIN:
                 break
         if not accepted:
             break

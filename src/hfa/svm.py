@@ -108,8 +108,9 @@ def solve_dual(
         Feasible alpha to start from; infeasible entries are clipped to
         the box (the equality constraint must already hold).
     max_iter : int, optional
-        Guard on pair updates; exceeding it raises RuntimeError naming
-        tol, the violating-pair gap left, the updates made and n.
+        Guard on pair updates; a solve whose gap still exceeds tol after
+        max_iter updates raises RuntimeError naming tol, the
+        violating-pair gap left, the updates made and n.
 
     Returns
     -------
@@ -144,7 +145,7 @@ def solve_dual(
     low = np.where(np.where(pos, above_0, below_C), 0.0, np.inf)
 
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while True:
         G_up = G + up
         i = int(G_up.argmax())
         G_i = G_up[i]
@@ -153,8 +154,13 @@ def solve_dual(
         b -= low
         gap = b[b.argmax()]
         if not gap > tol:
-            iterations -= 1
             break
+        if iterations == max_iter:
+            raise RuntimeError(
+                f"SMO stopped after {max_iter} pair updates (the max_iter budget) on n={n} "
+                f"with violating-pair gap {gap:.6g}, tol={tol:g}"
+            )
+        iterations += 1
 
         # second-order choice of j: b_j^2 / a_ij, twice the objective gain
         # of the pair step, largest over I_low entries with G_j < G_i.
@@ -182,12 +188,6 @@ def solve_dual(
             in_up, in_low = (below, above) if pos[k] else (above, below)
             up[k] = 0.0 if in_up else -np.inf
             low[k] = 0.0 if in_low else np.inf
-    else:
-        gap = (G + up).max() - (G + low).min()
-        raise RuntimeError(
-            f"SMO stopped after {max_iter} pair updates (the max_iter budget) on n={n} "
-            f"with violating-pair gap {gap:.6g}, tol={tol:g}"
-        )
 
     np.clip(alpha, 0.0, C, out=alpha)
     beta = alpha * y
@@ -215,7 +215,8 @@ def solve_dual(
         else:
             bias = 0.0
 
-    objective = float(alpha.sum() - 0.5 * (beta @ (K @ beta)))
+    # K beta = y - G, so the objective needs no second product with K
+    objective = float(alpha.sum() - 0.5 * (beta @ (y - G)))
     return DualSolution(alpha=alpha, beta=beta, bias=float(bias), objective=objective, iterations=iterations)
 
 

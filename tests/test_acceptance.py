@@ -24,17 +24,10 @@ from hfa.core import (
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
 from hfa.evaluate import run_experiment
 from hfa.linalg import gram_matrix
-from hfa.metric import (
-    MetricFactors,
-    TransformMetric,
-    initial_metric,
-    line_search,
-    sdp_closed_form,
-    sdp_gradient,
-    sdp_objective,
-    sdp_pgd_step,
-)
+from hfa.metric import MetricFactors, initial_metric
 from hfa.svm import DualProblem, solve_dual
+from metric_oracle import DenseMetric as TransformMetric
+from metric_oracle import line_search, sdp_closed_form, sdp_gradient, sdp_objective, sdp_pgd_step
 from qp_oracle import random_problems, solve_qp_batch
 
 

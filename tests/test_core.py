@@ -15,7 +15,7 @@ from hfa.core import (
     _sqrt_factors,
 )
 from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
-from hfa.metric import TransformMetric
+from metric_oracle import DenseMetric
 
 
 def pq_metric(rng, d_s, d_t, p):
@@ -23,7 +23,7 @@ def pq_metric(rng, d_s, d_t, p):
     P = rng.standard_normal((p, d_s))
     Q = rng.standard_normal((p, d_t))
     H = np.hstack([P, Q]).T @ np.hstack([P, Q])
-    return TransformMetric(H, float(np.trace(H)) + 1.0), P, Q
+    return DenseMetric(H, float(np.trace(H)) + 1.0), P, Q
 
 
 def augmented_by_hand(x, other, P, lead):
@@ -94,7 +94,7 @@ def test_build_KH_linear_matches_augmented_gram():
 def test_build_KH_linear_zero_metric_is_uncoupled():
     rng = np.random.default_rng(1)
     Xs, Xt = rng.standard_normal((3, 4)), rng.standard_normal((2, 5))
-    metric = TransformMetric(np.zeros((9, 9)), 1.0)
+    metric = DenseMetric(np.zeros((9, 9)), 1.0)
     K = build_KH_linear(Xs.T, Xt.T, metric)
     assert np.allclose(K[:3, :3], Xs @ Xs.T, atol=1e-12)
     assert np.allclose(K[3:, 3:], Xt @ Xt.T, atol=1e-12)
@@ -105,7 +105,7 @@ def test_build_KH_linear_order_mismatch():
     rng = np.random.default_rng(2)
     Xs, Xt = rng.standard_normal((3, 4)), rng.standard_normal((2, 5))
     with pytest.raises(ValueError, match="metric order"):
-        build_KH_linear(Xs.T, Xt.T, TransformMetric(np.eye(8), 1.0))
+        build_KH_linear(Xs.T, Xt.T, DenseMetric(np.eye(8), 1.0))
 
 
 # ------------------------------------------------------------- kernelized builder
@@ -126,7 +126,7 @@ def test_build_KH_kernelized_oracle():
     n = 7
     B = rng.standard_normal((n, n))
     H = B @ B.T
-    metric = TransformMetric(H, float(np.trace(H)) + 1.0)
+    metric = DenseMetric(H, float(np.trace(H)) + 1.0)
     K = build_KH_kernelized(ks, kt, Ks, Kt, metric)
     S = np.zeros((n, n))
     S[:4, :4], S[4:, 4:] = ks, kt
@@ -138,7 +138,7 @@ def test_build_KH_kernelized_oracle():
 def test_build_KH_kernelized_zero_metric_blockdiag():
     rng = np.random.default_rng(4)
     Ks, Kt, ks, kt = grams_and_roots(rng, 5, 2)
-    K = build_KH_kernelized(ks, kt, Ks, Kt, TransformMetric(np.zeros((7, 7)), 1.0))
+    K = build_KH_kernelized(ks, kt, Ks, Kt, DenseMetric(np.zeros((7, 7)), 1.0))
     assert np.allclose(K[:5, :5], Ks) and np.allclose(K[5:, 5:], Kt)
     assert np.allclose(K[:5, 5:], 0.0)
 
@@ -147,9 +147,9 @@ def test_build_KH_kernelized_shape_errors():
     rng = np.random.default_rng(5)
     Ks, Kt, ks, kt = grams_and_roots(rng, 4, 3)
     with pytest.raises(ValueError, match="metric order"):
-        build_KH_kernelized(ks, kt, Ks, Kt, TransformMetric(np.eye(6), 1.0))
+        build_KH_kernelized(ks, kt, Ks, Kt, DenseMetric(np.eye(6), 1.0))
     with pytest.raises(ValueError, match="square-root"):
-        build_KH_kernelized(ks[:3, :3], kt, Ks, Kt, TransformMetric(np.eye(7), 1.0))
+        build_KH_kernelized(ks[:3, :3], kt, Ks, Kt, DenseMetric(np.eye(7), 1.0))
 
 
 def test_factor_helpers_compose_the_same_kernel():
@@ -202,8 +202,6 @@ def test_config_validation():
         dict(t_max=0),
         dict(conv_tol=0.0),
         dict(ridge=0.0),
-        dict(metric_steps=0),
-        dict(svm_tol=0.0),
     ):
         with pytest.raises(ValueError):
             HfaConfig(**bad)

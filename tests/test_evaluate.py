@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, KernelExpansion, prepare_kernels
+from hfa.core import SVM_TOL, HfaConfig, KernelExpansion, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.evaluate import (
     ExperimentReport,
@@ -120,7 +120,7 @@ def test_svm_t_matches_direct_dual_solve():
     for c, model in models:
         assert isinstance(model, KernelExpansion)
         y = np.where(target.y == c, 1.0, -1.0)
-        sol = solve_dual(DualProblem(K, y, cfg.C), cfg.svm_tol)
+        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
         from hfa.linalg import cross_gram
         want = decision_values(sol, cross_gram(spec, target.X, X))
         np.testing.assert_allclose(model.decision_function(X), want, atol=1e-10)

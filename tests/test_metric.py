@@ -3,12 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hfa.metric import (
-    LineSearchParams,
+    METRIC_STEPS,
     MetricFactors,
     TransformMetric,
     _scalar_inner_loop,
     initial_metric,
     lift_vector,
+)
+from metric_oracle import (
+    DenseMetric,
+    LineSearchParams,
     line_search,
     optimize_metric,
     sdp_closed_form,
@@ -39,24 +43,53 @@ def random_feasible_metric(rng, order, budget):
     A = rng.standard_normal((order, order))
     M = A @ A.T
     M *= rng.uniform(0.05, 1.0) * budget / np.trace(M)
-    return TransformMetric(M, budget)
+    return DenseMetric(M, budget)
+
+
+def random_factored_metric(rng, order, budget):
+    """scale * I plus 0-4 atoms, at a random fraction of the budget."""
+    k = int(rng.integers(0, 5))
+    m = TransformMetric(order, budget, float(rng.uniform(0.1, 1.0)),
+                        rng.standard_normal((k, order)), rng.uniform(0.0, 1.0, k))
+    s = rng.uniform(0.05, 1.0) * budget / m.trace
+    return TransformMetric(order, budget, s * m.scale, m.atoms, s * m.weights)
 
 
 def test_transform_metric_validation():
+    atoms, weights = np.array([[1.0, 2.0]]), np.array([0.5])
+    for bad in (
+        dict(order=0, atoms=np.empty((0, 0)), weights=np.empty(0)),
+        dict(budget=0.0),
+        dict(scale=-1e-3),
+        dict(scale=np.nan),
+        dict(atoms=np.ones((1, 3))),
+        dict(weights=np.array([0.5, 0.5])),
+        dict(weights=np.array([-0.5])),
+        dict(atoms=np.array([[np.inf, 0.0]])),
+    ):
+        args = dict(order=2, budget=5.0, scale=0.25, atoms=atoms, weights=weights) | bad
+        with pytest.raises(ValueError):
+            TransformMetric(**args)
+    m = TransformMetric(2, 5.0, 0.25, atoms, weights)
+    assert_allclose(m.matrix, [[0.75, 1.0], [1.0, 2.25]], atol=0)
+    assert m.trace == pytest.approx(3.0, rel=1e-15)
+    v = np.array([1.0, -1.0])
+    assert m.energy(v) == pytest.approx(1.0, rel=1e-15)
+    assert_allclose(m.apply(v), [-0.25, -1.25], atol=1e-15)
+    # gamma * H + delta * vv' appends one atom and rescales the rest
+    u = m.rank1_update(0.5, 2.0, v)
+    assert_allclose(u.matrix, 0.5 * m.matrix + 2.0 * np.outer(v, v), atol=1e-15)
+    assert u.atoms.shape == (2, 2) and m.atoms.shape == (1, 2)
     with pytest.raises(ValueError):
-        TransformMetric(np.ones((2, 3)), 1.0)
-    with pytest.raises(ValueError):
-        TransformMetric(np.eye(2), 0.0)
-    m = TransformMetric(np.array([[1.0, 2.0], [0.0, 1.0]]), 5.0)
-    assert_allclose(m.matrix, [[1.0, 1.0], [1.0, 1.0]], atol=0)  # symmetrized
-    assert m.order == 2
-    assert m.trace == pytest.approx(2.0)
+        m.rank1_update(1.0, -1.0, v)
 
 
 def test_is_feasible():
-    assert TransformMetric(np.eye(3), 4.0).is_feasible()
-    assert not TransformMetric(np.eye(3), 2.0).is_feasible()
-    assert not TransformMetric(np.diag([1.0, -0.5]), 4.0).is_feasible()
+    assert TransformMetric(3, 4.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(3, 2.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(2, 4.0, 1.0, np.array([[1.0, 1.0]]), np.array([1.5])).is_feasible()
+    # the budget check allows tol relative slack
+    assert TransformMetric(1, 2.0, 2.0 * (1 + 1e-12), np.empty((0, 1)), np.empty(0)).is_feasible()
 
 
 def test_initial_metric():
@@ -92,7 +125,7 @@ def test_objective_trivial_cases():
     rng = np.random.default_rng(2)
     f = random_factors(rng, 2, 3)
     beta = rng.standard_normal(5)
-    zero_H = TransformMetric(np.zeros((5, 5)), 1.0)
+    zero_H = DenseMetric(np.zeros((5, 5)), 1.0)
     assert sdp_objective(beta, zero_H, f) == pytest.approx(-0.5 * beta @ f.base @ beta, rel=1e-12)
     assert sdp_objective(np.zeros(5), random_feasible_metric(rng, 5, 1.0), f) == pytest.approx(0.0, abs=1e-15)
 
@@ -102,8 +135,8 @@ def central_fd(beta, H, f, i, j, h=1e-5):
     E = np.zeros((H.order, H.order))
     E[i, j] = h
     E[j, i] = h
-    up = sdp_objective(beta, TransformMetric(H.matrix + E, H.budget), f)
-    dn = sdp_objective(beta, TransformMetric(H.matrix - E, H.budget), f)
+    up = sdp_objective(beta, DenseMetric(H.matrix + E, H.budget), f)
+    dn = sdp_objective(beta, DenseMetric(H.matrix - E, H.budget), f)
     return (up - dn) / (2.0 * h)
 
 
@@ -178,7 +211,7 @@ def test_pgd_step_from_zero_matches_closed_form_direction():
     rng = np.random.default_rng(7)
     f = random_factors(rng, 3, 2)
     beta = rng.standard_normal(5)
-    H0 = TransformMetric(np.zeros((5, 5)), 1.5)
+    H0 = DenseMetric(np.zeros((5, 5)), 1.5)
     out = sdp_pgd_step(H0, beta, 1e6, f)
     star = sdp_closed_form(beta, 1.5, f)
     assert_allclose(out.matrix, star.matrix, atol=1e-8 * star.trace)
@@ -201,7 +234,7 @@ def test_line_search_decrease_and_projection_free_value():
         beta = rng.standard_normal(6)
         budget = 8.0
         # small trace keeps the first candidate strictly inside the cap
-        H = TransformMetric(np.eye(6) * (budget / 32.0), budget)
+        H = DenseMetric(np.eye(6) * (budget / 32.0), budget)
         g = sdp_gradient(beta, f)
         eta, stalled = line_search(H, beta, g, f)
         assert not stalled
@@ -291,21 +324,21 @@ def test_optimize_metric_matches_manual_loop():
 
 
 def test_scalar_inner_loop_matches_matrix_route():
+    # one outer metric step of the trainer (scalar loop, then one atom)
+    # against METRIC_STEPS line-searched projected-gradient steps on the
+    # dense matrix; the start includes the trainer's scaled identity
     rng = np.random.default_rng(14)
-    for _ in range(10):
+    for trial in range(12):
         ns, nt = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         n = ns + nt
         f = random_factors(rng, ns, nt)
         beta = rng.standard_normal(n)
-        H0 = random_feasible_metric(rng, n, 2.0)
-        steps = int(rng.integers(1, 12))
-        ref = optimize_metric(H0, beta, f, steps=steps)
+        budget = float(rng.uniform(0.5, 3.0))
+        H0 = initial_metric(n, budget) if trial < 3 else random_factored_metric(rng, n, budget)
+        ref = optimize_metric(DenseMetric(H0.matrix, budget), beta, f, steps=METRIC_STEPS)
 
         v = lift_vector(f, beta)
-        gamma, delta = _scalar_inner_loop(
-            H0, v, steps, LineSearchParams(),
-            trace_base=H0.trace, energy_base=float(v @ H0.matrix @ v),
-            const=float(beta @ f.base @ beta),
-        )
-        fast = gamma * H0.matrix + delta * np.outer(v, v)
-        assert_allclose(fast, ref.matrix, atol=1e-10 * max(1.0, ref.trace))
+        gamma, delta = _scalar_inner_loop(H0, v, const=float(beta @ f.base @ beta))
+        fast = H0.rank1_update(gamma, delta, v)
+        assert_allclose(fast.matrix, ref.matrix, atol=1e-10 * max(1.0, ref.trace))
+        assert fast.trace == pytest.approx(ref.trace, rel=1e-10)

@@ -1,8 +1,12 @@
 """Alternating trainer, predictors and cross-path agreement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hfa.core
 from hfa.core import (
     HfaConfig,
     build_KH_kernelized,
@@ -65,6 +69,55 @@ def test_metric_stays_feasible_every_iteration():
         assert eigs[0] >= -1e-10 * max(t, 1.0)
         assert t <= cfg.lam * (1.0 + 1e-10)
     assert np.allclose([o for _, _, o in seen], model.objective_trace)
+
+
+@st.composite
+def small_binary_problems(draw):
+    """A random binary source/target pair, a path (rbf, linear kernel or the
+    explicit linear path) and a config with lam and C over four decades."""
+    n_s, n_t = draw(st.integers(2, 12)), draw(st.integers(2, 8))
+    d_s, d_t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.permutation(np.r_[1, -1, np.where(rng.random(n_s + n_t - 2) < 0.5, 1, -1)])
+    source = Dataset("source", rng.standard_normal((n_s, d_s)) * draw(st.sampled_from([0.1, 1.0, 10.0])), y[:n_s])
+    target = Dataset("target", rng.standard_normal((n_t, d_t)), y[n_s:])
+    path = draw(st.sampled_from(["rbf", "linear", "explicit"]))
+    cfg = HfaConfig(C=10.0 ** draw(st.floats(-1.0, 1.0)), lam=10.0 ** draw(st.floats(-2.0, 2.0)),
+                    kernel_family="rbf" if path == "rbf" else "linear", t_max=15)
+    probe = rng.standard_normal(d_s + d_t if path == "explicit" else n_s + n_t)
+    return source, target, path, cfg, probe
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_binary_problems())
+def test_metric_feasible_along_alternation(problem):
+    # every metric the monitor sees is PSD by its factors and within the
+    # budget, its factor formulas match its dense matrix, and every working
+    # kernel handed to the dual solver is exactly symmetric
+    source, target, path, cfg, probe = problem
+    kernels = []
+
+    def record(K, y, C):
+        kernels.append(np.array(K))
+        return DualProblem(K, y, C)
+
+    def monitor(it, metric, sol):
+        assert metric.scale >= 0 and np.all(metric.weights >= 0)
+        t = metric.trace
+        assert t <= cfg.lam * (1.0 + 1e-12)
+        M = metric.matrix
+        assert np.linalg.eigvalsh(M)[0] >= -1e-10 * t
+        assert t == pytest.approx(np.trace(M), rel=1e-12)
+        # ||H|| <= trace(H) for PSD H sets the scale of both products
+        norm = float(np.linalg.norm(probe))
+        assert abs(metric.energy(probe) - probe @ M @ probe) <= 1e-12 * t * norm**2
+        assert np.max(np.abs(metric.apply(probe) - M @ probe)) <= 1e-12 * t * norm
+
+    with mock.patch.object(hfa.core, "DualProblem", record):
+        train = hfa_train_linear if path == "explicit" else hfa_train
+        model = train(source, target, cfg, monitor=monitor)
+    assert len(kernels) == len(model.objective_trace)
+    assert all(np.array_equal(K, K.T) for K in kernels)
 
 
 def test_training_is_deterministic():
