@@ -269,7 +269,8 @@ def cmd_train(cfg: CliConfig) -> None:
     _atomic(out, lambda tmp: save_model_set(models, tmp, metadata))
     for c, model in models:
         trace = model.objective_trace
-        print(f"class {c}: final objective {float(trace[-1])!r} after {len(trace)} iterations")
+        print(f"class {c}: final objective {float(trace[-1])!r} after {len(trace)} iterations, "
+              f"certified gap {model.saddle_gap:.3e}")
     print(f"wrote {out}: {len(models)} models")
 
 

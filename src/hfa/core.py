@@ -2,9 +2,11 @@
 
 The model couples a labeled source domain (dim d_s) and a sparsely
 labeled target domain (dim d_t) by implicitly embedding both into a
-shared augmented space. Only the PSD coupling metric is learned, by
-alternating a kernel SVM dual solve with damped projected-gradient
-updates of the metric; prediction needs target kernel values only.
+shared augmented space. Only the PSD coupling metric is learned: the
+trainer minimizes the SVM dual value over the trace-bounded metrics by
+Frank-Wolfe steps toward a rank-1 vertex, re-solving the dual (warm
+started) at each trial step, and stops on a certified saddle gap;
+prediction needs target kernel values only.
 
 Two training paths exist: the explicit path carries a metric of order
 d_s+d_t over raw features, the kernelized path a metric of order
@@ -33,7 +35,6 @@ from hfa.linalg import (
 from hfa.metric import (
     MetricFactors,
     TransformMetric,
-    _scalar_inner_loop,
     initial_metric,
     lift_vector,
 )
@@ -71,11 +72,11 @@ class HfaConfig:
     C is the SVM box bound and lam the metric trace budget. kernel_gamma
     None selects the per-domain median-distance bandwidth at training
     time; ridge None selects the scale-aware default for each Gram
-    matrix. The alternation stops after t_max outer iterations or when
-    the dual objective changes by at most conv_tol relative. standardize
-    asks the experiment runner to z-score each domain's features.
-    The SMO tolerance (SVM_TOL) and the metric step rule
-    (hfa.metric.METRIC_STEPS and its backtracking constants) are fixed.
+    matrix. The alternation stops after t_max outer iterations, or one
+    iteration after the certified relative saddle gap (P - max L) / |P|
+    falls to conv_tol, so the last objective change is within conv_tol
+    too (see _alternate). standardize asks the experiment runner to
+    z-score each domain's features. The SMO tolerance (SVM_TOL) is fixed.
     """
 
     C: float = 1.0
@@ -254,41 +255,79 @@ def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
 
 
 def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=None):
-    """Run the alternation; returns (metric, final solution, objective trace).
+    """Run the alternation; returns (metric, final solution, objective trace, saddle gap).
 
-    Each outer iteration updates the metric with a bounded number of
-    line-searched projected-gradient steps at fixed beta, then re-solves
-    the dual on the updated kernel (warm started). The metric steps
-    compose to H <- gamma*H + delta*vv', so the metric gains one atom and
-    the working kernel a rank-1 term instead of a fresh triple product.
-    Both updates keep an exactly symmetric coupling exactly symmetric.
+    P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
+    fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
+    rank-1 vertex lam*hh', h = v/||v||, v = L beta. Each outer iteration is
+    one Frank-Wolfe step H <- (1-t)H + t*lam*hh' (Jaggi, ICML 2013), so the
+    working kernel is K(t) = F + (1-t)*coupling + t*lam*uu' with u = L'h.
+    By Danskin's theorem dP/dt = -1/2 (lam (u'beta_t)^2 - beta_t' coupling
+    beta_t) at the dual solution for K(t); t = 1 is taken when that slope is
+    not positive there, else the lower of t = 1 and the secant root of the
+    slope between t = 0 and 1, halved until P does not rise.
+
+    Every solve's alpha also gives L(alpha) = 1'alpha - 1/2 beta'F beta -
+    1/2 lam ||L beta||^2, a lower bound on the saddle value, so
+    (P - max L) / |P| is a certified relative gap. The loop stops one step
+    after it reaches cfg.conv_tol, which bounds that last step's change of
+    P by conv_tol too, or after cfg.t_max solves are accepted.
     """
-    metric = initial_metric(factors.metric_order, cfg.lam)
-    coupling = symmetrize(factors.lift.T @ (metric.scale * factors.lift))
-    K = factors.base + coupling
-    sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
-    objective = [sol.objective]
-    log.info("outer 0 objective %.10e", sol.objective)
-    if monitor is not None:
-        monitor(0, metric, sol)
-    for tau in range(1, cfg.t_max):
+    lam, lift = cfg.lam, factors.lift
+    metric = initial_metric(factors.metric_order, lam)
+    coupling = symmetrize(lift.T @ (metric.scale * lift))
+    sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL)
+    lower = -np.inf
+
+    def slope(s, t):
+        # dP/dt at the solution s for K(t); s's alpha also tightens the bound
+        nonlocal lower
+        w = lift @ s.beta
+        energy, along = metric.energy(w), lam * float(h @ w) ** 2
+        lower = max(lower, s.objective + 0.5 * ((1.0 - t) * energy + t * along - lam * float(w @ w)))
+        return -0.5 * (along - energy)
+
+    def trial(t):
+        # solve at K(t), warm started from the accepted alpha
+        coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
+        s = solve_dual(DualProblem(factors.base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+        return s, coupling_t, slope(s, t)
+
+    objective = []
+    reached = False
+    for tau in range(cfg.t_max):
+        if tau > 0:
+            if reached:
+                break
+            reached = gap <= cfg.conv_tol
+            if slope_0 < 0.0:
+                u = lift.T @ h
+                t = 1.0
+                best, coupling_t, slope_1 = trial(t)
+                if slope_1 > 0.0:
+                    t_root = slope_0 / (slope_0 - slope_1)
+                    step = trial(t_root)
+                    if step[0].objective < best.objective:
+                        t, (best, coupling_t, _) = t_root, step
+                while best.objective > sol.objective:
+                    t *= 0.5
+                    log.info("outer %d step halved to t = %.3e", tau, t)
+                    best, coupling_t, _ = trial(t)
+                metric = metric.rank1_update(1.0 - t, t * lam, h)
+                coupling, sol = coupling_t, best
+            else:
+                # H already minimizes at this beta (gap 0): the step is t = 0
+                sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         v = lift_vector(factors, sol.beta)
-        if float(v @ v) > 0.0:
-            gamma, delta = _scalar_inner_loop(metric, v, const=float(sol.beta @ (factors.base @ sol.beta)))
-            if (gamma, delta) != (1.0, 0.0):
-                metric = metric.rank1_update(gamma, delta, v)
-                u = factors.lift.T @ v
-                coupling = gamma * coupling + delta * np.outer(u, u)
-                K = factors.base + coupling
-        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+        norm = np.sqrt(float(v @ v))
+        h = v / norm if norm > 0.0 else v  # v = 0 leaves no direction, and slope 0
+        slope_0 = slope(sol, 0.0)
+        gap = (sol.objective - lower) / max(abs(sol.objective), 1e-12)
         objective.append(sol.objective)
-        log.info("outer %d objective %.10e", tau, sol.objective)
+        log.info("outer %d objective %.10e gap %.3e", tau, sol.objective, gap)
         if monitor is not None:
             monitor(tau, metric, sol)
-        prev, cur = objective[-2], objective[-1]
-        if abs(cur - prev) <= cfg.conv_tol * max(abs(prev), 1e-12):
-            break
-    return metric, sol, np.array(objective)
+    return metric, sol, np.array(objective), gap
 
 
 @dataclass(frozen=True)
@@ -325,7 +364,8 @@ class HfaModel:
     """Trained kernelized model over one binary source/target pair.
 
     Prediction delegates to `expansion`, all that a saved model keeps; the
-    other fields are training diagnostics. beta splits as (beta_source,
+    other fields are training diagnostics and are not saved; saddle_gap is
+    the certified relative gap at exit. beta splits as (beta_source,
     beta_target) in training order; ks_sqrt @ ks_sqrt ~= Ks + ridge*I and
     kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
     """
@@ -338,6 +378,7 @@ class HfaModel:
     kt_sqrt: np.ndarray
     kt_inv_sqrt: np.ndarray
     objective_trace: np.ndarray
+    saddle_gap: float
 
     @property
     def kernel_target(self) -> KernelSpec:
@@ -383,7 +424,7 @@ def hfa_train(
     elif kernels.factors.n_source != len(source) or kernels.factors.n_target != len(target):
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace = _alternate(kernels.factors, y, cfg, monitor)
+    metric, sol, trace, gap = _alternate(kernels.factors, y, cfg, monitor)
     n_s = len(source)
     beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
     v = np.concatenate([kernels.ks_sqrt @ beta_s, kernels.kt_sqrt @ beta_t])
@@ -397,6 +438,7 @@ def hfa_train(
         kt_sqrt=kernels.kt_sqrt,
         kt_inv_sqrt=kernels.kt_inv_sqrt,
         objective_trace=trace,
+        saddle_gap=gap,
     )
 
 
@@ -418,6 +460,7 @@ class LinearHfaModel:
     beta: np.ndarray
     bias: float
     objective_trace: np.ndarray
+    saddle_gap: float
 
     @property
     def n_source(self) -> int:
@@ -457,7 +500,7 @@ def hfa_train_linear(
     _validate_binary_pair(source, target)
     factors = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace = _alternate(factors, y, cfg, monitor)
+    metric, sol, trace, gap = _alternate(factors, y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,
@@ -465,6 +508,7 @@ def hfa_train_linear(
         beta=sol.beta,
         bias=sol.bias,
         objective_trace=trace,
+        saddle_gap=gap,
     )
 
 

@@ -1,4 +1,4 @@
-"""Trace-constrained PSD metric in factored form and its scalar step rule.
+"""Trace-constrained PSD metric in factored form and the subproblem factors.
 
 At fixed dual coefficients beta the adversarial objective is linear in
 the metric H:
@@ -6,16 +6,15 @@ the metric H:
     G(H) = -1/2 (beta' F beta + v' H v),    v = lift @ beta,
 
 minimized over the feasible set {H PSD, trace(H) <= budget}. Its
-minimizer is the rank-1 vertex budget * vv' / ||v||^2; the alternation
-deliberately walks toward it with damped projected-gradient steps
-instead of jumping, which keeps the outer loop stable. Every such step
-maps H to gamma * H + delta * vv' with gamma, delta >= 0, and the walk
-starts from a scaled identity, so H is always
+minimizer is the rank-1 vertex budget * hh', h = v / ||v||. The trainer
+(hfa.core._alternate) takes Frank-Wolfe steps toward that vertex, each
+mapping H to (1 - t) * H + t * budget * hh' with t in [0, 1], from a
+scaled identity, so H is always
 
     H = scale * I + sum_k weights[k] * atoms[k] atoms[k]',
 
-which is how TransformMetric stores it. The dense matrix route that the
-step rule reproduces is the reference in tests/metric_oracle.py.
+which is how TransformMetric stores it. The dense matrix route of the
+subproblem is the reference in tests/metric_oracle.py.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ import numpy as np
 __all__ = [
     "TransformMetric",
     "MetricFactors",
-    "METRIC_STEPS",
     "initial_metric",
     "lift_vector",
 ]
-
-# projected-gradient steps per outer iteration, and the backtracking
-# constants of their step-size search
-METRIC_STEPS = 10
-_SHRINK = 0.5
-_ETA_MIN = 1e-12
-_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -161,53 +152,3 @@ def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
         raise ValueError(f"beta must have length {factors.n}, got {beta.shape}")
     return factors.lift @ beta
 
-
-def _stall_threshold(gnorm: float, trace: float, f0: float) -> float:
-    return 1e-13 * (gnorm * max(trace, 1.0) + abs(f0))
-
-
-def _scalar_inner_loop(metric: TransformMetric, v: np.ndarray, const: float) -> tuple[float, float]:
-    """Coefficients (gamma, delta) with H_out = gamma * H_in + delta * vv'.
-
-    Runs METRIC_STEPS line-searched projected-gradient steps on
-    G(H) = -1/2 (const + v'Hv). Because the gradient -1/2 vv' is constant
-    at fixed beta, every projected step maps (gamma, delta) affinely: add
-    (eta/2) to delta, then scale both by the trace cap. So the whole loop
-    runs on these two scalars plus trace(H_in) and v'H_in v, and the
-    caller applies the result as a rank-1 update. const = beta' base beta
-    only sets the stall scale. A step is accepted when the v-energy rises
-    by more than that scale; the objective is exactly linear in H, so
-    this is the sufficient-decrease test.
-    """
-    nv2 = float(v @ v)
-    nv4 = nv2 * nv2
-    gnorm = 0.5 * nv2  # ||-(1/2) vv'||_F = ||v||^2 / 2
-    eps = np.finfo(float).eps
-    budget = metric.budget
-    trace_base = metric.trace
-    energy_base = metric.energy(v)
-    gamma, delta = 1.0, 0.0
-    for _ in range(METRIC_STEPS):
-        tr = gamma * trace_base + delta * nv2
-        energy = gamma * energy_base + delta * nv4
-        stall = 2.0 * _stall_threshold(gnorm, tr, -0.5 * (const + energy))
-        eta = tr / (gnorm + eps)
-        if eta <= _ETA_MIN:
-            eta = 1.0 / (gnorm + eps)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            d_new = delta + 0.5 * eta
-            tr_new = gamma * trace_base + d_new * nv2
-            scale = 1.0 if tr_new <= budget else budget / tr_new
-            energy_new = scale * (gamma * energy_base + d_new * nv4)
-            if energy_new - energy > stall:
-                gamma *= scale
-                delta = scale * d_new
-                accepted = True
-                break
-            eta *= _SHRINK
-            if eta < _ETA_MIN:
-                break
-        if not accepted:
-            break
-    return gamma, delta

@@ -8,9 +8,9 @@ minimized over {H PSD, trace(H) <= budget}. This module solves it the
 direct way, on explicit order x order matrices: the gradient -1/2 vv',
 projected-gradient steps (eigenvalue clip, then trace cap) chosen by a
 backtracking line search, and the closed-form rank-1 vertex
-budget * vv' / ||v||^2. The trainer's scalar step rule
-(hfa.metric._scalar_inner_loop) must reproduce optimize_metric; the
-unit and acceptance suites compare against these functions.
+budget * vv' / ||v||^2, where the trainer's full Frank-Wolfe step
+(t = 1) lands; the unit and acceptance suites compare against these
+functions.
 
 The functions read a metric through .matrix, .budget, .trace and .order
 only, so they accept hfa.metric.TransformMetric as well as DenseMetric.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hfa.cli import main
+from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, save_dense_csv
 from hfa.model_io import load_model_set
 
@@ -71,6 +72,9 @@ def test_train_reports_objective_and_writes_models(corpus, capsys, tmp_path):
         assert n <= 100
     ms = load_model_set(out)
     assert ms.classes == [0, 1]
+    gaps = [float(g) for g in re.findall(r", certified gap (\S+)$", captured.out, re.M)]
+    assert len(gaps) == 2
+    assert all(g <= HfaConfig().conv_tol for g in gaps)
 
 
 def test_train_missing_input_fails(tmp_path, capsys):

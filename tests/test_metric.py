@@ -3,10 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hfa.metric import (
-    METRIC_STEPS,
     MetricFactors,
     TransformMetric,
-    _scalar_inner_loop,
     initial_metric,
     lift_vector,
 )
@@ -323,10 +321,9 @@ def test_optimize_metric_matches_manual_loop():
     assert_allclose(same.matrix, H0.matrix, atol=0)
 
 
-def test_scalar_inner_loop_matches_matrix_route():
-    # one outer metric step of the trainer (scalar loop, then one atom)
-    # against METRIC_STEPS line-searched projected-gradient steps on the
-    # dense matrix; the start includes the trainer's scaled identity
+def test_frank_wolfe_vertex_matches_closed_form():
+    # a full Frank-Wolfe step (t = 1) from any feasible metric lands on the
+    # rank-1 vertex budget * hh', the exact minimizer of the subproblem
     rng = np.random.default_rng(14)
     for trial in range(12):
         ns, nt = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -335,10 +332,8 @@ def test_scalar_inner_loop_matches_matrix_route():
         beta = rng.standard_normal(n)
         budget = float(rng.uniform(0.5, 3.0))
         H0 = initial_metric(n, budget) if trial < 3 else random_factored_metric(rng, n, budget)
-        ref = optimize_metric(DenseMetric(H0.matrix, budget), beta, f, steps=METRIC_STEPS)
-
         v = lift_vector(f, beta)
-        gamma, delta = _scalar_inner_loop(H0, v, const=float(beta @ f.base @ beta))
-        fast = H0.rank1_update(gamma, delta, v)
-        assert_allclose(fast.matrix, ref.matrix, atol=1e-10 * max(1.0, ref.trace))
-        assert fast.trace == pytest.approx(ref.trace, rel=1e-10)
+        vertex = H0.rank1_update(0.0, budget, v / np.linalg.norm(v))
+        ref = sdp_closed_form(beta, budget, f)
+        assert_allclose(vertex.matrix, ref.matrix, rtol=0, atol=1e-12 * max(1.0, budget))
+        assert vertex.trace == pytest.approx(budget, rel=1e-12)

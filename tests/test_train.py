@@ -12,13 +12,15 @@ from hfa.core import (
     build_KH_kernelized,
     hfa_train,
     hfa_train_linear,
+    linear_factors,
     predict,
     predict_linear,
     prepare_kernels,
 )
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
-from hfa.linalg import gram_matrix
+from hfa.linalg import gram_matrix, symmetrize
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
+from metric_oracle import DenseMetric, psd_project, trace_cap
 
 
 def binary_pair(seed=0, n_s=25, n_t=8, d_s=6, d_t=4):
@@ -113,11 +115,53 @@ def test_metric_feasible_along_alternation(problem):
         assert abs(metric.energy(probe) - probe @ M @ probe) <= 1e-12 * t * norm**2
         assert np.max(np.abs(metric.apply(probe) - M @ probe)) <= 1e-12 * t * norm
 
-    with mock.patch.object(hfa.core, "DualProblem", record):
+    with mock.patch.object(hfa.core, "DualProblem", record), mock.patch.object(hfa.core.log, "info") as info:
         train = hfa_train_linear if path == "explicit" else hfa_train
         model = train(source, target, cfg, monitor=monitor)
-    assert len(kernels) == len(model.objective_trace)
+    # one solve per accepted step plus at most one more line-search trial,
+    # and one per halved step
+    trace = model.objective_trace
+    halvings = sum("halved" in call.args[0] for call in info.call_args_list)
+    assert len(trace) <= len(kernels) <= 2 * len(trace) - 1 + halvings
     assert all(np.array_equal(K, K.T) for K in kernels)
+
+    # the saddle-gap certificate on the same run: the objective never rises
+    # and falls at every step that starts above conv_tol, the gap is
+    # nonnegative, a run that stops early has met conv_tol on both the gap
+    # and its last change, and P * (1 - gap) is a real lower bound: no
+    # feasible metric has a smaller dual optimum
+    gap = model.saddle_gap
+    # per-iteration (objective, gap) from the "outer N objective P gap G" lines
+    logged = [call.args[2:] for call in info.call_args_list if "objective" in call.args[0]]
+    assert [obj for obj, _ in logged] == list(trace) and logged[-1][1] == gap
+    scale = max(abs(trace[-1]), 1e-12)
+    assert np.all(np.diff(trace) <= 1e-12 * scale)
+    assert all(g >= -1e-9 for _, g in logged)
+    assert all(trace[k + 1] < trace[k] for k, (_, g) in enumerate(logged[:-1]) if g > cfg.conv_tol)
+    if len(trace) < cfg.t_max:
+        assert gap <= cfg.conv_tol
+        assert abs(trace[-1] - trace[-2]) <= cfg.conv_tol * max(abs(trace[-2]), 1e-12)
+    if path == "explicit":
+        factors = linear_factors(source.X.T, target.X.T)
+    else:
+        factors = prepare_kernels(source.X, target.X, cfg).factors
+    bound = trace[-1] * (1.0 - gap)
+    y = np.concatenate([source.y, target.y]).astype(float)
+    p = factors.metric_order
+    rng = np.random.default_rng(len(source) * 100 + len(target))
+    for _ in range(5):
+        A = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-2, 2)
+        H = DenseMetric(trace_cap(psd_project(A + A.T), cfg.lam), cfg.lam)
+        K = symmetrize(factors.base + factors.lift.T @ H.matrix @ factors.lift)
+        try:
+            P_H = solve_dual(DualProblem(K, y, cfg.C), tol=1e-8, warm_start=model.beta * y,
+                             max_iter=20_000).objective
+        except RuntimeError:
+            # SMO can crawl on badly scaled low-rank linear kernels (README,
+            # practical notes); the trained alpha's value under H is still a
+            # lower estimate of P(H), so the assertion stays sound
+            P_H = float(np.sum(np.abs(model.beta)) - 0.5 * model.beta @ K @ model.beta)
+        assert bound <= P_H + 1e-9 * scale
 
 
 def test_training_is_deterministic():
