@@ -8,7 +8,7 @@ PSD metric and predicts on target-domain vectors only.
 
 import numpy as np
 
-from hfa import HfaConfig, SyntheticSpec, generate_synthetic, hfa_train, predict
+from hfa import HfaConfig, SyntheticSpec, generate_synthetic, hfa_train
 
 spec = SyntheticSpec(latent_dim=3, num_classes=2, d_s=10, d_t=8,
                      source_per_class=30, target_per_class=10, seed=1)
@@ -26,4 +26,5 @@ print(f"metric trace {model.metric.trace:.3f} of budget {model.metric.budget}")
 scores = model.decision_function(target.X)
 acc = np.mean(np.sign(scores) == target.binary_view(1).y)
 print(f"training accuracy on the target side: {acc:.3f}")
-print(f"single-vector predict: {predict(model, target.X[0]):+.4f} (label {target.y[0]})")
+print(f"single-vector decision value: {model.decision_function(target.X[0][None, :])[0]:+.4f} "
+      f"(label {target.y[0]})")

@@ -37,14 +37,8 @@ __all__ = ["CliConfig", "main"]
 log = logging.getLogger("hfa")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
 def _parse_optional_float(text: str):
     return None if text.lower() in ("none", "median") else float(text)
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 def _parse_optional_int(text: str):
     return None if text.lower() == "none" else int(text)
@@ -63,39 +57,36 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError("expected a comma-separated list of integers")
     return values
 
-def _parse_str(text: str) -> str:
-    return text
-
 
 # config-file key -> (CliConfig attribute, value parser)
 CONFIG_KEYS = {
-    "kernel.family": ("kernel_family", _parse_str),
+    "kernel.family": ("kernel_family", str),
     "kernel.gamma": ("kernel_gamma", _parse_optional_float),
-    "hfa.C": ("C", _parse_float),
-    "hfa.lambda": ("lam", _parse_float),
-    "hfa.t_max": ("t_max", _parse_int),
-    "hfa.conv_tol": ("conv_tol", _parse_float),
+    "hfa.C": ("C", float),
+    "hfa.lambda": ("lam", float),
+    "hfa.t_max": ("t_max", int),
+    "hfa.conv_tol": ("conv_tol", float),
     "protocol.per_class_target": ("per_class_target", _parse_int_list),
     "protocol.per_class_source": ("per_class_source", _parse_optional_int),
-    "protocol.trials": ("trials", _parse_int),
-    "protocol.base_seed": ("base_seed", _parse_int),
+    "protocol.trials": ("trials", int),
+    "protocol.base_seed": ("base_seed", int),
     "data.standardize": ("standardize", _parse_bool),
-    "paths.source": ("source", _parse_str),
-    "paths.target": ("target", _parse_str),
-    "paths.model": ("model", _parse_str),
-    "paths.out": ("out", _parse_str),
-    "synthetic.latent_dim": ("latent_dim", _parse_int),
-    "synthetic.num_classes": ("num_classes", _parse_int),
-    "synthetic.d_s": ("d_s", _parse_int),
-    "synthetic.d_t": ("d_t", _parse_int),
-    "synthetic.class_sep": ("class_sep", _parse_float),
-    "synthetic.pair_split": ("pair_split", _parse_float),
-    "synthetic.within_pair_std": ("within_pair_std", _parse_float),
-    "synthetic.nuisance_std": ("nuisance_std", _parse_float),
-    "synthetic.noise_std": ("noise_std", _parse_float),
-    "synthetic.seed": ("seed", _parse_int),
-    "synthetic.source_per_class": ("source_per_class", _parse_int),
-    "synthetic.target_per_class": ("target_per_class", _parse_int),
+    "paths.source": ("source", str),
+    "paths.target": ("target", str),
+    "paths.model": ("model", str),
+    "paths.out": ("out", str),
+    "synthetic.latent_dim": ("latent_dim", int),
+    "synthetic.num_classes": ("num_classes", int),
+    "synthetic.d_s": ("d_s", int),
+    "synthetic.d_t": ("d_t", int),
+    "synthetic.class_sep": ("class_sep", float),
+    "synthetic.pair_split": ("pair_split", float),
+    "synthetic.within_pair_std": ("within_pair_std", float),
+    "synthetic.nuisance_std": ("nuisance_std", float),
+    "synthetic.noise_std": ("noise_std", float),
+    "synthetic.seed": ("seed", int),
+    "synthetic.source_per_class": ("source_per_class", int),
+    "synthetic.target_per_class": ("target_per_class", int),
 }
 
 

@@ -8,11 +8,12 @@ Frank-Wolfe steps toward a rank-1 vertex, re-solving the dual (warm
 started) at each trial step, and stops on a certified saddle gap;
 prediction needs target kernel values only.
 
-Two training paths exist: the explicit path carries a metric of order
-d_s+d_t over raw features, the kernelized path a metric of order
-n_s+n_t over per-domain Gram square roots. Their optimal objectives
-agree when the linear kernel is used and sample counts do not exceed
-feature dimensions.
+The one shipped training path is kernelized: its metric has order
+n_s+n_t over per-domain Gram square roots. The paper's explicit path,
+with a metric of order d_s+d_t over raw features, lives next to the
+tests as an oracle (tests/linear_oracle.py) and runs the same outer loop;
+the optimal objectives of the two agree when the linear kernel is used
+and sample counts do not exceed feature dimensions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from hfa.metric import (
     MetricFactors,
     TransformMetric,
     initial_metric,
-    lift_vector,
 )
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
 
@@ -49,25 +49,16 @@ __all__ = [
     "HfaConfig",
     "HfaModel",
     "KernelExpansion",
-    "LinearHfaModel",
     "PrecomputedKernels",
-    "augment_source",
-    "augment_target",
-    "build_KH_linear",
-    "build_KH_kernelized",
-    "linear_factors",
     "kernelized_factors",
     "prepare_kernels",
     "hfa_train",
-    "hfa_train_linear",
-    "predict",
-    "predict_linear",
 ]
 
 
 @dataclass(frozen=True)
 class HfaConfig:
-    """Training settings shared by both paths.
+    """Training settings.
 
     C is the SVM box bound and lam the metric trace budget. kernel_gamma
     None selects the per-domain median-distance bandwidth at training
@@ -112,49 +103,12 @@ class HfaConfig:
         return KernelSpec("rbf", gamma)
 
 
-def augment_source(x, P, target_dim: int) -> np.ndarray:
-    """Source embedding [P @ x ; x ; 0_{target_dim}]."""
-    x = np.asarray(x, dtype=float).ravel()
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[1] != x.size:
-        raise ValueError(f"P has {P.shape[1]} columns but x has dimension {x.size}")
-    if target_dim < 0:
-        raise ValueError("target_dim must be nonnegative")
-    return np.concatenate([P @ x, x, np.zeros(target_dim)])
-
-
-def augment_target(x, Q, source_dim: int) -> np.ndarray:
-    """Target embedding [Q @ x ; 0_{source_dim} ; x]."""
-    x = np.asarray(x, dtype=float).ravel()
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q.shape[1] != x.size:
-        raise ValueError(f"Q has {Q.shape[1]} columns but x has dimension {x.size}")
-    if source_dim < 0:
-        raise ValueError("source_dim must be nonnegative")
-    return np.concatenate([Q @ x, np.zeros(source_dim), x])
-
-
 def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n, m = A.shape[0], B.shape[0]
+    n = A.shape[0]
     out = np.zeros((n + B.shape[0], A.shape[1] + B.shape[1]))
     out[:n, : A.shape[1]] = A
     out[n:, A.shape[1]:] = B
     return out
-
-
-def _metric_kernel(factors: MetricFactors, H: np.ndarray) -> np.ndarray:
-    return symmetrize(factors.base + factors.lift.T @ (H @ factors.lift))
-
-
-def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> MetricFactors:
-    """Subproblem factors for column-sample matrices Xs (d_s x n_s), Xt (d_t x n_t)."""
-    Xs = np.asarray(Xs, dtype=float)
-    Xt = np.asarray(Xt, dtype=float)
-    if Xs.ndim != 2 or Xt.ndim != 2:
-        raise ValueError("sample matrices must be 2-D with samples as columns")
-    base = _block_diag(symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt))
-    lift = _block_diag(Xs, Xt)
-    return MetricFactors(base=base, lift=lift, n_source=Xs.shape[1], n_target=Xt.shape[1])
 
 
 def kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt) -> MetricFactors:
@@ -166,29 +120,6 @@ def kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt) -> MetricFactors:
     base = _block_diag(Ks, Kt)
     lift = _block_diag(ks_sqrt, kt_sqrt)
     return MetricFactors(base=base, lift=lift, n_source=Ks.shape[0], n_target=Kt.shape[0])
-
-
-def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> np.ndarray:
-    """Working kernel of the explicit path; equals the Gram matrix of the
-    augmented vectors when the metric factors as [P,Q]'[P,Q].
-
-    Xs and Xt hold samples as columns (d_s x n_s and d_t x n_t); the
-    metric order must be d_s + d_t.
-    """
-    factors = linear_factors(Xs, Xt)
-    d = np.asarray(Xs).shape[0] + np.asarray(Xt).shape[0]
-    if metric.order != d:
-        raise ValueError(f"metric order {metric.order} != d_s + d_t = {d}")
-    return _metric_kernel(factors, metric.matrix)
-
-
-def build_KH_kernelized(ks_sqrt, kt_sqrt, Ks, Kt, metric: TransformMetric) -> np.ndarray:
-    """Working kernel of the kernelized path, blockdiag(Ks, Kt) plus the
-    metric coupling through the Gram square roots."""
-    factors = kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt)
-    if metric.order != factors.n:
-        raise ValueError(f"metric order {metric.order} != n_s + n_t = {factors.n}")
-    return _metric_kernel(factors, metric.matrix)
 
 
 def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -279,10 +210,10 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
     sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL)
     lower = -np.inf
 
-    def slope(s, t):
-        # dP/dt at the solution s for K(t); s's alpha also tightens the bound
+    def slope(s, t, w):
+        # dP/dt at the solution s for K(t), w = L s.beta; s's alpha also
+        # tightens the bound
         nonlocal lower
-        w = lift @ s.beta
         energy, along = metric.energy(w), lam * float(h @ w) ** 2
         lower = max(lower, s.objective + 0.5 * ((1.0 - t) * energy + t * along - lam * float(w @ w)))
         return -0.5 * (along - energy)
@@ -291,7 +222,7 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
         s = solve_dual(DualProblem(factors.base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
-        return s, coupling_t, slope(s, t)
+        return s, coupling_t, slope(s, t, lift @ s.beta)
 
     objective = []
     reached = False
@@ -318,10 +249,10 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
                 sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
-        v = lift_vector(factors, sol.beta)
+        v = lift @ sol.beta
         norm = np.sqrt(float(v @ v))
         h = v / norm if norm > 0.0 else v  # v = 0 leaves no direction, and slope 0
-        slope_0 = slope(sol, 0.0)
+        slope_0 = slope(sol, 0.0, v)
         gap = (sol.objective - lower) / max(abs(sol.objective), 1e-12)
         objective.append(sol.objective)
         log.info("outer %d objective %.10e gap %.3e", tau, sol.objective, gap)
@@ -440,81 +371,3 @@ def hfa_train(
         objective_trace=trace,
         saddle_gap=gap,
     )
-
-
-def predict(model: HfaModel | KernelExpansion, x) -> float:
-    """Decision value for one target-domain vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected one target-domain vector, got shape {x.shape}")
-    return float(model.decision_function(x[None, :])[0])
-
-
-@dataclass(frozen=True)
-class LinearHfaModel:
-    """Trained explicit-path model; the metric has order d_s + d_t."""
-
-    source: Dataset
-    target: Dataset
-    metric: TransformMetric
-    beta: np.ndarray
-    bias: float
-    objective_trace: np.ndarray
-    saddle_gap: float
-
-    @property
-    def n_source(self) -> int:
-        return len(self.source)
-
-    @property
-    def beta_source(self) -> np.ndarray:
-        return self.beta[: self.n_source]
-
-    @property
-    def beta_target(self) -> np.ndarray:
-        return self.beta[self.n_source:]
-
-    def weight_vector(self) -> np.ndarray:
-        """Effective target-space weights: metric coupling plus the direct term."""
-        d_s = self.source.dim
-        v = np.concatenate([self.source.X.T @ self.beta_source, self.target.X.T @ self.beta_target])
-        hv_target = self.metric.apply(v)[d_s:]
-        return hv_target + self.target.X.T @ self.beta_target
-
-    def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.target.dim:
-            raise ValueError(f"expected target-domain rows of dimension {self.target.dim}, got {X.shape}")
-        return X @ self.weight_vector() + self.bias
-
-
-def hfa_train_linear(
-    source: Dataset,
-    target: Dataset,
-    cfg: HfaConfig = HfaConfig(),
-    monitor=None,
-) -> LinearHfaModel:
-    """Train the explicit path directly on raw features (linear kernel)."""
-    _validate_binary_pair(source, target)
-    factors = linear_factors(source.X.T, target.X.T)
-    y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = _alternate(factors, y, cfg, monitor)
-    return LinearHfaModel(
-        source=source,
-        target=target,
-        metric=metric,
-        beta=sol.beta,
-        bias=sol.bias,
-        objective_trace=trace,
-        saddle_gap=gap,
-    )
-
-
-def predict_linear(model: LinearHfaModel, x) -> float:
-    """Decision value for one target-domain vector under the explicit path."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.target.dim:
-        raise ValueError(f"expected a target-domain vector of dimension {model.target.dim}")
-    return float(model.decision_function(x[None, :])[0])

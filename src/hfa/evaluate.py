@@ -23,7 +23,6 @@ __all__ = [
     "ExperimentRun",
     "train_multiclass",
     "svm_t_baseline",
-    "classify",
     "accuracy",
     "decision_matrix",
     "run_experiment",
@@ -124,19 +123,13 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     return classes, scores
 
 
-def classify(models, x) -> int:
-    """Class of the maximum decision value; ties go to the smallest class."""
-    x = np.asarray(x, dtype=float)
-    classes, scores = decision_matrix(models, x[None, :] if x.ndim == 1 else x)
-    # argmax returns the first maximum and columns ascend by class
-    return int(classes[int(np.argmax(scores[0]))])
-
-
 def accuracy(models, test: Dataset) -> float:
-    """Fraction of test rows whose argmax class equals the true label."""
+    """Fraction of test rows whose argmax class equals the true label;
+    ties go to the smallest class."""
     if len(test) == 0:
         raise ValueError("test set must be nonempty")
     classes, scores = decision_matrix(models, test.X)
+    # argmax returns the first maximum and columns ascend by class
     predicted = classes[np.argmax(scores, axis=1)]
     return float(np.mean(predicted == test.y))
 

@@ -36,8 +36,8 @@ class TransformMetric:
     """PSD metric scale * I + sum_k weights[k] * atoms[k] atoms[k]' with a trace budget.
 
     The metric couples the two domain blocks of the working kernel; its
-    order is d_s+d_t on the explicit-feature path and n_s+n_t on the
-    kernelized path. scale and weights are nonnegative, so the metric is
+    order is n_s+n_t on the kernelized path (d_s+d_t on the explicit
+    path of tests/linear_oracle.py). scale and weights are nonnegative, so the metric is
     PSD by construction; atoms holds one row per rank-1 term.
     """
 
@@ -111,7 +111,8 @@ class MetricFactors:
     base is the block-diagonal Gram of both domains (order n); lift maps
     dual coefficients into the metric space, so v = lift @ beta. On the
     kernelized path lift is blockdiag of the Gram square roots; on the
-    explicit path it is blockdiag of the column-sample matrices.
+    explicit path (tests/linear_oracle.py) it is blockdiag of the
+    column-sample matrices.
     """
 
     base: np.ndarray

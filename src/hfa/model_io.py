@@ -1,14 +1,13 @@
 """JSON persistence for trained models (format version 2).
 
 A saved model is the target kernel expansion f(x) = k(X_t, x)' coef + b
-that prediction needs, and none of the training state. One binary model
-serializes as a "hfa-model" object: the target rows X_t, the target
-kernel spec, coef (one value per X_t row) and bias. A one-vs-rest
-collection serializes as "hfa-model-set": the class labels, one shared
-X_t and kernel, coef as a classes x n_t matrix (one row per class), one
-bias per class, and free-form metadata. Floats are written with Python's
-shortest round-trip repr, so loading reproduces decision values exactly.
-Files of any other version are rejected.
+that prediction needs, and none of the training state. There is one
+file format, "hfa-model-set", for a one-vs-rest collection: the class
+labels, one shared X_t and kernel, coef as a classes x n_t matrix (one
+row per class), one bias per class, and free-form metadata. Floats are
+written with Python's shortest round-trip repr, so loading reproduces
+decision values exactly. Files of any other format or version are
+rejected.
 """
 
 from __future__ import annotations
@@ -25,13 +24,10 @@ from hfa.linalg import KernelSpec
 __all__ = [
     "ModelFormatError",
     "ModelSet",
-    "save_model",
-    "load_model",
     "save_model_set",
     "load_model_set",
 ]
 
-FORMAT_MODEL = "hfa-model"
 FORMAT_MODEL_SET = "hfa-model-set"
 VERSION = 2
 
@@ -48,23 +44,13 @@ def _expansion(model: HfaModel | KernelExpansion) -> KernelExpansion:
     return model.expansion if isinstance(model, HfaModel) else model
 
 
-def _shared_record(e: KernelExpansion) -> dict:
-    return {"kernel": {"family": e.kernel.family, "gamma": e.kernel.gamma}, "X_t": _array(e.X)}
-
-
-def _write(record: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
-
-
 def _require(record: dict, key: str, path):
     if key not in record:
         raise ModelFormatError(f"{path}: missing field {key!r}")
     return record[key]
 
 
-def _load_json(path, fmt: str) -> dict:
+def _load_json(path) -> dict:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -73,8 +59,8 @@ def _load_json(path, fmt: str) -> dict:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
-    if payload.get("format") != fmt:
-        raise ModelFormatError(f"{path}: expected format {fmt!r}, got {payload.get('format')!r}")
+    if payload.get("format") != FORMAT_MODEL_SET:
+        raise ModelFormatError(f"{path}: expected format {FORMAT_MODEL_SET!r}, got {payload.get('format')!r}")
     if payload.get("version") != VERSION:
         raise ModelFormatError(f"{path}: model format version {payload.get('version')!r} cannot be read "
                                f"(only version {VERSION}); retrain with `hfa train` to write a current file")
@@ -122,24 +108,6 @@ def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
     return X, spec
 
 
-def save_model(model: HfaModel | KernelExpansion, path) -> None:
-    """Write one binary model's kernel expansion as a "hfa-model" JSON file."""
-    e = _expansion(model)
-    _write({"format": FORMAT_MODEL, "version": VERSION, **_shared_record(e),
-            "coef": _array(e.coef), "bias": float(e.bias)}, path)
-
-
-def load_model(path) -> KernelExpansion:
-    """Read a "hfa-model" JSON file back into its kernel expansion."""
-    payload = _load_json(path, FORMAT_MODEL)
-    X, spec = _shared_from(payload, path)
-    coef = _vector(_require(payload, "coef", path), X.shape[0], path, "coef", "X_t row")
-    bias = _require(payload, "bias", path)
-    if isinstance(bias, bool) or not isinstance(bias, (int, float)):
-        raise ModelFormatError(f"{path}: field 'bias' must be a number")
-    return KernelExpansion(X, spec, coef, float(bias))
-
-
 @dataclass(frozen=True)
 class ModelSet:
     """One-vs-rest model collection plus free-form metadata.
@@ -170,21 +138,25 @@ def save_model_set(models, path, metadata: dict | None = None) -> None:
     for (c, _), e in zip(models, expansions):
         if e.kernel != first.kernel or not np.array_equal(e.X, first.X):
             raise ValueError(f"class {c}: every model in a set must share the target rows and kernel")
-    _write({
+    record = {
         "format": FORMAT_MODEL_SET,
         "version": VERSION,
         "classes": [int(c) for c, _ in models],
-        **_shared_record(first),
+        "kernel": {"family": first.kernel.family, "gamma": first.kernel.gamma},
+        "X_t": _array(first.X),
         "coef": [_array(e.coef) for e in expansions],
         "bias": [float(e.bias) for e in expansions],
         "metadata": metadata if metadata is not None else {},
-    }, path)
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+        fh.write("\n")
 
 
 def load_model_set(path) -> ModelSet:
     """Read a "hfa-model-set" JSON file back into (class, expansion) pairs
     that share one X_t array, plus metadata."""
-    payload = _load_json(path, FORMAT_MODEL_SET)
+    payload = _load_json(path)
     classes = _require(payload, "classes", path)
     if not isinstance(classes, list) or len(classes) == 0:
         raise ModelFormatError(f"{path}: field 'classes' must be a nonempty list")

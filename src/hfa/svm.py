@@ -24,7 +24,6 @@ __all__ = [
     "DualSolution",
     "DegenerateProblemError",
     "solve_dual",
-    "decision_values",
 ]
 
 # curvature floor for the pair step denominator K_ii + K_jj - 2 K_ij
@@ -219,14 +218,3 @@ def solve_dual(
     objective = float(alpha.sum() - 0.5 * (beta @ (y - G)))
     return DualSolution(alpha=alpha, beta=beta, bias=float(bias), objective=objective, iterations=iterations)
 
-
-def decision_values(solution: DualSolution, K_cross: np.ndarray) -> np.ndarray:
-    """Evaluate f = K_cross' beta + bias, one value per column of K_cross.
-
-    K_cross holds kernel values between the n training points (rows) and
-    m evaluation points (columns).
-    """
-    K_cross = np.asarray(K_cross, dtype=float)
-    if K_cross.ndim != 2 or K_cross.shape[0] != solution.beta.size:
-        raise ValueError(f"cross-kernel block must have {solution.beta.size} rows, got {K_cross.shape}")
-    return K_cross.T @ solution.beta + solution.bias

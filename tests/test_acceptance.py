@@ -12,20 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from hfa.core import (
-    HfaConfig,
-    augment_source,
-    augment_target,
-    build_KH_kernelized,
-    build_KH_linear,
-    hfa_train,
-    hfa_train_linear,
-)
+from hfa.core import HfaConfig, hfa_train
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
 from hfa.evaluate import run_experiment
 from hfa.linalg import gram_matrix
 from hfa.metric import MetricFactors, initial_metric
 from hfa.svm import DualProblem, solve_dual
+from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, hfa_train_linear
 from metric_oracle import DenseMetric as TransformMetric
 from metric_oracle import line_search, sdp_closed_form, sdp_gradient, sdp_objective, sdp_pgd_step
 from qp_oracle import random_problems, solve_qp_batch

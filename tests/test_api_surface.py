@@ -36,3 +36,26 @@ def test_library_imports_nothing_from_tests():
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {r}" for r in roots if r in test_modules]
     assert not offenders, offenders
+
+
+def _loaded_names(paths) -> set[str]:
+    """Names read as a Name or an Attribute anywhere in the given files;
+    import statements and __all__ strings are not reads."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_used_outside_tests(name):
+    # the library ships only what training, prediction, experiments and the
+    # demos run; test-only helpers belong in the tests/ oracles
+    used = _loaded_names(sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "demos").glob("*.py")))
+    exported = importlib.import_module(name).__all__
+    unused = [attr for attr in exported if not (attr.startswith("__") and attr.endswith("__")) and attr not in used]
+    assert not unused, f"{name}.__all__ exports names that only tests use: {unused}"

@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
-from hfa.core import (
-    HfaConfig,
-    augment_source,
-    augment_target,
-    build_KH_kernelized,
-    build_KH_linear,
-    kernelized_factors,
-    linear_factors,
-    prepare_kernels,
-    _sqrt_factors,
-)
+from hfa.core import HfaConfig, kernelized_factors, prepare_kernels, _sqrt_factors
 from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
+from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
 from metric_oracle import DenseMetric
 
 

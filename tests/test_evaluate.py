@@ -8,7 +8,6 @@ from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.evaluate import (
     ExperimentReport,
     accuracy,
-    classify,
     decision_matrix,
     render_report,
     run_experiment,
@@ -16,7 +15,7 @@ from hfa.evaluate import (
     train_multiclass,
 )
 from hfa.linalg import gram_matrix
-from hfa.svm import DualProblem, decision_values, solve_dual
+from hfa.svm import DualProblem, solve_dual
 
 
 class FixedModel:
@@ -76,17 +75,21 @@ def test_absent_class_rejected():
         svm_t_baseline(target, FAST, classes=[9])
 
 
+def one_row(label, dim=3):
+    """A single all-zero row labeled `label`: accuracy 1.0 means it is classified as `label`."""
+    return Dataset("t", np.zeros((1, dim)), np.array([label]))
+
+
 def test_classify_argmax_and_ties():
     models = [(0, FixedModel(0.7)), (1, FixedModel(-0.2)), (2, FixedModel(0.1))]
-    x = np.zeros(3)
-    assert classify(models, x) == 0
+    assert accuracy(models, one_row(0)) == 1.0
     tied = [(4, FixedModel(0.5)), (2, FixedModel(0.5)), (7, FixedModel(-1.0))]
-    assert classify(tied, x) == 2  # exact tie goes to the smaller class
-    assert classify(list(reversed(tied)), x) == 2  # regardless of list order
+    assert accuracy(tied, one_row(2)) == 1.0  # exact tie goes to the smaller class
+    assert accuracy(list(reversed(tied)), one_row(2)) == 1.0  # regardless of list order
     with pytest.raises(ValueError, match="nonempty"):
-        classify([], x)
+        accuracy([], one_row(0))
     with pytest.raises(ValueError, match="dimension"):
-        classify(models, np.zeros(5))
+        accuracy(models, one_row(0, dim=5))
 
 
 def test_classify_matches_sign_rule_in_binary_case():
@@ -95,7 +98,7 @@ def test_classify_matches_sign_rule_in_binary_case():
         f = float(rng.standard_normal())
         models = [(0, FixedModel(f)), (1, FixedModel(-f))]
         want = 0 if f > 0 else (1 if f < 0 else 0)
-        assert classify(models, np.zeros(3)) == want
+        assert accuracy(models, one_row(want)) == 1.0
 
 
 def test_accuracy_all_correct_and_fixture():
@@ -122,7 +125,7 @@ def test_svm_t_matches_direct_dual_solve():
         y = np.where(target.y == c, 1.0, -1.0)
         sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
         from hfa.linalg import cross_gram
-        want = decision_values(sol, cross_gram(spec, target.X, X))
+        want = cross_gram(spec, target.X, X).T @ sol.beta + sol.bias
         np.testing.assert_allclose(model.decision_function(X), want, atol=1e-10)
 
 

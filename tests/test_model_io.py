@@ -7,13 +7,7 @@ import pytest
 
 from hfa.core import HfaConfig, KernelExpansion, hfa_train
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
-from hfa.model_io import (
-    ModelFormatError,
-    load_model,
-    load_model_set,
-    save_model,
-    save_model_set,
-)
+from hfa.model_io import ModelFormatError, load_model_set, save_model_set
 from hfa.evaluate import train_multiclass
 
 
@@ -51,11 +45,30 @@ def count_floats(value) -> int:
     return 0
 
 
+def _set_file(tmp_path):
+    _, models = small_set()
+    path = tmp_path / "set.json"
+    save_model_set(models, path)
+    return path
+
+
+def _rejected(path, *fragments):
+    with pytest.raises(ModelFormatError) as info:
+        load_model_set(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    for fragment in fragments:
+        assert fragment in message
+
+
 def test_single_model_round_trip_exact(tmp_path):
+    # one binary model is saved as a set of one class
     model = small_model()
     path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    save_model_set([(1, model)], path)
+    loaded_set = load_model_set(path)
+    assert loaded_set.classes == [1]
+    loaded = loaded_set.models[0][1]
     assert isinstance(loaded, KernelExpansion)
     rng = np.random.default_rng(5)
     X = rng.standard_normal((9, loaded.dim))
@@ -67,9 +80,9 @@ def test_single_model_round_trip_exact(tmp_path):
     assert loaded.bias == model.bias
     assert np.array_equal(loaded.X, model.expansion.X)
     assert loaded.kernel == model.kernel_target
-    # a loaded expansion saves back to the same bytes
+    # a reloaded set saves back to the same bytes
     again = tmp_path / "again.json"
-    save_model(loaded, again)
+    save_model_set(loaded_set.models, again, loaded_set.metadata)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -122,51 +135,54 @@ def test_model_set_needs_shared_target_rows(tmp_path):
 
 
 def test_wrong_format_tag(tmp_path):
-    model = small_model()
-    single = tmp_path / "single.json"
-    save_model(model, single)
-    with pytest.raises(ModelFormatError, match="hfa-model-set"):
-        load_model_set(single)
-    many = tmp_path / "many.json"
-    save_model_set([(0, model)], many)
-    with pytest.raises(ModelFormatError, match="hfa-model"):
-        load_model(many)
+    path = tmp_path / "set.json"
+    save_model_set([(0, small_model())], path)
+    for tag in ("hfa-models", None):
+        edit_record(path, lambda r: r.update(format=tag))
+        _rejected(path, "expected format 'hfa-model-set'", f"got {tag!r}")
+
+
+def test_single_model_format_rejected(tmp_path):
+    # the retired one-model record: kernel, X_t, a coef vector and a scalar bias
+    e = small_model().expansion
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "format": "hfa-model", "version": 2,
+        "kernel": {"family": e.kernel.family, "gamma": e.kernel.gamma},
+        "X_t": e.X.tolist(), "coef": e.coef.tolist(), "bias": e.bias,
+    }), encoding="utf-8")
+    _rejected(path, "expected format 'hfa-model-set'", "got 'hfa-model'")
 
 
 @pytest.mark.parametrize("version", [1, 3, None, "2"])
 def test_other_versions_rejected(tmp_path, version):
-    model = small_model()
-    single = tmp_path / "single.json"
-    save_model(model, single)
-    many = tmp_path / "many.json"
-    save_model_set([(0, model)], many)
-    for path, load in ((single, load_model), (many, load_model_set)):
-        edit_record(path, lambda r: r.update(version=version))
-        with pytest.raises(ModelFormatError) as info:
-            load(path)
-        message = str(info.value)
-        assert str(path) in message
-        assert f"version {version!r}" in message
-        assert "retrain with `hfa train`" in message
+    path = tmp_path / "set.json"
+    save_model_set([(0, small_model())], path)
+    edit_record(path, lambda r: r.update(version=version))
+    with pytest.raises(ModelFormatError) as info:
+        load_model_set(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert f"version {version!r}" in message
+    assert "retrain with `hfa train`" in message
 
 
 def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="not valid JSON"):
-        load_model(path)
+        load_model_set(path)
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="JSON object"):
-        load_model(path)
+        load_model_set(path)
 
 
 def test_missing_field(tmp_path):
-    model = small_model()
-    path = tmp_path / "model.json"
-    save_model(model, path)
+    path = tmp_path / "set.json"
+    save_model_set([(0, small_model())], path)
     edit_record(path, lambda r: r.pop("coef"))
     with pytest.raises(ModelFormatError, match="coef"):
-        load_model(path)
+        load_model_set(path)
 
 
 def test_set_length_mismatch_and_empty(tmp_path):
@@ -179,22 +195,6 @@ def test_set_length_mismatch_and_empty(tmp_path):
     edit_record(path, lambda r: r.update(classes=[], coef=[], bias=[]))
     with pytest.raises(ModelFormatError, match="empty"):
         load_model_set(path)
-
-
-def _set_file(tmp_path):
-    _, models = small_set()
-    path = tmp_path / "set.json"
-    save_model_set(models, path)
-    return path
-
-
-def _rejected(path, *fragments):
-    with pytest.raises(ModelFormatError) as info:
-        load_model_set(path)
-    message = str(info.value)
-    assert message.startswith(f"{path}: ")
-    for fragment in fragments:
-        assert fragment in message
 
 
 def test_coef_rows_must_match_classes(tmp_path):
@@ -235,9 +235,8 @@ def test_unknown_kernel_family(tmp_path):
 
 
 def test_file_is_plain_text_with_named_arrays(tmp_path):
-    model = small_model()
-    path = tmp_path / "model.json"
-    save_model(model, path)
+    path = tmp_path / "set.json"
+    save_model_set([(0, small_model())], path)
     text = path.read_text(encoding="utf-8")
     for name in ("X_t", "kernel", "coef", "bias"):
         assert f'"{name}"' in text

@@ -10,8 +10,6 @@ from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, 
 from hfa.svm import (
     DegenerateProblemError,
     DualProblem,
-    DualSolution,
-    decision_values,
     solve_dual,
 )
 
@@ -42,7 +40,7 @@ def test_analytic_two_point_problem():
     assert_allclose(sol.alpha, [0.5, 0.5], atol=1e-9)
     assert sol.bias == pytest.approx(0.0, abs=1e-9)
     assert sol.objective == pytest.approx(0.5, abs=1e-9)
-    assert_allclose(decision_values(sol, K), [1.0, -1.0], atol=1e-8)
+    assert_allclose(K.T @ sol.beta + sol.bias, [1.0, -1.0], atol=1e-8)
 
 
 def test_tiny_C_collapses_box():
@@ -234,17 +232,3 @@ def test_exit_conditions_cold_and_warm(case):
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
         assert _violating_gap(p.K, y, C, sol.alpha) <= tol + roundoff
     assert warm_sol.objective == pytest.approx(cold.objective, rel=1e-8)
-
-
-def test_decision_values_contract():
-    sol = DualSolution(
-        alpha=np.array([0.0, 0.0]),
-        beta=np.array([0.0, 0.0]),
-        bias=0.7,
-        objective=0.0,
-        iterations=0,
-    )
-    assert_allclose(decision_values(sol, np.zeros((2, 4))), np.full(4, 0.7), atol=0)
-    assert decision_values(sol, np.zeros((2, 0))).shape == (0,)
-    with pytest.raises(ValueError):
-        decision_values(sol, np.zeros((3, 4)))

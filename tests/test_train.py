@@ -7,19 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfa.core
-from hfa.core import (
-    HfaConfig,
-    build_KH_kernelized,
-    hfa_train,
-    hfa_train_linear,
-    linear_factors,
-    predict,
-    predict_linear,
-    prepare_kernels,
-)
+from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
 from hfa.linalg import gram_matrix, symmetrize
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
+from linear_oracle import build_KH_kernelized, hfa_train_linear, linear_factors
 from metric_oracle import DenseMetric, psd_project, trace_cap
 
 
@@ -186,7 +178,7 @@ def test_prediction_consistent_with_working_kernel():
         expansion = KH @ model.beta + model.bias
         n_s = len(source)
         for j in range(len(target)):
-            assert np.isclose(predict(model, target.X[j]), expansion[n_s + j], atol=1e-8)
+            assert np.isclose(model.decision_function(target.X[j][None, :])[0], expansion[n_s + j], atol=1e-8)
 
 
 def test_shared_kernels_match_per_model_preparation():
@@ -268,21 +260,16 @@ def test_linear_decision_matches_cross_kernel_expansion():
         assert np.isclose(got[r], f, atol=1e-9)
 
 
-def test_predict_wrappers_and_shape_errors():
+def test_decision_function_shape_errors():
     source, target = binary_pair(seed=10)
     model = hfa_train(source, target, HfaConfig(t_max=5))
     x = target.X[0]
-    assert predict(model, x) == model.decision_function(x[None, :])[0]
+    assert np.array_equal(model.decision_function(x), model.decision_function(x[None, :]))
     with pytest.raises(ValueError, match="dimension"):
-        predict(model, np.zeros(target.dim + 1))
+        model.decision_function(np.zeros(target.dim + 1))
     with pytest.raises(ValueError, match="dimension"):
         model.decision_function(np.zeros((2, target.dim + 2)))
     assert model.decision_function(np.empty((0, target.dim))).size == 0
-
-    lin = hfa_train_linear(source, target, HfaConfig(kernel_family="linear", t_max=5))
-    assert predict_linear(lin, x) == lin.decision_function(x[None, :])[0]
-    with pytest.raises(ValueError, match="dimension"):
-        predict_linear(lin, np.zeros(target.dim - 1))
 
 
 def test_objective_trace_starts_at_uncoupled_budget_spread():
