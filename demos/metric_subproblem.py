@@ -18,7 +18,7 @@ import numpy as np
 
 from hfa.core import HfaConfig, prepare_kernels
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
-from hfa.metric import initial_metric, lift_vector
+from hfa.metric import initial_metric
 from hfa.svm import DualProblem, solve_dual
 
 # class 0 against the rest, 20 source and 4 target rows per class; F is
@@ -39,12 +39,12 @@ def solve(H, warm=None):
 
 def slope(H, h, sol):
     """dP/dt at the dual solution for H(t) = (1-t)H + t*lam*hh'."""
-    w = lift_vector(factors, sol.beta)
+    w = factors.lift @ sol.beta
     return -0.5 * (lam * float(h @ w) ** 2 - H.energy(w))
 
 
 def lower_bound(sol):
-    w = lift_vector(factors, sol.beta)
+    w = factors.lift @ sol.beta
     return float(sol.alpha.sum() - 0.5 * sol.beta @ base @ sol.beta - 0.5 * lam * (w @ w))
 
 
@@ -53,7 +53,7 @@ sol = solve(H)
 lower = lower_bound(sol)
 print(f"start (scaled identity): P = {sol.objective:.8f}, certificate L = {lower:.8f}")
 for step in range(1, 9):
-    v = lift_vector(factors, sol.beta)
+    v = factors.lift @ sol.beta
     h = v / np.linalg.norm(v)
     d0 = slope(H, h, sol)
     if step == 1:

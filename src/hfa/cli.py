@@ -1,7 +1,9 @@
 """Command-line entry point: generate | train | predict | experiment.
 
-Settings resolve in three layers: built-in defaults, then a flat
-"key = value" config file (--config), then command-line flags. Output
+Settings resolve in three layers: the defaults of HfaConfig,
+SyntheticSpec and CliConfig, then a flat "key = value" config file
+(--config), then command-line flags. Each value is range-checked as it
+is applied, so a bad file value fails naming its file, line and key. Output
 files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact; exit status is 0 only when
 the requested artifact was fully written.
@@ -13,7 +15,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,102 +60,65 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-# config-file key -> (CliConfig attribute, value parser)
-CONFIG_KEYS = {
-    "kernel.family": ("kernel_family", str),
-    "kernel.gamma": ("kernel_gamma", _parse_optional_float),
-    "hfa.C": ("C", float),
-    "hfa.lambda": ("lam", float),
-    "hfa.t_max": ("t_max", int),
-    "hfa.conv_tol": ("conv_tol", float),
-    "protocol.per_class_target": ("per_class_target", _parse_int_list),
-    "protocol.per_class_source": ("per_class_source", _parse_optional_int),
-    "protocol.trials": ("trials", int),
-    "protocol.base_seed": ("base_seed", int),
-    "data.standardize": ("standardize", _parse_bool),
-    "paths.source": ("source", str),
-    "paths.target": ("target", str),
-    "paths.model": ("model", str),
-    "paths.out": ("out", str),
-    "synthetic.latent_dim": ("latent_dim", int),
-    "synthetic.num_classes": ("num_classes", int),
-    "synthetic.d_s": ("d_s", int),
-    "synthetic.d_t": ("d_t", int),
-    "synthetic.class_sep": ("class_sep", float),
-    "synthetic.pair_split": ("pair_split", float),
-    "synthetic.within_pair_std": ("within_pair_std", float),
-    "synthetic.nuisance_std": ("nuisance_std", float),
-    "synthetic.noise_std": ("noise_std", float),
-    "synthetic.seed": ("seed", int),
-    "synthetic.source_per_class": ("source_per_class", int),
-    "synthetic.target_per_class": ("target_per_class", int),
-}
-
-
 @dataclass(frozen=True)
 class CliConfig:
     """Resolved settings for one invocation; see CONFIG_KEYS for file keys."""
 
-    kernel_family: str = "rbf"
-    kernel_gamma: float | None = None
-    C: float = 1.0
-    lam: float = 1.0
-    t_max: int = 100
-    conv_tol: float = 1e-5
+    hfa: HfaConfig = HfaConfig()
+    synthetic: SyntheticSpec = SyntheticSpec()
     per_class_target: tuple[int, ...] = (3,)
     per_class_source: int | None = None
     trials: int = 10
     base_seed: int = 0
-    standardize: bool = False
     source: str | None = None
     target: str | None = None
     model: str | None = None
     out: str | None = None
-    latent_dim: int = 5
-    num_classes: int = 6
-    d_s: int = 30
-    d_t: int = 20
-    class_sep: float = 4.5
-    pair_split: float = 1.4
-    within_pair_std: float = 0.6
-    nuisance_std: float = 3.0
-    noise_std: float = 1.0
-    seed: int = 0
-    source_per_class: int = 100
-    target_per_class: int = 50
-
-    def hfa_config(self) -> HfaConfig:
-        return HfaConfig(
-            C=self.C,
-            lam=self.lam,
-            kernel_family=self.kernel_family,
-            kernel_gamma=self.kernel_gamma,
-            t_max=self.t_max,
-            conv_tol=self.conv_tol,
-            standardize=self.standardize,
-        )
-
-    def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            latent_dim=self.latent_dim,
-            num_classes=self.num_classes,
-            d_s=self.d_s,
-            d_t=self.d_t,
-            class_sep=self.class_sep,
-            pair_split=self.pair_split,
-            within_pair_std=self.within_pair_std,
-            nuisance_std=self.nuisance_std,
-            noise_std=self.noise_std,
-            seed=self.seed,
-            source_per_class=self.source_per_class,
-            target_per_class=self.target_per_class,
-        )
 
 
-def load_config_file(path) -> dict:
-    """Parse a flat "key = value" file; unknown keys are rejected."""
+# config-file key -> (CliConfig section, or None for its own fields; field; value parser)
+CONFIG_KEYS = {
+    "kernel.family": ("hfa", "kernel_family", str),
+    "kernel.gamma": ("hfa", "kernel_gamma", _parse_optional_float),
+    "hfa.C": ("hfa", "C", float),
+    "hfa.lambda": ("hfa", "lam", float),
+    "hfa.t_max": ("hfa", "t_max", int),
+    "hfa.conv_tol": ("hfa", "conv_tol", float),
+    "protocol.per_class_target": (None, "per_class_target", _parse_int_list),
+    "protocol.per_class_source": (None, "per_class_source", _parse_optional_int),
+    "protocol.trials": (None, "trials", int),
+    "protocol.base_seed": (None, "base_seed", int),
+    "data.standardize": ("hfa", "standardize", _parse_bool),
+    "paths.source": (None, "source", str),
+    "paths.target": (None, "target", str),
+    "paths.model": (None, "model", str),
+    "paths.out": (None, "out", str),
+}
+# data.py postpones annotations, so each field's type arrives as its name
+CONFIG_KEYS.update((f"synthetic.{f.name}", ("synthetic", f.name, {"int": int, "float": float}[f.type]))
+                   for f in fields(SyntheticSpec))
+
+# argparse dest -> the config keys its flag sets; --seed is both the
+# generation seed and the experiment base seed
+FLAG_KEYS = {
+    "C": ("hfa.C",), "lam": ("hfa.lambda",), "kernel": ("kernel.family",), "gamma": ("kernel.gamma",),
+    "per_class_target": ("protocol.per_class_target",), "per_class_source": ("protocol.per_class_source",),
+    "trials": ("protocol.trials",), "seed": ("synthetic.seed", "protocol.base_seed"),
+    "source": ("paths.source",), "target": ("paths.target",), "model": ("paths.model",), "out": ("paths.out",),
+}
+
+
+def _set(cfg: CliConfig, key: str, value) -> CliConfig:
+    """cfg with one config key changed; HfaConfig and SyntheticSpec check the value."""
+    section, name, _ = CONFIG_KEYS[key]
+    if section is None:
+        return replace(cfg, **{name: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
+def load_config_file(path, cfg: CliConfig) -> CliConfig:
+    """Apply a flat "key = value" file to cfg; unknown keys are rejected."""
     path = Path(path)
-    updates = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -166,37 +131,24 @@ def load_config_file(path) -> dict:
             value = value.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            attr, parser = CONFIG_KEYS[key]
             try:
-                updates[attr] = parser(value)
+                cfg = _set(cfg, key, CONFIG_KEYS[key][2](value))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return updates
+    return cfg
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     """Defaults, overlaid by the config file, overlaid by flags."""
     cfg = CliConfig()
     if args.config is not None:
-        cfg = replace(cfg, **load_config_file(args.config))
-    flags = {}
-    for attr in ("C", "lam", "trials", "source", "target", "model", "out"):
-        value = getattr(args, attr)
+        cfg = load_config_file(args.config, cfg)
+    for dest, keys in FLAG_KEYS.items():
+        value = getattr(args, dest)
         if value is not None:
-            flags[attr] = value
-    if args.kernel is not None:
-        flags["kernel_family"] = args.kernel
-    if args.gamma is not None:
-        flags["kernel_gamma"] = args.gamma
-    if args.per_class_target is not None:
-        flags["per_class_target"] = _parse_int_list(args.per_class_target)
-    if args.per_class_source is not None:
-        flags["per_class_source"] = args.per_class_source
-    if args.seed is not None:
-        # one flag, both roles: generation seed and experiment base seed
-        flags["seed"] = args.seed
-        flags["base_seed"] = args.seed
-    return replace(cfg, **flags)
+            for key in keys:
+                cfg = _set(cfg, key, _parse_int_list(value) if dest == "per_class_target" else value)
+    return cfg
 
 
 def _atomic(path, writer) -> None:
@@ -233,8 +185,7 @@ def _counts_text(d: Dataset) -> str:
 
 
 def cmd_generate(cfg: CliConfig) -> None:
-    spec = cfg.synthetic_spec()
-    source, target = generate_synthetic(spec)
+    source, target = generate_synthetic(cfg.synthetic)
     out_dir = Path(cfg.out) if cfg.out is not None else Path(".")
     source_path = Path(cfg.source) if cfg.source is not None else out_dir / "source.csv"
     target_path = Path(cfg.target) if cfg.target is not None else out_dir / "target.csv"
@@ -247,15 +198,14 @@ def cmd_generate(cfg: CliConfig) -> None:
 def cmd_train(cfg: CliConfig) -> None:
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
-    hfa_cfg = cfg.hfa_config()
     metadata = {}
-    if cfg.standardize:
+    if cfg.hfa.standardize:
         mean_s, scale_s = standardize_fit(source.X)
         source = Dataset(source.domain, standardize_apply(source.X, mean_s, scale_s), source.y)
         mean_t, scale_t = standardize_fit(target.X)
         target = Dataset(target.domain, standardize_apply(target.X, mean_t, scale_t), target.y)
         metadata["standardize"] = {"target_mean": mean_t.tolist(), "target_scale": scale_t.tolist()}
-    models = train_multiclass(source, target, hfa_cfg)
+    models = train_multiclass(source, target, cfg.hfa)
     out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")
     _atomic(out, lambda tmp: save_model_set(models, tmp, metadata))
     for c, model in models:
@@ -275,13 +225,8 @@ def cmd_predict(cfg: CliConfig) -> None:
     if "standardize" in model_set.metadata:
         params = model_set.metadata["standardize"]
         X = standardize_apply(X, np.asarray(params["target_mean"]), np.asarray(params["target_scale"]))
-    if len(test):
-        classes, scores = decision_matrix(list(model_set.models), X)
-        predicted = classes[np.argmax(scores, axis=1)]
-    else:
-        classes = np.array(model_set.classes)
-        scores = np.empty((0, classes.size))
-        predicted = np.empty(0, dtype=int)
+    classes, scores = decision_matrix(list(model_set.models), X)
+    predicted = classes[np.argmax(scores, axis=1)]
     header = "row,predicted_class," + ",".join(f"score_class{c}" for c in classes)
     lines = [header]
     for i in range(len(test)):
@@ -295,13 +240,12 @@ def cmd_predict(cfg: CliConfig) -> None:
 def cmd_experiment(cfg: CliConfig) -> None:
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
-    hfa_cfg = cfg.hfa_config()
     blocks = []
     for m in cfg.per_class_target:
         run = run_experiment(
             source,
             target,
-            hfa_cfg,
+            cfg.hfa,
             per_class_target=m,
             trials=cfg.trials,
             base_seed=cfg.base_seed,

@@ -66,8 +66,9 @@ class HfaConfig:
     matrix. The alternation stops after t_max outer iterations, or one
     iteration after the certified relative saddle gap (P - max L) / |P|
     falls to conv_tol, so the last objective change is within conv_tol
-    too (see _alternate). standardize asks the experiment runner to
-    z-score each domain's features. The SMO tolerance (SVM_TOL) is fixed.
+    too (see _alternate). standardize asks `hfa train` and the experiment
+    runner to z-score each domain's features; the trainer itself does not
+    read it. The SMO tolerance (SVM_TOL) is fixed.
     """
 
     C: float = 1.0

@@ -27,7 +27,6 @@ __all__ = [
     "TransformMetric",
     "MetricFactors",
     "initial_metric",
-    "lift_vector",
 ]
 
 
@@ -145,11 +144,4 @@ def initial_metric(order: int, budget: float) -> TransformMetric:
     if order < 1:
         raise ValueError("order must be positive")
     return TransformMetric(order, budget, budget / order, np.empty((0, order)), np.empty(0))
-
-
-def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (factors.n,):
-        raise ValueError(f"beta must have length {factors.n}, got {beta.shape}")
-    return factors.lift @ beta
 

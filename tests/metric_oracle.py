@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa.linalg import KernelSpec, sym_eigen, symmetrize
-from hfa.metric import MetricFactors, lift_vector
+from hfa.metric import MetricFactors
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,14 @@ class LineSearchParams:
     sufficient_decrease: float = 1e-4
     eta_min: float = 1e-12
     max_backtracks: int = 50
+
+
+def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
+    """v = lift @ beta, the vector the metric subproblem sees; checks beta's length."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (factors.n,):
+        raise ValueError(f"beta must have length {factors.n}, got {beta.shape}")
+    return factors.lift @ beta
 
 
 def kernel_value(spec: KernelSpec, a, b) -> float:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from hfa.cli import main
+from hfa.cli import CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, save_dense_csv
 from hfa.model_io import load_model_set
@@ -178,6 +178,45 @@ def test_config_bad_value_names_line(tmp_path, capsys):
     conf.write_text("# comment\nhfa.C = abc\n", encoding="utf-8")
     assert main(["generate", "--config", str(conf), "--out", str(tmp_path)]) == 1
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "hfa.C = -1"),
+    ("train", "kernel.family = poly"),
+    ("generate", "synthetic.latent_dim = 2"),
+    ("train", "synthetic.latent_dim = 2"),
+])
+def test_config_out_of_range_value_names_file_line_and_key(corpus, tmp_path, capsys, command, line):
+    # the settings classes' own range checks fire while the file is read,
+    # for every key and every subcommand
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = main([command, "--config", str(conf), "--source", str(corpus / "source.csv"),
+                 "--target", str(corpus / "target.csv"), "--out", str(out)])
+    assert code == 1
+    key = line.split(" = ")[0]
+    assert f"{conf}:2: bad value for {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, want", [
+    (["--C", "2"], CliConfig(hfa=HfaConfig(C=2.0))),
+    (["--lambda", "2.5"], CliConfig(hfa=HfaConfig(lam=2.5))),
+    (["--kernel", "linear"], CliConfig(hfa=HfaConfig(kernel_family="linear"))),
+    (["--gamma", "0.5"], CliConfig(hfa=HfaConfig(kernel_gamma=0.5))),
+    (["--seed", "7"], CliConfig(synthetic=SyntheticSpec(seed=7), base_seed=7)),
+    (["--per-class-target", "3,5"], CliConfig(per_class_target=(3, 5))),
+    (["--per-class-source", "4"], CliConfig(per_class_source=4)),
+    (["--trials", "2"], CliConfig(trials=2)),
+    (["--source", "s.csv"], CliConfig(source="s.csv")),
+    (["--target", "t.csv"], CliConfig(target="t.csv")),
+    (["--model", "m.json"], CliConfig(model="m.json")),
+    (["--out", "o.txt"], CliConfig(out="o.txt")),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_each_flag_lands_in_its_field(flags, want):
+    # and nowhere else: every other setting keeps its default
+    assert resolve_config(build_parser().parse_args(["experiment", *flags])) == want
 
 
 def test_config_comments_and_paths(corpus, tmp_path):

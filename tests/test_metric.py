@@ -6,11 +6,11 @@ from hfa.metric import (
     MetricFactors,
     TransformMetric,
     initial_metric,
-    lift_vector,
 )
 from metric_oracle import (
     DenseMetric,
     LineSearchParams,
+    lift_vector,
     line_search,
     optimize_metric,
     sdp_closed_form,
