@@ -3,8 +3,8 @@
 Settings resolve in three layers: the defaults of HfaConfig,
 SyntheticSpec and CliConfig, then a flat "key = value" config file
 (--config), then command-line flags. Each value is range-checked as it
-is applied, so a bad file value fails naming its file, line and key. Output
-files are written to a temporary sibling and renamed into place, so a
+is applied, so a bad file value fails naming its file, line and key, and
+a bad flag value naming its flag. Output files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact; exit status is 0 only when
 the requested artifact was fully written.
 """
@@ -98,10 +98,10 @@ CONFIG_KEYS = {
 CONFIG_KEYS.update((f"synthetic.{f.name}", ("synthetic", f.name, {"int": int, "float": float}[f.type]))
                    for f in fields(SyntheticSpec))
 
-# argparse dest -> the config keys its flag sets; --seed is both the
-# generation seed and the experiment base seed
+# argparse dest (the flag's name) -> the config keys its flag sets; --seed
+# is both the generation seed and the experiment base seed
 FLAG_KEYS = {
-    "C": ("hfa.C",), "lam": ("hfa.lambda",), "kernel": ("kernel.family",), "gamma": ("kernel.gamma",),
+    "C": ("hfa.C",), "lambda": ("hfa.lambda",), "kernel": ("kernel.family",), "gamma": ("kernel.gamma",),
     "per_class_target": ("protocol.per_class_target",), "per_class_source": ("protocol.per_class_source",),
     "trials": ("protocol.trials",), "seed": ("synthetic.seed", "protocol.base_seed"),
     "source": ("paths.source",), "target": ("paths.target",), "model": ("paths.model",), "out": ("paths.out",),
@@ -146,8 +146,11 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     for dest, keys in FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:
-            for key in keys:
-                cfg = _set(cfg, key, _parse_int_list(value) if dest == "per_class_target" else value)
+            try:
+                for key in keys:
+                    cfg = _set(cfg, key, _parse_int_list(value) if dest == "per_class_target" else value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for --{dest.replace('_', '-')}: {exc}") from exc
     return cfg
 
 
@@ -275,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--source", metavar="PATH", help="source dataset file")
     common.add_argument("--target", metavar="PATH", help="target dataset file")
     common.add_argument("--model", metavar="PATH", help="model file to write or read")
-    common.add_argument("--per-class-target", metavar="LIST", dest="per_class_target",
+    common.add_argument("--per-class-target", metavar="LIST",
                         help="target training samples per class, comma separated")
-    common.add_argument("--per-class-source", type=int, metavar="N", dest="per_class_source",
+    common.add_argument("--per-class-source", type=int, metavar="N",
                         help="source training samples per class (default: all)")
     common.add_argument("--trials", type=int, metavar="N", help="experiment repetitions")
-    common.add_argument("--lambda", type=float, metavar="X", dest="lam", help="metric trace budget")
+    common.add_argument("--lambda", type=float, metavar="X", help="metric trace budget")
     common.add_argument("--C", type=float, metavar="X", help="SVM regularization")
     common.add_argument("--kernel", choices=("linear", "rbf"), help="kernel family")
     common.add_argument("--gamma", type=float, metavar="X", help="RBF bandwidth (default: per-domain median rule)")

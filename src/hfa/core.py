@@ -62,13 +62,12 @@ class HfaConfig:
 
     C is the SVM box bound and lam the metric trace budget. kernel_gamma
     None selects the per-domain median-distance bandwidth at training
-    time; ridge None selects the scale-aware default for each Gram
-    matrix. The alternation stops after t_max outer iterations, or one
+    time. The alternation stops after t_max outer iterations, or one
     iteration after the certified relative saddle gap (P - max L) / |P|
     falls to conv_tol, so the last objective change is within conv_tol
     too (see _alternate). standardize asks `hfa train` and the experiment
     runner to z-score each domain's features; the trainer itself does not
-    read it. The SMO tolerance (SVM_TOL) is fixed.
+    read it. The SMO tolerance (SVM_TOL) and the Gram ridges are fixed.
     """
 
     C: float = 1.0
@@ -77,7 +76,6 @@ class HfaConfig:
     kernel_gamma: float | None = None
     t_max: int = 100
     conv_tol: float = 1e-5
-    ridge: float | None = None
     standardize: bool = False
 
     def __post_init__(self):
@@ -93,8 +91,6 @@ class HfaConfig:
             raise ValueError("t_max must be at least 1")
         if not self.conv_tol > 0:
             raise ValueError("conv_tol must be positive")
-        if self.ridge is not None and not self.ridge > 0:
-            raise ValueError("ridge must be positive when given")
 
     def kernel_spec_for(self, X: np.ndarray) -> KernelSpec:
         """Resolve the kernel for one domain's training rows."""
@@ -142,37 +138,28 @@ def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PrecomputedKernels:
-    """Gram matrices and factors shared by all models on one training set."""
+    """Gram factors shared by all models on one training set.
 
-    kernel_source: KernelSpec
+    factors.base is blockdiag(Ks, Kt) and factors.lift blockdiag of their
+    ridged square roots; kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
+    """
+
     kernel_target: KernelSpec
-    Ks: np.ndarray
-    Kt: np.ndarray
-    ks_sqrt: np.ndarray
-    kt_sqrt: np.ndarray
-    kt_inv_sqrt: np.ndarray
     factors: MetricFactors
+    kt_inv_sqrt: np.ndarray
 
 
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
-    """Resolve kernels and factor the Grams once for a training pair."""
-    spec_s = cfg.kernel_spec_for(source_X)
+    """Resolve kernels and factor each Gram of a training pair once, ridged by default_ridge."""
     spec_t = cfg.kernel_spec_for(target_X)
-    Ks = gram_matrix(spec_s, source_X)
+    Ks = gram_matrix(cfg.kernel_spec_for(source_X), source_X)
     Kt = gram_matrix(spec_t, target_X)
-    ridge_s = cfg.ridge if cfg.ridge is not None else default_ridge(Ks)
-    ridge_t = cfg.ridge if cfg.ridge is not None else default_ridge(Kt)
-    ks_sqrt, _ = _sqrt_factors(Ks, ridge_s)
-    kt_sqrt, kt_inv_sqrt = _sqrt_factors(Kt, ridge_t)
+    ks_sqrt, _ = _sqrt_factors(Ks, default_ridge(Ks))
+    kt_sqrt, kt_inv_sqrt = _sqrt_factors(Kt, default_ridge(Kt))
     return PrecomputedKernels(
-        kernel_source=spec_s,
         kernel_target=spec_t,
-        Ks=Ks,
-        Kt=Kt,
-        ks_sqrt=ks_sqrt,
-        kt_sqrt=kt_sqrt,
-        kt_inv_sqrt=kt_inv_sqrt,
         factors=kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt),
+        kt_inv_sqrt=kt_inv_sqrt,
     )
 
 
@@ -295,30 +282,17 @@ class KernelExpansion:
 class HfaModel:
     """Trained kernelized model over one binary source/target pair.
 
-    Prediction delegates to `expansion`, all that a saved model keeps; the
-    other fields are training diagnostics and are not saved; saddle_gap is
-    the certified relative gap at exit. beta splits as (beta_source,
-    beta_target) in training order; ks_sqrt @ ks_sqrt ~= Ks + ridge*I and
-    kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
+    Prediction delegates to `expansion`, all that a saved model keeps. The
+    other fields are what training produced and are not saved; beta splits
+    as (beta_source, beta_target) in training order and saddle_gap is the
+    certified relative gap at exit.
     """
 
     expansion: KernelExpansion
-    kernel_source: KernelSpec
     metric: TransformMetric
     beta: np.ndarray
-    ks_sqrt: np.ndarray
-    kt_sqrt: np.ndarray
-    kt_inv_sqrt: np.ndarray
     objective_trace: np.ndarray
     saddle_gap: float
-
-    @property
-    def kernel_target(self) -> KernelSpec:
-        return self.expansion.kernel
-
-    @property
-    def bias(self) -> float:
-        return self.expansion.bias
 
     def decision_function(self, X) -> np.ndarray:
         """Decision values for target-domain rows X, shape (m,)."""
@@ -358,17 +332,14 @@ def hfa_train(
     y = np.concatenate([source.y, target.y]).astype(float)
     metric, sol, trace, gap = _alternate(kernels.factors, y, cfg, monitor)
     n_s = len(source)
+    lift = kernels.factors.lift
     beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
-    v = np.concatenate([kernels.ks_sqrt @ beta_s, kernels.kt_sqrt @ beta_t])
+    v = np.concatenate([lift[:n_s, :n_s] @ beta_s, lift[n_s:, n_s:] @ beta_t])
     coef = kernels.kt_inv_sqrt @ metric.apply(v)[n_s:] + beta_t
     return HfaModel(
         expansion=KernelExpansion(target.X, kernels.kernel_target, coef, sol.bias),
-        kernel_source=kernels.kernel_source,
         metric=metric,
         beta=sol.beta,
-        ks_sqrt=kernels.ks_sqrt,
-        kt_sqrt=kernels.kt_sqrt,
-        kt_inv_sqrt=kernels.kt_inv_sqrt,
         objective_trace=trace,
         saddle_gap=gap,
     )

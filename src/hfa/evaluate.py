@@ -30,24 +30,10 @@ __all__ = [
 ]
 
 
-def _resolve_classes(source: Dataset, target: Dataset, classes) -> list[int]:
-    if np.unique(target.y).size < 2:
-        raise ValueError("target training data must contain at least 2 classes")
-    present = set(int(c) for c in source.y) | set(int(c) for c in target.y)
-    if classes is None:
-        return sorted(present)
-    classes = [int(c) for c in classes]
-    for c in classes:
-        if c not in present:
-            raise ValueError(f"class {c} absent from both domains' training data")
-    return classes
-
-
 def train_multiclass(
     source: Dataset,
     target: Dataset,
     cfg: HfaConfig = HfaConfig(),
-    classes=None,
     kernels: PrecomputedKernels | None = None,
 ) -> list[tuple[int, HfaModel]]:
     """Train one binary model per class on the full source+target data.
@@ -58,33 +44,32 @@ def train_multiclass(
         Training sets with original (nonnegative integer) labels; the
         target set must contain at least 2 distinct classes.
     cfg : HfaConfig
-    classes : iterable of int, optional
-        Classes to model; defaults to every label present in either
-        domain. A requested class present in neither domain is an error.
     kernels : PrecomputedKernels, optional
         Shared Gram factorization; computed once here when omitted.
 
     Returns
     -------
-    list of (class label, model), in the given class order.
+    list of (class label, model), one per label present in either
+    domain, in ascending order.
     """
-    class_list = _resolve_classes(source, target, classes)
+    if np.unique(target.y).size < 2:
+        raise ValueError("target training data must contain at least 2 classes")
+    classes = sorted(set(int(c) for c in source.y) | set(int(c) for c in target.y))
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
     return [
         (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels))
-        for c in class_list
+        for c in classes
     ]
 
 
 def svm_t_baseline(
     target: Dataset,
     cfg: HfaConfig = HfaConfig(),
-    classes=None,
     kernel: KernelSpec | None = None,
 ) -> list[tuple[int, KernelExpansion]]:
-    """One-vs-rest SVMs on the target Gram matrix only, as kernel
-    expansions with coef = beta.
+    """One-vs-rest SVMs on the target Gram matrix only, one per target
+    class in ascending order, as kernel expansions with coef = beta.
 
     kernel overrides the config-resolved spec; an experiment passes the
     cross-domain arm's target kernel here so both arms share it.
@@ -92,17 +77,10 @@ def svm_t_baseline(
     present = np.unique(target.y)
     if present.size < 2:
         raise ValueError("target training data must contain at least 2 classes")
-    if classes is None:
-        class_list = [int(c) for c in present]
-    else:
-        class_list = [int(c) for c in classes]
-        for c in class_list:
-            if c not in set(int(v) for v in present):
-                raise ValueError(f"class {c} absent from the target training data")
     spec = kernel if kernel is not None else cfg.kernel_spec_for(target.X)
     K = gram_matrix(spec, target.X)
     models = []
-    for c in class_list:
+    for c in present.tolist():
         y = np.where(target.y == c, 1.0, -1.0)
         sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
         models.append((c, KernelExpansion(target.X, spec, sol.beta, sol.bias)))

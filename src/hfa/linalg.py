@@ -69,12 +69,14 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     X = _as_sample_matrix(X)
     if X.shape[0] == 0:
         raise ValueError("empty sample set")
-    if spec.family == "linear":
-        return symmetrize(X @ X.T)
-    sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    return symmetrize(np.exp(-spec.gamma * d2))
+    return symmetrize(cross_gram(spec, X, X))
+
+
+def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """||x_i||^2 + ||z_j||^2 - 2 x_i.z_j, which round-off can leave slightly negative."""
+    sx = np.einsum("ij,ij->i", X, X)
+    sz = np.einsum("ij,ij->i", Z, Z)
+    return sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T)
 
 
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -85,9 +87,7 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         raise ValueError(f"dimension mismatch {X.shape[1]} vs {Z.shape[1]}")
     if spec.family == "linear":
         return X @ Z.T
-    sx = np.einsum("ij,ij->i", X, X)
-    sz = np.einsum("ij,ij->i", Z, Z)
-    d2 = sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T)
+    d2 = _sq_dists(X, Z)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-spec.gamma * d2)
 
@@ -102,9 +102,7 @@ def median_heuristic_gamma(X) -> float:
     n = X.shape[0]
     if n < 2:
         return 1.0
-    sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    pairs = d2[np.triu_indices(n, k=1)]
+    pairs = _sq_dists(X, X)[np.triu_indices(n, k=1)]
     med = float(np.median(pairs))
     if med <= 0.0:
         return 1.0

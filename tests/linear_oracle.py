@@ -9,15 +9,18 @@ for cross-checking at small scale: the augmentation maps, the working
 kernel of either path built from a dense metric matrix, and a trainer
 that runs the library's own Frank-Wolfe loop (hfa.core._alternate) on the
 explicit factors. With a linear kernel and no more samples than feature
-dimensions the two paths reach the same optimal objective.
+dimensions the two paths reach the same optimal objective, to round-off
+when the kernelized path's Gram roots carry a tiny fixed ridge
+(kernels_at_ridge).
 """
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 import hfa.core
-from hfa.core import HfaConfig, _block_diag, _validate_binary_pair, kernelized_factors
+from hfa.core import HfaConfig, PrecomputedKernels, _block_diag, _validate_binary_pair, prepare_kernels
 from hfa.data import Dataset
 from hfa.linalg import symmetrize
 from hfa.metric import MetricFactors, TransformMetric
@@ -74,13 +77,21 @@ def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> 
     return _metric_kernel(factors, metric.matrix)
 
 
-def build_KH_kernelized(ks_sqrt, kt_sqrt, Ks, Kt, metric: TransformMetric) -> np.ndarray:
+def build_KH_kernelized(factors: MetricFactors, metric: TransformMetric) -> np.ndarray:
     """Working kernel of the kernelized path, blockdiag(Ks, Kt) plus the
-    metric coupling through the Gram square roots."""
-    factors = kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt)
+    metric coupling through the Gram square roots, from the factors that
+    hfa.core.kernelized_factors or prepare_kernels build."""
     if metric.order != factors.n:
         raise ValueError(f"metric order {metric.order} != n_s + n_t = {factors.n}")
     return _metric_kernel(factors, metric.matrix)
+
+
+def kernels_at_ridge(source_X, target_X, cfg: HfaConfig, ridge: float) -> PrecomputedKernels:
+    """prepare_kernels with one fixed ridge for both Gram square roots in
+    place of default_ridge, which scales with each Gram's trace; patching
+    the ridge rule keeps the factoring itself the library's own."""
+    with mock.patch.object(hfa.core, "default_ridge", lambda K: ridge):
+        return prepare_kernels(source_X, target_X, cfg)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, hfa_train
+from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
 from hfa.evaluate import run_experiment
-from hfa.linalg import gram_matrix
 from hfa.metric import MetricFactors, initial_metric
 from hfa.svm import DualProblem, solve_dual
-from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, hfa_train_linear
+from linear_oracle import (
+    augment_source,
+    augment_target,
+    build_KH_kernelized,
+    build_KH_linear,
+    hfa_train_linear,
+    kernels_at_ridge,
+)
 from metric_oracle import DenseMetric as TransformMetric
 from metric_oracle import line_search, sdp_closed_form, sdp_gradient, sdp_objective, sdp_pgd_step
 from qp_oracle import random_problems, solve_qp_batch
@@ -157,11 +163,10 @@ def test_criterion_05_predictor_consistency():
         ns, nt = int(rng.integers(6, 15)), int(rng.integers(3, 9))
         ds, dt = int(rng.integers(4, 11)), int(rng.integers(4, 11))
         source, target = random_binary_pair(rng, ns, nt, ds, dt)
-        model = hfa_train(source, target, HfaConfig())
-        Ks = gram_matrix(model.kernel_source, source.X)
-        Kt = gram_matrix(model.kernel_target, target.X)
-        K = build_KH_kernelized(model.ks_sqrt, model.kt_sqrt, Ks, Kt, model.metric)
-        want = K[ns:, :] @ model.beta + model.bias
+        pk = prepare_kernels(source.X, target.X, HfaConfig())
+        model = hfa_train(source, target, HfaConfig(), kernels=pk)
+        K = build_KH_kernelized(pk.factors, model.metric)
+        want = K[ns:, :] @ model.beta + model.expansion.bias
         got = model.decision_function(target.X)
         worst = max(worst, float(np.abs(got - want).max()))
     report(5, worst <= 1e-8,
@@ -200,13 +205,12 @@ def test_criterion_07_linear_kernelized_agreement():
     rng = np.random.default_rng(107)
     done = 0
     worst = 0.0
-    cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear",
-                    ridge=1e-12, t_max=400, conv_tol=1e-11)
+    cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear", t_max=400, conv_tol=1e-11)
     while done < 10:
         ns, nt = int(rng.integers(4, 11)), int(rng.integers(3, 8))
         ds, dt = ns + int(rng.integers(2, 6)), nt + int(rng.integers(2, 6))
         source, target = random_binary_pair(rng, ns, nt, ds, dt)  # n <= d: PD Grams under ridge
-        kern = hfa_train(source, target, cfg)
+        kern = hfa_train(source, target, cfg, kernels=kernels_at_ridge(source.X, target.X, cfg, 1e-12))
         lin = hfa_train_linear(source, target, cfg)
         a, b = kern.objective_trace[-1], lin.objective_trace[-1]
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))

@@ -1,6 +1,7 @@
 """The package's exported names exist, and the library never reaches into tests/."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -38,13 +39,13 @@ def test_library_imports_nothing_from_tests():
     assert not offenders, offenders
 
 
-def _loaded_names(paths) -> set[str]:
+def _loaded_names(paths, attributes_only=False) -> set[str]:
     """Names read as a Name or an Attribute anywhere in the given files;
     import statements and __all__ strings are not reads."""
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
@@ -59,3 +60,20 @@ def test_every_export_is_used_outside_tests(name):
     exported = importlib.import_module(name).__all__
     unused = [attr for attr in exported if not (attr.startswith("__") and attr.endswith("__")) and attr not in used]
     assert not unused, f"{name}.__all__ exports names that only tests use: {unused}"
+
+
+DATACLASSES = sorted(
+    {obj for name in MODULES for obj in vars(importlib.import_module(name)).values()
+     if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__.startswith("hfa.")},
+    key=lambda cls: (cls.__module__, cls.__name__),
+)
+
+
+@pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_field_is_read_outside_tests(cls):
+    # a field that nothing outside the tests reads is state kept for no one
+    root = SRC.parents[1]
+    paths = sorted(SRC.glob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    read = _loaded_names(paths, attributes_only=True)
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread, f"{cls.__name__} declares fields nothing outside tests reads: {unread}"

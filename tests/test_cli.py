@@ -200,6 +200,20 @@ def test_config_out_of_range_value_names_file_line_and_key(corpus, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--C", "-1", "C must be positive"),
+    ("--lambda", "0", "lam must be positive"),
+    ("--gamma", "-1", "kernel_gamma must be positive"),
+])
+def test_flag_out_of_range_value_names_flag(corpus, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out.json"
+    code = main(["train", flag, value, "--source", str(corpus / "source.csv"),
+                 "--target", str(corpus / "target.csv"), "--out", str(out)])
+    assert code == 1
+    assert f"error: bad value for {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, want", [
     (["--C", "2"], CliConfig(hfa=HfaConfig(C=2.0))),
     (["--lambda", "2.5"], CliConfig(hfa=HfaConfig(lam=2.5))),

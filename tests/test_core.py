@@ -118,7 +118,7 @@ def test_build_KH_kernelized_oracle():
     B = rng.standard_normal((n, n))
     H = B @ B.T
     metric = DenseMetric(H, float(np.trace(H)) + 1.0)
-    K = build_KH_kernelized(ks, kt, Ks, Kt, metric)
+    K = build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), metric)
     S = np.zeros((n, n))
     S[:4, :4], S[4:, 4:] = ks, kt
     base = np.zeros((n, n))
@@ -129,7 +129,7 @@ def test_build_KH_kernelized_oracle():
 def test_build_KH_kernelized_zero_metric_blockdiag():
     rng = np.random.default_rng(4)
     Ks, Kt, ks, kt = grams_and_roots(rng, 5, 2)
-    K = build_KH_kernelized(ks, kt, Ks, Kt, DenseMetric(np.zeros((7, 7)), 1.0))
+    K = build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), DenseMetric(np.zeros((7, 7)), 1.0))
     assert np.allclose(K[:5, :5], Ks) and np.allclose(K[5:, 5:], Kt)
     assert np.allclose(K[:5, 5:], 0.0)
 
@@ -138,9 +138,9 @@ def test_build_KH_kernelized_shape_errors():
     rng = np.random.default_rng(5)
     Ks, Kt, ks, kt = grams_and_roots(rng, 4, 3)
     with pytest.raises(ValueError, match="metric order"):
-        build_KH_kernelized(ks, kt, Ks, Kt, DenseMetric(np.eye(6), 1.0))
+        build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), DenseMetric(np.eye(6), 1.0))
     with pytest.raises(ValueError, match="square-root"):
-        build_KH_kernelized(ks[:3, :3], kt, Ks, Kt, DenseMetric(np.eye(7), 1.0))
+        kernelized_factors(Ks, Kt, ks[:3, :3], kt)
 
 
 def test_factor_helpers_compose_the_same_kernel():
@@ -192,7 +192,6 @@ def test_config_validation():
         dict(kernel_gamma=0.0),
         dict(t_max=0),
         dict(conv_tol=0.0),
-        dict(ridge=0.0),
     ):
         with pytest.raises(ValueError):
             HfaConfig(**bad)
@@ -211,10 +210,21 @@ def test_kernel_spec_resolution():
 def test_prepare_kernels_contract():
     rng = np.random.default_rng(10)
     Xs, Xt = rng.standard_normal((6, 3)), rng.standard_normal((4, 5))
-    pk = prepare_kernels(Xs, Xt, HfaConfig(kernel_family="rbf"))
-    assert pk.Ks.shape == (6, 6) and pk.Kt.shape == (4, 4)
+    cfg = HfaConfig(kernel_family="rbf")
+    pk = prepare_kernels(Xs, Xt, cfg)
+    base, lift = pk.factors.base, pk.factors.lift
+    assert base.shape == lift.shape == (10, 10)
     assert pk.factors.n_source == 6 and pk.factors.n_target == 4
-    assert pk.kernel_source.family == "rbf" and pk.kernel_target.family == "rbf"
+    spec_s, spec_t = cfg.kernel_spec_for(Xs), cfg.kernel_spec_for(Xt)
+    assert pk.kernel_target == spec_t and spec_s.family == "rbf"
     # different domains resolve different bandwidths
-    assert pk.kernel_source.gamma != pk.kernel_target.gamma
-    assert np.max(np.abs(pk.kt_inv_sqrt @ pk.Kt - pk.kt_sqrt)) <= 1e-9
+    assert spec_s.gamma != spec_t.gamma
+    # the diagonal blocks are the Grams and their ridged roots, recomputed
+    # here independently; the domains do not couple in either factor
+    Ks, Kt = gram_matrix(spec_s, Xs), gram_matrix(spec_t, Xt)
+    assert np.array_equal(base[:6, :6], Ks) and np.array_equal(base[6:, 6:], Kt)
+    assert np.array_equal(lift[:6, :6], _sqrt_factors(Ks, default_ridge(Ks))[0])
+    assert np.array_equal(lift[6:, 6:], _sqrt_factors(Kt, default_ridge(Kt))[0])
+    assert not base[:6, 6:].any() and not base[6:, :6].any()
+    assert not lift[:6, 6:].any() and not lift[6:, :6].any()
+    assert np.max(np.abs(pk.kt_inv_sqrt @ Kt - lift[6:, 6:])) <= 1e-9

@@ -77,9 +77,9 @@ def test_single_model_round_trip_exact(tmp_path):
     assert np.array_equal(a, b)  # exact float reproduction, stronger than 1e-12
     assert np.max(np.abs(a - b)) <= 1e-12
     assert np.array_equal(loaded.coef, model.expansion.coef)
-    assert loaded.bias == model.bias
+    assert loaded.bias == model.expansion.bias
     assert np.array_equal(loaded.X, model.expansion.X)
-    assert loaded.kernel == model.kernel_target
+    assert loaded.kernel == model.expansion.kernel
     # a reloaded set saves back to the same bytes
     again = tmp_path / "again.json"
     save_model_set(loaded_set.models, again, loaded_set.metadata)
@@ -99,7 +99,7 @@ def test_model_set_round_trip(tmp_path):
         assert c0 == c1
         assert np.array_equal(m0.decision_function(X), m1.decision_function(X))
         assert np.array_equal(m1.coef, m0.expansion.coef)
-        assert m1.bias == m0.bias
+        assert m1.bias == m0.expansion.bias
         assert np.array_equal(m1.X, m0.expansion.X)
         assert m1.X is shared  # one X_t array serves every class
         assert m1.coef.flags.c_contiguous

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import hfa.core
 from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
-from hfa.linalg import gram_matrix, symmetrize
+from hfa.linalg import symmetrize
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
-from linear_oracle import build_KH_kernelized, hfa_train_linear, linear_factors
+from linear_oracle import build_KH_kernelized, hfa_train_linear, kernels_at_ridge, linear_factors
 from metric_oracle import DenseMetric, psd_project, trace_cap
 
 
@@ -38,11 +38,8 @@ def test_tiny_budget_reduces_to_uncoupled_svm():
     cfg = HfaConfig(C=1.0, lam=1e-12, kernel_family="rbf", t_max=5)
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
-    n_s = len(source)
-    K0 = np.zeros((n_s + len(target),) * 2)
-    K0[:n_s, :n_s], K0[n_s:, n_s:] = pk.Ks, pk.Kt
     y = np.concatenate([source.y, target.y]).astype(float)
-    ref = solve_dual(DualProblem(K0, y, cfg.C), tol=1e-9)
+    ref = solve_dual(DualProblem(pk.factors.base, y, cfg.C), tol=1e-9)
     assert np.isclose(model.objective_trace[-1], ref.objective, rtol=1e-6)
 
 
@@ -163,7 +160,7 @@ def test_training_is_deterministic():
     b = hfa_train(source, target, cfg)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.metric.matrix, b.metric.matrix)
-    assert a.bias == b.bias
+    assert a.expansion.bias == b.expansion.bias
 
 
 def test_prediction_consistent_with_working_kernel():
@@ -171,11 +168,10 @@ def test_prediction_consistent_with_working_kernel():
     for seed in range(4):
         source, target = binary_pair(seed=seed, n_t=10)
         cfg = HfaConfig(C=1.0, lam=1.0, t_max=20)
-        model = hfa_train(source, target, cfg)
-        Ks = gram_matrix(model.kernel_source, source.X)
-        Kt = gram_matrix(model.kernel_target, target.X)
-        KH = build_KH_kernelized(model.ks_sqrt, model.kt_sqrt, Ks, Kt, model.metric)
-        expansion = KH @ model.beta + model.bias
+        pk = prepare_kernels(source.X, target.X, cfg)
+        model = hfa_train(source, target, cfg, kernels=pk)
+        KH = build_KH_kernelized(pk.factors, model.metric)
+        expansion = KH @ model.beta + model.expansion.bias
         n_s = len(source)
         for j in range(len(target)):
             assert np.isclose(model.decision_function(target.X[j][None, :])[0], expansion[n_s + j], atol=1e-8)
@@ -233,9 +229,8 @@ def test_linear_and_kernelized_objectives_agree():
                          np.sign(rng.standard_normal(n_t)).astype(int))
         if abs(int(np.sum(source.y)) + int(np.sum(target.y))) == n_s + n_t:
             continue
-        cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear",
-                        ridge=1e-12, t_max=400, conv_tol=1e-11)
-        kern = hfa_train(source, target, cfg)
+        cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear", t_max=400, conv_tol=1e-11)
+        kern = hfa_train(source, target, cfg, kernels=kernels_at_ridge(source.X, target.X, cfg, 1e-12))
         lin = hfa_train_linear(source, target, cfg)
         a, b = kern.objective_trace[-1], lin.objective_trace[-1]
         assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
@@ -279,13 +274,8 @@ def test_objective_trace_starts_at_uncoupled_budget_spread():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     n = len(source) + len(target)
-    S = np.zeros((n, n))
-    S[: len(source), : len(source)] = pk.ks_sqrt
-    S[len(source):, len(source):] = pk.kt_sqrt
-    K0 = np.zeros((n, n))
-    K0[: len(source), : len(source)] = pk.Ks
-    K0[len(source):, len(source):] = pk.Kt
-    K0 = K0 + (cfg.lam / n) * S @ S
+    S = pk.factors.lift
+    K0 = pk.factors.base + (cfg.lam / n) * S @ S
     y = np.concatenate([source.y, target.y]).astype(float)
     ref = solve_dual(DualProblem(K0, y, cfg.C), tol=1e-8)
     assert np.isclose(model.objective_trace[0], ref.objective, rtol=1e-5)
