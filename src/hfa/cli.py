@@ -232,9 +232,8 @@ def cmd_predict(cfg: CliConfig) -> None:
     predicted = classes[np.argmax(scores, axis=1)]
     header = "row,predicted_class," + ",".join(f"score_class{c}" for c in classes)
     lines = [header]
-    for i in range(len(test)):
-        score_text = ",".join(repr(float(s)) for s in scores[i])
-        lines.append(f"{i},{int(predicted[i])},{score_text}")
+    for i, (label, row) in enumerate(zip(predicted.tolist(), scores.tolist())):
+        lines.append(f"{i},{label},{','.join(map(repr, row))}")
     out = cfg.out if cfg.out is not None else "predictions.csv"
     _atomic(out, lambda tmp: tmp.write_text("\n".join(lines) + "\n", encoding="utf-8"))
     print(f"wrote {out}: {len(test)} predictions")

@@ -266,16 +266,25 @@ class KernelExpansion:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def decision_function(self, X) -> np.ndarray:
-        """Decision values for target-domain rows X, shape (m,)."""
+    def query_rows(self, X) -> np.ndarray:
+        """X as a 2-D float array of target-domain rows (a 1-D X is one row)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected target-domain rows of dimension {self.dim}, got {X.shape}")
+        return X
+
+    def from_block(self, K: np.ndarray) -> np.ndarray:
+        """Decision values from K = cross_gram(kernel, self.X, rows), shape (rows,)."""
+        return K.T @ self.coef + self.bias
+
+    def decision_function(self, X) -> np.ndarray:
+        """Decision values for target-domain rows X, shape (m,)."""
+        X = self.query_rows(X)
         if X.shape[0] == 0:
             return np.empty(0)
-        return cross_gram(self.kernel, self.X, X).T @ self.coef + self.bias
+        return self.from_block(cross_gram(self.kernel, self.X, X))
 
 
 @dataclass(frozen=True)

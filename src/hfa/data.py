@@ -9,6 +9,8 @@ optional leading "#dim N" line.
 from __future__ import annotations
 
 import csv
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,21 +92,76 @@ class Dataset:
         return Dataset(self.domain, self.X, y)
 
 
+def _dense_header(path, reader) -> int:
+    """Check a dense CSV header row; return the feature count."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(path, 1, "empty file") from None
+    if len(header) < 2 or header[0] != "label":
+        raise ParseError(path, 1, 'header must be "label,f0,...,f{d-1}"')
+    dim = len(header) - 1
+    expected = [f"f{i}" for i in range(dim)]
+    if header[1:] != expected:
+        raise ParseError(path, 1, f"feature columns must be f0..f{dim - 1}")
+    return dim
+
+
+# A body line of plain number characters: on these numpy's number parsing
+# and Python's float() and int() accept the same fields with the same values
+# (compared token by token). Any other character, such as a quote, an
+# underscore, a letter of "nan" or a Unicode space, sends the file to the
+# per-line parser.
+_PLAIN_LINE = re.compile(r"[0-9+\-.eE,\t ]*(?:\r\n|\r|\n)?")
+
+
 def load_dense_csv(path) -> Dataset:
-    """Read a dense CSV dataset; see module docstring for the format."""
+    """Read a dense CSV dataset; see module docstring for the format.
+
+    The accepted files, their values and every error are those of the
+    per-line parser, _load_dense_csv_lines; parsing is numpy-first. After
+    the header check, a body made only of plain number characters, with
+    no line longer than csv's field limit, is parsed by one numpy call.
+    Any other body, any file numpy rejects, and any file numpy reads but
+    the per-line parser would not (numpy skips blank lines, so its row
+    count differs from the line count, and reads negative labels) are
+    parsed line by line. X is C-contiguous.
+    """
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            dim = _dense_header(path, csv.reader(fh))
+            limit = csv.field_size_limit()
+            lines = 0
+            for line in fh:
+                if len(line) > limit or _PLAIN_LINE.fullmatch(line) is None:
+                    return _load_dense_csv_lines(path)
+                lines += 1
+    except UnicodeDecodeError:
+        # the per-line parser may meet a bad row before the bad byte
+        return _load_dense_csv_lines(path)
+    if lines == 0:
+        # numpy warns on a file without data rows
+        return Dataset(path.stem, np.empty((0, dim)), np.array([], dtype=np.int64))
+    try:
+        # an open file, because given a path numpy imports its compressed-file openers
+        with warnings.catch_warnings(), open(path, encoding="utf-8") as fh:
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, delimiter=",", skiprows=1, comments=None,
+                              dtype=[("y", np.int64), ("X", np.float64, (dim,))], ndmin=1)
+    except (ValueError, Warning):
+        return _load_dense_csv_lines(path)
+    if body.shape[0] != lines or body["y"].min() < 0:
+        return _load_dense_csv_lines(path)
+    return Dataset(path.stem, np.ascontiguousarray(body["X"]), body["y"])
+
+
+def _load_dense_csv_lines(path) -> Dataset:
+    """The per-line dense CSV parser: csv.reader and one float() per value."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file") from None
-        if len(header) < 2 or header[0] != "label":
-            raise ParseError(path, 1, 'header must be "label,f0,...,f{d-1}"')
-        dim = len(header) - 1
-        expected = [f"f{i}" for i in range(dim)]
-        if header[1:] != expected:
-            raise ParseError(path, 1, f"feature columns must be f0..f{dim - 1}")
+        dim = _dense_header(path, reader)
         labels: list[int] = []
         rows: list[list[float]] = []
         for row in reader:

@@ -15,7 +15,7 @@ import numpy as np
 
 from hfa.core import SVM_TOL, HfaConfig, HfaModel, KernelExpansion, PrecomputedKernels, hfa_train, prepare_kernels
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
-from hfa.linalg import KernelSpec, gram_matrix
+from hfa.linalg import KernelSpec, cross_gram, gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 __all__ = [
@@ -91,14 +91,31 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     """Per-class decision values for rows X.
 
     Returns (classes ascending, scores of shape (rows, classes)); the
-    model list must be nonempty.
+    model list must be nonempty. Kernel expansions (an HfaModel through
+    its `expansion`) that share one stored-rows array and kernel, as a
+    loaded or freshly trained one-vs-rest set does, share one cross_gram
+    block; each class's column is then the matrix-vector product its
+    decision_function computes, so scores are bit-identical to per-model
+    calls. Other models are scored through their decision_function.
     """
     if not models:
         raise ValueError("model list must be nonempty")
     order = sorted(range(len(models)), key=lambda i: models[i][0])
     classes = np.array([models[i][0] for i in order])
-    scores = np.column_stack([models[i][1].decision_function(X) for i in order])
-    return classes, scores
+    blocks = {}  # (id of stored rows, kernel) -> cross_gram block
+    columns = []
+    for i in order:
+        model = models[i][1]
+        expansion = model.expansion if isinstance(model, HfaModel) else model
+        if not isinstance(expansion, KernelExpansion):
+            columns.append(model.decision_function(X))
+            continue
+        key = (id(expansion.X), expansion.kernel)
+        rows = expansion.query_rows(X)
+        if key not in blocks:
+            blocks[key] = cross_gram(expansion.kernel, expansion.X, rows)
+        columns.append(expansion.from_block(blocks[key]))
+    return classes, np.column_stack(columns)
 
 
 def accuracy(models, test: Dataset) -> float:

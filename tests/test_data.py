@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfa.data import (
     Dataset,
@@ -16,6 +17,7 @@ from hfa.data import (
     standardize_apply,
     standardize_fit,
 )
+from hfa.data import _load_dense_csv_lines  # the per-line fallback, the oracle here
 
 
 def small_dataset():
@@ -99,6 +101,97 @@ def test_dense_csv_errors_name_the_line(tmp_path, text, line, fragment):
     assert err.value.line == line
     assert fragment in str(err.value)
     assert str(path) in str(err.value)
+
+
+# Tokens the two dense CSV parsers may read differently: numpy rejects
+# quoted fields, "1_0" and "0x10", strips "\x1c", skips blank lines and
+# reads "-1", where the per-line parser reads quoted fields and "1_0" and
+# refuses "\x1c", blank lines and negative labels; the rest parse or fail
+# the same in both.
+ODD_LABELS = ["-1", "3.0", "+3", " 3", "99999999999999999999", '"2"', "-0", ""]
+ODD_VALUES = ['"1.5"', "1_0", "nan", "1e400", "0x10", "-0.0", " 2.5 ", "inf", "", "x", "2\x1c", "2\u2003"]
+ODD_LINES = [" ", "\t", "  \t "]
+
+
+@st.composite
+def dense_csv_texts(draw):
+    """Dense CSV text: valid rows, then 0-2 faults from the tokens above."""
+    dim = draw(st.integers(1, 3))
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = [
+        ",".join([str(draw(st.integers(0, 5)))] + [draw(floats) for _ in range(dim)])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["blank", "whitespace", "label", "value", "fields"]))
+        at = draw(st.integers(0, len(lines)))
+        if fault in ("blank", "whitespace") or not lines:
+            lines.insert(at, "" if fault == "blank" else draw(st.sampled_from(ODD_LINES)))
+            continue
+        at = min(at, len(lines) - 1)
+        fields = lines[at].split(",")
+        if fault == "label":
+            fields[0] = draw(st.sampled_from(ODD_LABELS))
+        elif fault == "value" and len(fields) > 1:
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+        lines[at] = ",".join(fields)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([",".join(["label"] + [f"f{i}" for i in range(dim)])] + lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+def _dense_outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _assert_parsers_agree(path):
+    """load_dense_csv gives the per-line parser's X and y bits, or the same
+    exception type, message and (for a ParseError) line."""
+    fast, lines = _dense_outcome(load_dense_csv, path), _dense_outcome(_load_dense_csv_lines, path)
+    if isinstance(lines, Dataset):
+        assert isinstance(fast, Dataset), fast
+        assert fast.X.shape == lines.X.shape
+        assert fast.X.tobytes() == lines.X.tobytes()  # bits, so -0.0 differs from 0.0
+        assert fast.y.dtype == lines.y.dtype and fast.y.tobytes() == lines.y.tobytes()
+        assert fast.X.flags.c_contiguous
+    else:
+        assert fast == lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=dense_csv_texts())
+def test_dense_csv_agrees_with_per_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parsers_agree(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "label,f0\n1,2\n\n3,4\n",  # blank line inside
+        "label,f0\n1,2\n3,4\n\n",  # blank line at the end
+        "label,f0\r\n1,2\r\n\r\n3,4",  # blank CRLF line, no final newline
+        "label,f0\n1,2\n-1,4\n",  # negative label
+        "label,f0\n1,2\n2,1_0\n",  # float() reads 1_0, numpy does not
+        'label,f0\n"1",2\n',  # quoted field
+        "label,f0\n1,2\x1c\n",  # numpy strips the separator character, float() does not
+        "label,f0\n1,0." + "0" * 131072 + "1\n",  # numpy reads it, csv refuses a field this long
+        b"label,f0\n-1,2\n" + b"1,2\n" * 5000 + b"\xff\n",  # a bad row, then a byte that is not UTF-8
+        "label,f0\n",  # header only
+        "label,f0,f1",  # header only, no final newline
+        "label,f0,f1\r\n",  # header only, CRLF
+    ],
+)
+def test_dense_csv_where_numpy_and_per_line_parser_differ(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    _assert_parsers_agree(path)
 
 
 # ---------------------------------------------------------------- sparse

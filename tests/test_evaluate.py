@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hfa import evaluate
 from hfa.core import SVM_TOL, HfaConfig, KernelExpansion, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.evaluate import (
@@ -56,6 +57,25 @@ def test_two_class_decisions_near_negations():
     # one-vs-rest with complementary labels: signs should anti-agree
     anti = np.mean(np.sign(scores[:, 0]) != np.sign(scores[:, 1]))
     assert anti > 0.9
+
+
+def test_decision_matrix_builds_one_kernel_block_per_set(monkeypatch):
+    source, target = tiny_pools()
+    hfa_models = train_multiclass(source, target, FAST)
+    base_models = svm_t_baseline(target, FAST)
+    X = tiny_pools(seed=9)[1].X
+    blocks = []
+    real = evaluate.cross_gram
+    monkeypatch.setattr(evaluate, "cross_gram", lambda *a: blocks.append(a) or real(*a))
+    for models in (hfa_models, base_models):
+        blocks.clear()
+        _, scores = decision_matrix(models, X)
+        assert len(blocks) == 1  # every class shares target.X and the kernel
+        assert np.array_equal(scores, np.column_stack([m.decision_function(X) for _, m in models]))
+    # a model that is not a kernel expansion is scored on its own
+    blocks.clear()
+    _, scores = decision_matrix(hfa_models + [(99, FixedModel(0.5, dim=X.shape[1]))], X)
+    assert len(blocks) == 1 and np.array_equal(scores[:, -1], np.full(len(X), 0.5))
 
 
 def test_single_class_target_rejected():

@@ -92,7 +92,7 @@ def test_is_feasible():
 
 def test_initial_metric():
     m = initial_metric(5, 2.0)
-    assert_allclose(m.matrix, np.eye(5) * 0.4, atol=0)
+    assert np.array_equal(m.matrix, np.eye(5) * 0.4)
     assert m.is_feasible()
     with pytest.raises(ValueError):
         initial_metric(0, 2.0)
@@ -165,7 +165,7 @@ def test_gradient_structure():
     assert_allclose(g, -0.5 * np.outer(v, v), atol=1e-14)
     assert np.linalg.matrix_rank(g, tol=1e-10) <= 1
     assert np.trace(g) == pytest.approx(-0.5 * v @ v, rel=1e-12)
-    assert_allclose(sdp_gradient(np.zeros(6), f), np.zeros((6, 6)), atol=0)
+    assert np.array_equal(sdp_gradient(np.zeros(6), f), np.zeros((6, 6)))
 
 
 def test_closed_form_examples():
@@ -179,7 +179,7 @@ def test_closed_form_examples():
     assert_allclose(m2.matrix, np.full((2, 2), 0.5), atol=1e-15)
 
     z = sdp_closed_form(np.zeros(2), 1.0, f2)
-    assert_allclose(z.matrix, np.zeros((2, 2)), atol=0)
+    assert np.array_equal(z.matrix, np.zeros((2, 2)))
 
 
 def test_closed_form_beats_random_feasible_points():
@@ -202,7 +202,7 @@ def test_pgd_step_zero_gradient_fixed_point():
     f = random_factors(rng, 2, 2)
     H = random_feasible_metric(rng, 4, 2.0)
     out = sdp_pgd_step(H, np.zeros(4), 0.7, f)
-    assert_allclose(out.matrix, H.matrix, atol=0)
+    assert np.array_equal(out.matrix, H.matrix)
 
 
 def test_pgd_step_from_zero_matches_closed_form_direction():
@@ -318,7 +318,7 @@ def test_optimize_metric_matches_manual_loop():
     assert_allclose(out.matrix, manual.matrix, atol=1e-12)
     # zero gradient leaves the metric untouched
     same = optimize_metric(H0, np.zeros(7), f, steps=6)
-    assert_allclose(same.matrix, H0.matrix, atol=0)
+    assert np.array_equal(same.matrix, H0.matrix)
 
 
 def test_frank_wolfe_vertex_matches_closed_form():

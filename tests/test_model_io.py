@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfa.core import HfaConfig, KernelExpansion, hfa_train
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
+from hfa.evaluate import decision_matrix, train_multiclass
+from hfa.linalg import KernelSpec
 from hfa.model_io import ModelFormatError, load_model_set, save_model_set
-from hfa.evaluate import train_multiclass
 
 
 def small_model(seed=0):
@@ -103,6 +105,54 @@ def test_model_set_round_trip(tmp_path):
         assert np.array_equal(m1.X, m0.expansion.X)
         assert m1.X is shared  # one X_t array serves every class
         assert m1.coef.flags.c_contiguous
+
+
+def per_model_columns(models, X) -> np.ndarray:
+    """decision_function of each model, stacked as columns in class order."""
+    return np.column_stack([m.decision_function(X) for _, m in sorted(models, key=lambda cm: cm[0])])
+
+
+@st.composite
+def expansion_sets(draw):
+    """A one-vs-rest set of 2-6 expansions sharing one X_t, query rows,
+    and a generator for the mixed lists built from it."""
+    n_t, d_t, k = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = draw(st.sampled_from([KernelSpec("linear"), KernelSpec("rbf", 0.05), KernelSpec("rbf", 1.7)]))
+    X_t = rng.standard_normal((n_t, d_t))
+    labels = rng.permutation(10)[:k].tolist()  # distinct, not in ascending order
+    models = [(c, KernelExpansion(X_t, kernel, rng.standard_normal(n_t), float(rng.standard_normal())))
+              for c in labels]
+    return models, rng.standard_normal((int(rng.integers(1, 30)), d_t)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=expansion_sets())
+def test_reloaded_set_scores_exactly(tmp_path_factory, drawn):
+    models, query, rng = drawn
+    path = tmp_path_factory.mktemp("set") / "set.json"
+    save_model_set(models, path)
+    loaded = load_model_set(path)
+    classes, scores = decision_matrix(models, query)
+    assert np.array_equal(classes, sorted(c for c, _ in models))
+    # one shared kernel block gives the per-model products bit for bit
+    assert np.array_equal(scores, per_model_columns(models, query))
+    loaded_classes, loaded_scores = decision_matrix(list(loaded.models), query)
+    assert np.array_equal(loaded_classes, classes) and np.array_equal(loaded_scores, scores)
+    again = path.with_name("again.json")
+    save_model_set(loaded.models, again, loaded.metadata)
+    assert again.read_bytes() == path.read_bytes()
+    # a single 1-D row and zero rows
+    assert np.array_equal(decision_matrix(models, query[0])[1], per_model_columns(models, query[0]))
+    empty = decision_matrix(models, query[:0])[1]
+    assert empty.shape == (0, len(models)) and np.array_equal(empty, per_model_columns(models, query[:0]))
+    # mixed lists: a copy of X_t (equal values, another array), other rows, another kernel
+    X_t, kernel = models[0][1].X, models[0][1].kernel
+    variants = [(X_t.copy(), kernel), (rng.standard_normal(X_t.shape), kernel),
+                (X_t, KernelSpec("rbf", 0.3) if kernel.family == "linear" else KernelSpec("linear"))]
+    mixed = [(c, KernelExpansion(*variants[i // 2 % 3], m.coef, m.bias) if i % 2 else m)
+             for i, (c, m) in enumerate(models)]
+    assert np.array_equal(decision_matrix(mixed, query)[1], per_model_columns(mixed, query))
 
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])

@@ -67,7 +67,7 @@ def test_solution_invariants():
         sol = solve_dual(DualProblem(K, y, C))
         assert np.all(sol.alpha >= -1e-12) and np.all(sol.alpha <= C + 1e-12)
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
-        assert_allclose(sol.beta, sol.alpha * y, atol=0)  # exact by construction
+        assert np.array_equal(sol.beta, sol.alpha * y)  # exact by construction
 
 
 def test_objective_matches_projected_gradient_oracle():
