@@ -26,34 +26,34 @@ from hfa.svm import DualProblem, solve_dual
 source, pool = generate_synthetic(SyntheticSpec(num_classes=4, source_per_class=20))
 target, _ = sample_protocol(pool, 4, seed=0)
 cfg = HfaConfig()
-factors = prepare_kernels(source.X, target.X, cfg).factors
-base = factors.base
+pk = prepare_kernels(source.X, target.X, cfg)
+base, lift = pk.base, pk.lift
 y = np.concatenate([source.binary_view(0).y, target.binary_view(0).y]).astype(float)
 C, lam = cfg.C, cfg.lam
 
 
 def solve(H, warm=None):
-    K = factors.base + factors.lift.T @ H.matrix @ factors.lift
+    K = base + lift.T @ H.matrix @ lift
     return solve_dual(DualProblem(K, y, C), 1e-9, warm_start=warm)
 
 
 def slope(H, h, sol):
     """dP/dt at the dual solution for H(t) = (1-t)H + t*lam*hh'."""
-    w = factors.lift @ sol.beta
+    w = lift @ sol.beta
     return -0.5 * (lam * float(h @ w) ** 2 - H.energy(w))
 
 
 def lower_bound(sol):
-    w = factors.lift @ sol.beta
+    w = lift @ sol.beta
     return float(sol.alpha.sum() - 0.5 * sol.beta @ base @ sol.beta - 0.5 * lam * (w @ w))
 
 
-H = initial_metric(factors.metric_order, lam)
+H = initial_metric(lift.shape[0], lam)
 sol = solve(H)
 lower = lower_bound(sol)
 print(f"start (scaled identity): P = {sol.objective:.8f}, certificate L = {lower:.8f}")
 for step in range(1, 9):
-    v = factors.lift @ sol.beta
+    v = lift @ sol.beta
     h = v / np.linalg.norm(v)
     d0 = slope(H, h, sol)
     if step == 1:

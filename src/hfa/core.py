@@ -33,11 +33,7 @@ from hfa.linalg import (
     sym_eigen,
     symmetrize,
 )
-from hfa.metric import (
-    MetricFactors,
-    TransformMetric,
-    initial_metric,
-)
+from hfa.metric import TransformMetric, initial_metric
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
 
 log = logging.getLogger("hfa")
@@ -50,7 +46,6 @@ __all__ = [
     "HfaModel",
     "KernelExpansion",
     "PrecomputedKernels",
-    "kernelized_factors",
     "prepare_kernels",
     "hfa_train",
 ]
@@ -108,17 +103,6 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt) -> MetricFactors:
-    """Subproblem factors from per-domain Grams and their square roots."""
-    Ks, Kt = np.asarray(Ks, dtype=float), np.asarray(Kt, dtype=float)
-    ks_sqrt, kt_sqrt = np.asarray(ks_sqrt, dtype=float), np.asarray(kt_sqrt, dtype=float)
-    if ks_sqrt.shape != Ks.shape or kt_sqrt.shape != Kt.shape:
-        raise ValueError("square-root factors must match their Gram matrices")
-    base = _block_diag(Ks, Kt)
-    lift = _block_diag(ks_sqrt, kt_sqrt)
-    return MetricFactors(base=base, lift=lift, n_source=Ks.shape[0], n_target=Kt.shape[0])
-
-
 def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Ridged square root of a Gram matrix and its paired inverse factor.
 
@@ -140,12 +124,15 @@ def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
 class PrecomputedKernels:
     """Gram factors shared by all models on one training set.
 
-    factors.base is blockdiag(Ks, Kt) and factors.lift blockdiag of their
-    ridged square roots; kt_inv_sqrt @ Kt == kt_sqrt up to round-off.
+    base is blockdiag(Ks, Kt), the working kernel at a zero metric, and
+    lift blockdiag of their ridged square roots, which maps dual
+    coefficients into the metric space (v = lift @ beta); kt_inv_sqrt @ Kt
+    == kt_sqrt up to round-off.
     """
 
     kernel_target: KernelSpec
-    factors: MetricFactors
+    base: np.ndarray
+    lift: np.ndarray
     kt_inv_sqrt: np.ndarray
 
 
@@ -158,7 +145,8 @@ def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) 
     kt_sqrt, kt_inv_sqrt = _sqrt_factors(Kt, default_ridge(Kt))
     return PrecomputedKernels(
         kernel_target=spec_t,
-        factors=kernelized_factors(Ks, Kt, ks_sqrt, kt_sqrt),
+        base=_block_diag(Ks, Kt),
+        lift=_block_diag(ks_sqrt, kt_sqrt),
         kt_inv_sqrt=kt_inv_sqrt,
     )
 
@@ -173,8 +161,12 @@ def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
         raise DegenerateProblemError("both classes must appear across the two domains")
 
 
-def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=None):
+def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig, monitor=None):
     """Run the alternation; returns (metric, final solution, objective trace, saddle gap).
+
+    base is F and lift is L (order x n), so the metric has order
+    lift.shape[0]; both paths share this loop (the explicit oracle passes
+    its own F and L).
 
     P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
     fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
@@ -192,10 +184,10 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
     after it reaches cfg.conv_tol, which bounds that last step's change of
     P by conv_tol too, or after cfg.t_max solves are accepted.
     """
-    lam, lift = cfg.lam, factors.lift
-    metric = initial_metric(factors.metric_order, lam)
+    lam = cfg.lam
+    metric = initial_metric(lift.shape[0], lam)
     coupling = symmetrize(lift.T @ (metric.scale * lift))
-    sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL)
+    sol = solve_dual(DualProblem(base + coupling, y, cfg.C), SVM_TOL)
     lower = -np.inf
 
     def slope(s, t, w):
@@ -209,7 +201,7 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
     def trial(t):
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
-        s = solve_dual(DualProblem(factors.base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+        s = solve_dual(DualProblem(base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         return s, coupling_t, slope(s, t, lift @ s.beta)
 
     objective = []
@@ -236,7 +228,7 @@ def _alternate(factors: MetricFactors, y: np.ndarray, cfg: HfaConfig, monitor=No
                 coupling, sol = coupling_t, best
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
-                sol = solve_dual(DualProblem(factors.base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+                sol = solve_dual(DualProblem(base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         v = lift @ sol.beta
         norm = np.sqrt(float(v @ v))
         h = v / norm if norm > 0.0 else v  # v = 0 leaves no direction, and slope 0
@@ -336,12 +328,12 @@ def hfa_train(
     _validate_binary_pair(source, target)
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
-    elif kernels.factors.n_source != len(source) or kernels.factors.n_target != len(target):
+    elif kernels.base.shape[0] != len(source) + len(target) or kernels.kt_inv_sqrt.shape[0] != len(target):
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = _alternate(kernels.factors, y, cfg, monitor)
+    metric, sol, trace, gap = _alternate(kernels.base, kernels.lift, y, cfg, monitor)
     n_s = len(source)
-    lift = kernels.factors.lift
+    lift = kernels.lift
     beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
     v = np.concatenate([lift[:n_s, :n_s] @ beta_s, lift[n_s:, n_s:] @ beta_t])
     coef = kernels.kt_inv_sqrt @ metric.apply(v)[n_s:] + beta_t

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.core import SVM_TOL, HfaConfig, HfaModel, KernelExpansion, PrecomputedKernels, hfa_train, prepare_kernels
+from hfa.core import SVM_TOL, HfaConfig, HfaModel, KernelExpansion, hfa_train, prepare_kernels
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
-from hfa.linalg import KernelSpec, cross_gram, gram_matrix
+from hfa.linalg import cross_gram, gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 __all__ = [
@@ -30,13 +30,9 @@ __all__ = [
 ]
 
 
-def train_multiclass(
-    source: Dataset,
-    target: Dataset,
-    cfg: HfaConfig = HfaConfig(),
-    kernels: PrecomputedKernels | None = None,
-) -> list[tuple[int, HfaModel]]:
-    """Train one binary model per class on the full source+target data.
+def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[int, HfaModel]]:
+    """Train one binary model per class on the full source+target data,
+    sharing one Gram factorization (prepare_kernels) across the classes.
 
     Parameters
     ----------
@@ -44,8 +40,6 @@ def train_multiclass(
         Training sets with original (nonnegative integer) labels; the
         target set must contain at least 2 distinct classes.
     cfg : HfaConfig
-    kernels : PrecomputedKernels, optional
-        Shared Gram factorization; computed once here when omitted.
 
     Returns
     -------
@@ -55,29 +49,25 @@ def train_multiclass(
     if np.unique(target.y).size < 2:
         raise ValueError("target training data must contain at least 2 classes")
     classes = sorted(set(int(c) for c in source.y) | set(int(c) for c in target.y))
-    if kernels is None:
-        kernels = prepare_kernels(source.X, target.X, cfg)
+    kernels = prepare_kernels(source.X, target.X, cfg)
     return [
         (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels))
         for c in classes
     ]
 
 
-def svm_t_baseline(
-    target: Dataset,
-    cfg: HfaConfig = HfaConfig(),
-    kernel: KernelSpec | None = None,
-) -> list[tuple[int, KernelExpansion]]:
+def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[int, KernelExpansion]]:
     """One-vs-rest SVMs on the target Gram matrix only, one per target
     class in ascending order, as kernel expansions with coef = beta.
 
-    kernel overrides the config-resolved spec; an experiment passes the
-    cross-domain arm's target kernel here so both arms share it.
+    The kernel is resolved from the target rows as prepare_kernels
+    resolves the target domain's, so on the same rows both experiment
+    arms use the same target kernel.
     """
     present = np.unique(target.y)
     if present.size < 2:
         raise ValueError("target training data must contain at least 2 classes")
-    spec = kernel if kernel is not None else cfg.kernel_spec_for(target.X)
+    spec = cfg.kernel_spec_for(target.X)
     K = gram_matrix(spec, target.X)
     models = []
     for c in present.tolist():
@@ -137,7 +127,6 @@ class ExperimentReport:
     accuracies: np.ndarray
     seeds: tuple[int, ...]
     config: dict
-    single_trial: bool
 
     def __post_init__(self):
         acc = np.asarray(self.accuracies, dtype=float)
@@ -148,6 +137,10 @@ class ExperimentReport:
         if acc.size != len(self.seeds):
             raise ValueError("one seed per trial required")
         object.__setattr__(self, "accuracies", acc)
+
+    @property
+    def single_trial(self) -> bool:
+        return self.accuracies.size == 1
 
     @property
     def mean(self) -> float:
@@ -194,7 +187,8 @@ def run_experiment(
 
     Trial t draws its target train/test partition (and source training
     subset when per_class_source is given) with seed base_seed+t; both
-    arms see byte-identical partitions and share the target kernel.
+    arms see byte-identical partitions and resolve the same target kernel
+    from them.
     Infeasible protocols fail before any training starts.
 
     Returns
@@ -232,15 +226,11 @@ def run_experiment(
             mean_t, scale_t = standardize_fit(train_t.X)
             train_t = Dataset(train_t.domain, standardize_apply(train_t.X, mean_t, scale_t), train_t.y)
             test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
-        kernels = prepare_kernels(train_s.X, train_t.X, cfg)
-        hfa_models = train_multiclass(train_s, train_t, cfg, kernels=kernels)
-        base_models = svm_t_baseline(train_t, cfg, kernel=kernels.kernel_target)
-        acc_h.append(accuracy(hfa_models, test_t))
-        acc_t.append(accuracy(base_models, test_t))
-    single = trials == 1
+        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg), test_t))
+        acc_t.append(accuracy(svm_t_baseline(train_t, cfg), test_t))
     return ExperimentRun(
-        hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa"), single),
-        svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, dict(echo, method="svm_t"), single),
+        hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),
+        svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, dict(echo, method="svm_t")),
     )
 
 

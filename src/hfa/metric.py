@@ -1,10 +1,11 @@
-"""Trace-constrained PSD metric in factored form and the subproblem factors.
+"""Trace-constrained PSD metric in factored form.
 
 At fixed dual coefficients beta the adversarial objective is linear in
 the metric H:
 
     G(H) = -1/2 (beta' F beta + v' H v),    v = lift @ beta,
 
+with F = base and lift as hfa.core.PrecomputedKernels holds them,
 minimized over the feasible set {H PSD, trace(H) <= budget}. Its
 minimizer is the rank-1 vertex budget * hh', h = v / ||v||. The trainer
 (hfa.core._alternate) takes Frank-Wolfe steps toward that vertex, each
@@ -25,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "TransformMetric",
-    "MetricFactors",
     "initial_metric",
 ]
 
@@ -37,10 +37,10 @@ class TransformMetric:
     The metric couples the two domain blocks of the working kernel; its
     order is n_s+n_t on the kernelized path (d_s+d_t on the explicit
     path of tests/linear_oracle.py). scale and weights are nonnegative, so the metric is
-    PSD by construction; atoms holds one row per rank-1 term.
+    PSD by construction; atoms holds one row per rank-1 term, and its
+    column count is the order.
     """
 
-    order: int
     budget: float
     scale: float
     atoms: np.ndarray
@@ -49,14 +49,12 @@ class TransformMetric:
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if self.order < 1:
-            raise ValueError("order must be positive")
         if not self.budget > 0:
             raise ValueError("trace budget must be positive")
         if not (np.isfinite(self.scale) and self.scale >= 0):
             raise ValueError(f"scale must be finite and nonnegative, got {self.scale}")
-        if atoms.ndim != 2 or atoms.shape[1] != self.order:
-            raise ValueError(f"atoms must have {self.order} columns, got shape {atoms.shape}")
+        if atoms.ndim != 2 or atoms.shape[1] < 1:
+            raise ValueError(f"atoms must be 2-D with at least one column, got shape {atoms.shape}")
         if weights.shape != (atoms.shape[0],):
             raise ValueError(f"need one weight per atom, got {weights.shape} for {atoms.shape[0]} atoms")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
@@ -66,6 +64,10 @@ class TransformMetric:
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def order(self) -> int:
+        return self.atoms.shape[1]
 
     @property
     def trace(self) -> float:
@@ -91,7 +93,6 @@ class TransformMetric:
     def rank1_update(self, gamma: float, delta: float, v: np.ndarray) -> TransformMetric:
         """The metric gamma * H + delta * vv', with one more atom."""
         return TransformMetric(
-            self.order,
             self.budget,
             gamma * self.scale,
             np.vstack([self.atoms, v]),
@@ -103,45 +104,9 @@ class TransformMetric:
         return self.trace <= self.budget * (1.0 + tol)
 
 
-@dataclass(frozen=True)
-class MetricFactors:
-    """Fixed matrices defining the subproblem for one training set.
-
-    base is the block-diagonal Gram of both domains (order n); lift maps
-    dual coefficients into the metric space, so v = lift @ beta. On the
-    kernelized path lift is blockdiag of the Gram square roots; on the
-    explicit path (tests/linear_oracle.py) it is blockdiag of the
-    column-sample matrices.
-    """
-
-    base: np.ndarray
-    lift: np.ndarray
-    n_source: int
-    n_target: int
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        lift = np.asarray(self.lift, dtype=float)
-        n = self.n_source + self.n_target
-        if base.shape != (n, n):
-            raise ValueError(f"base must be {n}x{n}, got {base.shape}")
-        if lift.ndim != 2 or lift.shape[1] != n:
-            raise ValueError(f"lift must have {n} columns, got {lift.shape}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "lift", lift)
-
-    @property
-    def n(self) -> int:
-        return self.n_source + self.n_target
-
-    @property
-    def metric_order(self) -> int:
-        return self.lift.shape[0]
-
-
 def initial_metric(order: int, budget: float) -> TransformMetric:
     """Scaled identity (budget/order) * I, the alternation's start point."""
     if order < 1:
         raise ValueError("order must be positive")
-    return TransformMetric(order, budget, budget / order, np.empty((0, order)), np.empty(0))
+    return TransformMetric(budget, budget / order, np.empty((0, order)), np.empty(0))
 

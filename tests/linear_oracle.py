@@ -23,7 +23,7 @@ import hfa.core
 from hfa.core import HfaConfig, PrecomputedKernels, _block_diag, _validate_binary_pair, prepare_kernels
 from hfa.data import Dataset
 from hfa.linalg import symmetrize
-from hfa.metric import MetricFactors, TransformMetric
+from hfa.metric import TransformMetric
 
 
 def augment_source(x, P, target_dim: int) -> np.ndarray:
@@ -48,19 +48,19 @@ def augment_target(x, Q, source_dim: int) -> np.ndarray:
     return np.concatenate([Q @ x, np.zeros(source_dim), x])
 
 
-def _metric_kernel(factors: MetricFactors, H: np.ndarray) -> np.ndarray:
-    return symmetrize(factors.base + factors.lift.T @ (H @ factors.lift))
+def _metric_kernel(base: np.ndarray, lift: np.ndarray, H: np.ndarray) -> np.ndarray:
+    return symmetrize(base + lift.T @ (H @ lift))
 
 
-def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> MetricFactors:
-    """Subproblem factors for column-sample matrices Xs (d_s x n_s), Xt (d_t x n_t)."""
+def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, lift) of the explicit path for column-sample matrices Xs
+    (d_s x n_s) and Xt (d_t x n_t): base = blockdiag(Xs'Xs, Xt'Xt) and
+    lift = blockdiag(Xs, Xt), of order d_s + d_t."""
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
     if Xs.ndim != 2 or Xt.ndim != 2:
         raise ValueError("sample matrices must be 2-D with samples as columns")
-    base = _block_diag(symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt))
-    lift = _block_diag(Xs, Xt)
-    return MetricFactors(base=base, lift=lift, n_source=Xs.shape[1], n_target=Xt.shape[1])
+    return _block_diag(symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt)), _block_diag(Xs, Xt)
 
 
 def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> np.ndarray:
@@ -70,20 +70,19 @@ def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> 
     Xs and Xt hold samples as columns (d_s x n_s and d_t x n_t); the
     metric order must be d_s + d_t.
     """
-    factors = linear_factors(Xs, Xt)
-    d = np.asarray(Xs).shape[0] + np.asarray(Xt).shape[0]
-    if metric.order != d:
-        raise ValueError(f"metric order {metric.order} != d_s + d_t = {d}")
-    return _metric_kernel(factors, metric.matrix)
+    base, lift = linear_factors(Xs, Xt)
+    if metric.order != lift.shape[0]:
+        raise ValueError(f"metric order {metric.order} != d_s + d_t = {lift.shape[0]}")
+    return _metric_kernel(base, lift, metric.matrix)
 
 
-def build_KH_kernelized(factors: MetricFactors, metric: TransformMetric) -> np.ndarray:
+def build_KH_kernelized(kernels: PrecomputedKernels, metric: TransformMetric) -> np.ndarray:
     """Working kernel of the kernelized path, blockdiag(Ks, Kt) plus the
-    metric coupling through the Gram square roots, from the factors that
-    hfa.core.kernelized_factors or prepare_kernels build."""
-    if metric.order != factors.n:
-        raise ValueError(f"metric order {metric.order} != n_s + n_t = {factors.n}")
-    return _metric_kernel(factors, metric.matrix)
+    metric coupling through the Gram square roots, from the base and lift
+    of prepare_kernels."""
+    if metric.order != kernels.lift.shape[0]:
+        raise ValueError(f"metric order {metric.order} != n_s + n_t = {kernels.lift.shape[0]}")
+    return _metric_kernel(kernels.base, kernels.lift, metric.matrix)
 
 
 def kernels_at_ridge(source_X, target_X, cfg: HfaConfig, ridge: float) -> PrecomputedKernels:
@@ -143,9 +142,9 @@ def hfa_train_linear(
     """Train the explicit path directly on raw features (linear kernel),
     through the library's own outer loop."""
     _validate_binary_pair(source, target)
-    factors = linear_factors(source.X.T, target.X.T)
+    base, lift = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = hfa.core._alternate(factors, y, cfg, monitor)
+    metric, sol, trace, gap = hfa.core._alternate(base, lift, y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

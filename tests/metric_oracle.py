@@ -14,14 +14,17 @@ functions.
 
 The functions read a metric through .matrix, .budget, .trace and .order
 only, so they accept hfa.metric.TransformMetric as well as DenseMetric.
+They read the subproblem through .base (n x n) and .lift (order x n)
+only, as hfa.core.PrecomputedKernels holds them; a types.SimpleNamespace
+with those two arrays serves for a random subproblem.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from hfa.core import PrecomputedKernels
 from hfa.linalg import KernelSpec, sym_eigen, symmetrize
-from hfa.metric import MetricFactors
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,12 @@ class LineSearchParams:
     max_backtracks: int = 50
 
 
-def lift_vector(factors: MetricFactors, beta: np.ndarray) -> np.ndarray:
+def lift_vector(factors: PrecomputedKernels, beta: np.ndarray) -> np.ndarray:
     """v = lift @ beta, the vector the metric subproblem sees; checks beta's length."""
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (factors.n,):
-        raise ValueError(f"beta must have length {factors.n}, got {beta.shape}")
+    n = factors.lift.shape[1]
+    if beta.shape != (n,):
+        raise ValueError(f"beta must have length {n}, got {beta.shape}")
     return factors.lift @ beta
 
 
@@ -119,28 +123,28 @@ def frobenius_inner(A, B) -> float:
     return float(np.tensordot(A, B))
 
 
-def sdp_objective(beta: np.ndarray, metric, factors: MetricFactors) -> float:
+def sdp_objective(beta: np.ndarray, metric, factors: PrecomputedKernels) -> float:
     """G(H) = -1/2 (beta' base beta + v' H v)."""
     beta = np.asarray(beta, dtype=float)
-    if metric.order != factors.metric_order:
-        raise ValueError(f"metric order {metric.order} != factor order {factors.metric_order}")
+    if metric.order != factors.lift.shape[0]:
+        raise ValueError(f"metric order {metric.order} != factor order {factors.lift.shape[0]}")
     v = lift_vector(factors, beta)
     return -0.5 * float(beta @ (factors.base @ beta) + v @ (metric.matrix @ v))
 
 
-def sdp_gradient(beta: np.ndarray, factors: MetricFactors) -> np.ndarray:
+def sdp_gradient(beta: np.ndarray, factors: PrecomputedKernels) -> np.ndarray:
     """dG/dH = -1/2 vv'; symmetric, negative semidefinite, rank <= 1."""
     v = lift_vector(factors, beta)
     return -0.5 * np.outer(v, v)
 
 
-def sdp_closed_form(beta: np.ndarray, budget: float, factors: MetricFactors) -> DenseMetric:
+def sdp_closed_form(beta: np.ndarray, budget: float, factors: PrecomputedKernels) -> DenseMetric:
     """Analytic minimizer budget * vv' / ||v||^2; zero metric when v = 0."""
     if not budget > 0:
         raise ValueError("trace budget must be positive")
     v = lift_vector(factors, beta)
     nv = float(v @ v)
-    p = factors.metric_order
+    p = factors.lift.shape[0]
     if nv == 0.0:
         # objective is constant in H, any feasible point is optimal
         return DenseMetric(np.zeros((p, p)), budget)
@@ -155,7 +159,7 @@ def _stall_threshold(gnorm: float, trace: float, f0: float) -> float:
     return 1e-13 * (gnorm * max(trace, 1.0) + abs(f0))
 
 
-def sdp_pgd_step(metric, beta: np.ndarray, eta: float, factors: MetricFactors) -> DenseMetric:
+def sdp_pgd_step(metric, beta: np.ndarray, eta: float, factors: PrecomputedKernels) -> DenseMetric:
     """One projected-gradient update H <- project(H - eta * dG/dH).
 
     The projection clips negative eigenvalues, then rescales onto the
@@ -173,7 +177,7 @@ def line_search(
     metric,
     beta: np.ndarray,
     grad: np.ndarray,
-    factors: MetricFactors,
+    factors: PrecomputedKernels,
     params: LineSearchParams = LineSearchParams(),
 ) -> tuple[float, bool]:
     """Backtracking step-size choice for the projected-gradient update.
@@ -219,7 +223,7 @@ def line_search(
 def optimize_metric(
     metric,
     beta: np.ndarray,
-    factors: MetricFactors,
+    factors: PrecomputedKernels,
     steps: int = 10,
     params: LineSearchParams = LineSearchParams(),
 ):

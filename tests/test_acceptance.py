@@ -8,6 +8,7 @@ skips with instructions when they are absent.
 
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
 from hfa.evaluate import run_experiment
-from hfa.metric import MetricFactors, initial_metric
+from hfa.metric import initial_metric
 from hfa.svm import DualProblem, solve_dual
 from linear_oracle import (
     augment_source,
@@ -48,7 +49,7 @@ def random_factors(rng, ns, nt):
     B = rng.standard_normal((nt, nt + 2))
     base = block_diag(A @ A.T, B @ B.T)
     lift = rng.standard_normal((ns + nt, ns + nt))
-    return MetricFactors(base=base, lift=lift, n_source=ns, n_target=nt)
+    return SimpleNamespace(base=base, lift=lift)
 
 
 def random_binary_pair(rng, ns, nt, ds, dt):
@@ -165,7 +166,7 @@ def test_criterion_05_predictor_consistency():
         source, target = random_binary_pair(rng, ns, nt, ds, dt)
         pk = prepare_kernels(source.X, target.X, HfaConfig())
         model = hfa_train(source, target, HfaConfig(), kernels=pk)
-        K = build_KH_kernelized(pk.factors, model.metric)
+        K = build_KH_kernelized(pk, model.metric)
         want = K[ns:, :] @ model.beta + model.expansion.bias
         got = model.decision_function(target.X)
         worst = max(worst, float(np.abs(got - want).max()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, kernelized_factors, prepare_kernels, _sqrt_factors
+from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _sqrt_factors
 from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
 from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
 from metric_oracle import DenseMetric
@@ -103,22 +103,23 @@ def test_build_KH_linear_order_mismatch():
 
 
 def grams_and_roots(rng, n_s, n_t, gamma=0.7):
+    """Grams, their ridged roots, and the PrecomputedKernels built from them."""
     spec = KernelSpec("rbf", gamma)
     Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
     Ks, Kt = gram_matrix(spec, Xs), gram_matrix(spec, Xt)
     ks, _ = _sqrt_factors(Ks, default_ridge(Ks))
-    kt, _ = _sqrt_factors(Kt, default_ridge(Kt))
-    return Ks, Kt, ks, kt
+    kt, kt_inv = _sqrt_factors(Kt, default_ridge(Kt))
+    return Ks, Kt, ks, kt, PrecomputedKernels(spec, _block_diag(Ks, Kt), _block_diag(ks, kt), kt_inv)
 
 
 def test_build_KH_kernelized_oracle():
     rng = np.random.default_rng(3)
-    Ks, Kt, ks, kt = grams_and_roots(rng, 4, 3)
+    Ks, Kt, ks, kt, pk = grams_and_roots(rng, 4, 3)
     n = 7
     B = rng.standard_normal((n, n))
     H = B @ B.T
     metric = DenseMetric(H, float(np.trace(H)) + 1.0)
-    K = build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), metric)
+    K = build_KH_kernelized(pk, metric)
     S = np.zeros((n, n))
     S[:4, :4], S[4:, 4:] = ks, kt
     base = np.zeros((n, n))
@@ -128,29 +129,26 @@ def test_build_KH_kernelized_oracle():
 
 def test_build_KH_kernelized_zero_metric_blockdiag():
     rng = np.random.default_rng(4)
-    Ks, Kt, ks, kt = grams_and_roots(rng, 5, 2)
-    K = build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), DenseMetric(np.zeros((7, 7)), 1.0))
+    Ks, Kt, _, _, pk = grams_and_roots(rng, 5, 2)
+    K = build_KH_kernelized(pk, DenseMetric(np.zeros((7, 7)), 1.0))
     assert np.allclose(K[:5, :5], Ks) and np.allclose(K[5:, 5:], Kt)
     assert np.allclose(K[:5, 5:], 0.0)
 
 
 def test_build_KH_kernelized_shape_errors():
     rng = np.random.default_rng(5)
-    Ks, Kt, ks, kt = grams_and_roots(rng, 4, 3)
+    *_, pk = grams_and_roots(rng, 4, 3)
     with pytest.raises(ValueError, match="metric order"):
-        build_KH_kernelized(kernelized_factors(Ks, Kt, ks, kt), DenseMetric(np.eye(6), 1.0))
-    with pytest.raises(ValueError, match="square-root"):
-        kernelized_factors(Ks, Kt, ks[:3, :3], kt)
+        build_KH_kernelized(pk, DenseMetric(np.eye(6), 1.0))
 
 
 def test_factor_helpers_compose_the_same_kernel():
     rng = np.random.default_rng(6)
-    Ks, Kt, ks, kt = grams_and_roots(rng, 3, 3)
-    fk = kernelized_factors(Ks, Kt, ks, kt)
-    assert fk.n_source == 3 and fk.n_target == 3 and fk.metric_order == 6
+    *_, pk = grams_and_roots(rng, 3, 3)
+    assert pk.base.shape == pk.lift.shape == (6, 6)
     Xs, Xt = rng.standard_normal((3, 2)), rng.standard_normal((4, 5))
-    fl = linear_factors(Xs.T, Xt.T)
-    assert fl.metric_order == 2 + 5 and fl.n == 7
+    base, lift = linear_factors(Xs.T, Xt.T)
+    assert base.shape == (7, 7) and lift.shape == (2 + 5, 7)
 
 
 # ---------------------------------------------------------------- sqrt factors
@@ -212,9 +210,8 @@ def test_prepare_kernels_contract():
     Xs, Xt = rng.standard_normal((6, 3)), rng.standard_normal((4, 5))
     cfg = HfaConfig(kernel_family="rbf")
     pk = prepare_kernels(Xs, Xt, cfg)
-    base, lift = pk.factors.base, pk.factors.lift
-    assert base.shape == lift.shape == (10, 10)
-    assert pk.factors.n_source == 6 and pk.factors.n_target == 4
+    base, lift = pk.base, pk.lift
+    assert base.shape == lift.shape == (10, 10) and pk.kt_inv_sqrt.shape == (4, 4)
     spec_s, spec_t = cfg.kernel_spec_for(Xs), cfg.kernel_spec_for(Xt)
     assert pk.kernel_target == spec_t and spec_s.family == "rbf"
     # different domains resolve different bandwidths

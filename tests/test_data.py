@@ -256,6 +256,116 @@ def test_sparse_errors_name_the_line(tmp_path, text, line, fragment):
     assert fragment in str(err.value)
 
 
+SPARSE_BLANKS = ["", " ", "\t", "  \t "]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_files(draw):
+    """A matrix with zeros and its labels written as "label idx:val" lines,
+    with or without a "#dim" header and with blank lines after any header;
+    returns (text, X as it must load or None for no dimension, y)."""
+    rows, dim = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    values = st.one_of(st.just(0.0), st.just(-0.0), FINITE)
+    X = np.array([[draw(values) for _ in range(dim)] for _ in range(rows)]).reshape(rows, dim)
+    y = np.array([draw(st.integers(0, 10**6)) for _ in range(rows)], dtype=np.int64)
+    # every value whose bits are not those of +0.0 is written, so -0.0 survives
+    written = (X != 0) | np.signbit(X)
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    lines = [
+        sep.join([str(label)] + [f"{j + 1}:{float(x)!r}" for j, x in enumerate(row) if w[j]])
+        for label, row, w in zip(y, X, written)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SPARSE_BLANKS)))
+    if draw(st.booleans()):
+        lines.insert(0, f"#dim {dim}")
+    else:
+        # without a header the dimension is the largest index written
+        used = np.flatnonzero(written.any(axis=0))
+        X = X[:, : used[-1] + 1] if used.size else None
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else ""), X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_files())
+def test_sparse_round_trip(tmp_path_factory, case):
+    text, X, y = case
+    path = tmp_path_factory.mktemp("sparse") / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if X is None:
+        with pytest.raises(ParseError, match="no dimension") as err:
+            load_sparse(path)
+        assert err.value.line == 1
+        return
+    ds = load_sparse(path)
+    assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()  # bits, so -0.0 differs from 0.0
+    assert ds.y.dtype == y.dtype and ds.y.tobytes() == y.tobytes()
+
+
+# fault -> fragment of its ParseError message
+SPARSE_FAULTS = {
+    "index 0": "1-based",
+    "descending index": "ascend",
+    "repeated index": "ascend",
+    "index above dim": "exceeds declared dimension",
+    "no colon": "idx:val",
+    "negative label": "negative label",
+    "non-integer label": "not an integer",
+    "unknown directive": "unknown directive",
+}
+
+
+@st.composite
+def sparse_files_with_a_fault(draw):
+    """Valid "label idx:val" lines, blank ones among them, around one faulty
+    line; returns (text, the faulty line's 1-based number, fault)."""
+    dim = draw(st.integers(2, 6))
+    fault = draw(st.sampled_from(sorted(SPARSE_FAULTS)))
+    header = fault == "index above dim" or draw(st.booleans())
+
+    def valid_line():
+        cols = sorted(draw(st.lists(st.integers(1, dim), unique=True, max_size=dim)))
+        return " ".join([str(draw(st.integers(0, 9)))] + [f"{j}:{draw(FINITE)!r}" for j in cols])
+
+    lines = [valid_line() if draw(st.booleans()) else draw(st.sampled_from(SPARSE_BLANKS))
+             for _ in range(draw(st.integers(0, 5)))]
+    i, j = sorted(draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True)))
+    label, v = draw(st.integers(0, 9)), repr(draw(FINITE))
+    # "#dim N" is a header on line 1 only, so it is a fault only after one
+    directives = ["wat", "dim", "dim 3 4", "dims 3"] + (["dim 3"] if header else [])
+    bad = {
+        "index 0": f"{label} 0:{v}",
+        "descending index": f"{label} {j}:{v} {i}:{v}",
+        "repeated index": f"{label} {i}:{v} {i}:{v}",
+        "index above dim": f"{label} {i}:{v} {dim + draw(st.integers(1, 3))}:{v}",
+        "no colon": f"{label} {i}:{v} " + draw(st.sampled_from(["3", "3=1.0", "x", "1.5"])),
+        "negative label": f"-{draw(st.integers(1, 9))} {i}:{v}",
+        "non-integer label": draw(st.sampled_from(["1.5", "x", "2e3", "1/2"])) + f" {i}:{v}",
+        "unknown directive": "#" + draw(st.sampled_from(directives)),
+    }[fault]
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    lines += [valid_line() for _ in range(draw(st.integers(0, 2)))]
+    if header:
+        lines.insert(0, f"#dim {dim}")
+        at += 1
+    return "\n".join(lines) + "\n", at + 1, fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_files_with_a_fault())
+def test_sparse_rejects_each_fault_at_its_line(tmp_path_factory, case):
+    text, line, fault = case
+    path = tmp_path_factory.mktemp("sparse") / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_sparse(path)
+    assert err.value.line == line
+    assert SPARSE_FAULTS[fault] in str(err.value)
+
+
 # ---------------------------------------------------------------- PCA
 
 

@@ -143,20 +143,21 @@ def test_svm_t_matches_direct_dual_solve():
 
 def test_report_invariants():
     acc = np.array([0.5, 0.7, 0.6])
-    rep = ExperimentReport("hfa", acc, (0, 1, 2), {"hfa.C": 1.0}, False)
+    rep = ExperimentReport("hfa", acc, (0, 1, 2), {"hfa.C": 1.0})
+    assert not rep.single_trial
     assert rep.mean == float(np.mean(acc))
     assert rep.std == float(np.std(acc, ddof=1))
     assert abs(rep.mean - np.mean(rep.accuracies)) <= 1e-12
     assert abs(rep.std - np.std(rep.accuracies, ddof=1)) <= 1e-12
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ExperimentReport("hfa", np.array([1.2]), (0,), {}, True)
+        ExperimentReport("hfa", np.array([1.2]), (0,), {})
     with pytest.raises(ValueError, match="seed"):
-        ExperimentReport("hfa", acc, (0, 1), {}, False)
+        ExperimentReport("hfa", acc, (0, 1), {})
 
 
 def test_render_report_recomputable():
     acc = np.array([1 / 3, 2 / 3, 1 / 7])
-    rep = ExperimentReport("hfa", acc, (5, 6, 7), {"hfa.C": 1.0, "kernel.gamma": None}, False)
+    rep = ExperimentReport("hfa", acc, (5, 6, 7), {"hfa.C": 1.0, "kernel.gamma": None})
     text = render_report(rep)
     assert "method = hfa" in text
     assert "kernel.gamma = none" in text
@@ -169,8 +170,8 @@ def test_render_report_recomputable():
 
 
 def test_render_single_trial_flag():
-    rep = ExperimentReport("hfa", np.array([0.5]), (0,), {}, True)
-    assert rep.std == 0.0
+    rep = ExperimentReport("hfa", np.array([0.5]), (0,), {})
+    assert rep.single_trial and rep.std == 0.0
     assert "(single trial)" in render_report(rep)
 
 
@@ -225,12 +226,15 @@ def test_run_experiment_standardize_path():
 
 
 def test_shared_kernel_between_arms():
-    # the baseline reuses the experiment's resolved target kernel; verify
-    # the wiring by reproducing one trial by hand
+    # each arm resolves its target kernel from the same training rows, so
+    # both expand over the same kernel; reproduce one trial by hand
     source, target = tiny_pools(seed=6)
     cfg = HfaConfig(t_max=4)
     run = run_experiment(source, target, cfg, per_class_target=3, trials=1, base_seed=1)
     train_t, test_t = sample_protocol(target, 3, 1)
-    pk = prepare_kernels(source.X, train_t.X, cfg)
-    base = svm_t_baseline(train_t, cfg, kernel=pk.kernel_target)
+    hfa_models = train_multiclass(source, train_t, cfg)
+    base = svm_t_baseline(train_t, cfg)
+    kernels = {m.expansion.kernel for _, m in hfa_models} | {m.kernel for _, m in base}
+    assert kernels == {prepare_kernels(source.X, train_t.X, cfg).kernel_target}
+    assert accuracy(hfa_models, test_t) == run.hfa.accuracies[0]
     assert accuracy(base, test_t) == run.svm_t.accuracies[0]

@@ -1,9 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hfa.metric import (
-    MetricFactors,
     TransformMetric,
     initial_metric,
 )
@@ -34,7 +35,7 @@ def random_factors(rng, ns, nt, order=None):
     base = block_diag(A @ A.T, B @ B.T)
     order = order if order is not None else ns + nt
     lift = rng.standard_normal((order, ns + nt))
-    return MetricFactors(base=base, lift=lift, n_source=ns, n_target=nt)
+    return SimpleNamespace(base=base, lift=lift)
 
 
 def random_feasible_metric(rng, order, budget):
@@ -47,29 +48,31 @@ def random_feasible_metric(rng, order, budget):
 def random_factored_metric(rng, order, budget):
     """scale * I plus 0-4 atoms, at a random fraction of the budget."""
     k = int(rng.integers(0, 5))
-    m = TransformMetric(order, budget, float(rng.uniform(0.1, 1.0)),
+    m = TransformMetric(budget, float(rng.uniform(0.1, 1.0)),
                         rng.standard_normal((k, order)), rng.uniform(0.0, 1.0, k))
     s = rng.uniform(0.05, 1.0) * budget / m.trace
-    return TransformMetric(order, budget, s * m.scale, m.atoms, s * m.weights)
+    return TransformMetric(budget, s * m.scale, m.atoms, s * m.weights)
 
 
 def test_transform_metric_validation():
     atoms, weights = np.array([[1.0, 2.0]]), np.array([0.5])
     for bad in (
-        dict(order=0, atoms=np.empty((0, 0)), weights=np.empty(0)),
+        dict(atoms=np.empty((0, 0)), weights=np.empty(0)),
         dict(budget=0.0),
         dict(scale=-1e-3),
         dict(scale=np.nan),
-        dict(atoms=np.ones((1, 3))),
+        dict(atoms=np.ones(2)),
         dict(weights=np.array([0.5, 0.5])),
         dict(weights=np.array([-0.5])),
         dict(atoms=np.array([[np.inf, 0.0]])),
     ):
-        args = dict(order=2, budget=5.0, scale=0.25, atoms=atoms, weights=weights) | bad
+        args = dict(budget=5.0, scale=0.25, atoms=atoms, weights=weights) | bad
         with pytest.raises(ValueError):
             TransformMetric(**args)
-    m = TransformMetric(2, 5.0, 0.25, atoms, weights)
-    assert_allclose(m.matrix, [[0.75, 1.0], [1.0, 2.25]], atol=0)
+    m = TransformMetric(5.0, 0.25, atoms, weights)
+    assert m.order == 2
+    # atoms.T * sqrt(weights) times its transpose lands within 4.4e-16 of these
+    assert_allclose(m.matrix, [[0.75, 1.0], [1.0, 2.25]], rtol=1e-15, atol=0)
     assert m.trace == pytest.approx(3.0, rel=1e-15)
     v = np.array([1.0, -1.0])
     assert m.energy(v) == pytest.approx(1.0, rel=1e-15)
@@ -83,11 +86,11 @@ def test_transform_metric_validation():
 
 
 def test_is_feasible():
-    assert TransformMetric(3, 4.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
-    assert not TransformMetric(3, 2.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
-    assert not TransformMetric(2, 4.0, 1.0, np.array([[1.0, 1.0]]), np.array([1.5])).is_feasible()
+    assert TransformMetric(4.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(2.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(4.0, 1.0, np.array([[1.0, 1.0]]), np.array([1.5])).is_feasible()
     # the budget check allows tol relative slack
-    assert TransformMetric(1, 2.0, 2.0 * (1 + 1e-12), np.empty((0, 1)), np.empty(0)).is_feasible()
+    assert TransformMetric(2.0, 2.0 * (1 + 1e-12), np.empty((0, 1)), np.empty(0)).is_feasible()
 
 
 def test_initial_metric():
@@ -96,16 +99,6 @@ def test_initial_metric():
     assert m.is_feasible()
     with pytest.raises(ValueError):
         initial_metric(0, 2.0)
-
-
-def test_factors_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        MetricFactors(base=np.eye(3), lift=np.eye(3), n_source=2, n_target=2)
-    with pytest.raises(ValueError):
-        MetricFactors(base=np.eye(4), lift=np.ones((4, 3)), n_source=2, n_target=2)
-    f = random_factors(rng, 3, 2)
-    assert f.n == 5 and f.metric_order == 5
 
 
 def test_objective_explicit_formula():
@@ -169,12 +162,12 @@ def test_gradient_structure():
 
 
 def test_closed_form_examples():
-    f = MetricFactors(base=np.eye(3), lift=np.eye(3), n_source=2, n_target=1)
+    f = SimpleNamespace(base=np.eye(3), lift=np.eye(3))
     # v = e1
     m = sdp_closed_form(np.array([1.0, 0.0, 0.0]), 2.0, f)
     assert_allclose(m.matrix, np.diag([2.0, 0.0, 0.0]), atol=1e-15)
 
-    f2 = MetricFactors(base=np.eye(2), lift=np.eye(2), n_source=1, n_target=1)
+    f2 = SimpleNamespace(base=np.eye(2), lift=np.eye(2))
     m2 = sdp_closed_form(np.array([1.0, 1.0]), 1.0, f2)
     assert_allclose(m2.matrix, np.full((2, 2), 0.5), atol=1e-15)
 

@@ -39,7 +39,7 @@ def test_tiny_budget_reduces_to_uncoupled_svm():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     y = np.concatenate([source.y, target.y]).astype(float)
-    ref = solve_dual(DualProblem(pk.factors.base, y, cfg.C), tol=1e-9)
+    ref = solve_dual(DualProblem(pk.base, y, cfg.C), tol=1e-9)
     assert np.isclose(model.objective_trace[-1], ref.objective, rtol=1e-6)
 
 
@@ -131,17 +131,18 @@ def test_metric_feasible_along_alternation(problem):
         assert gap <= cfg.conv_tol
         assert abs(trace[-1] - trace[-2]) <= cfg.conv_tol * max(abs(trace[-2]), 1e-12)
     if path == "explicit":
-        factors = linear_factors(source.X.T, target.X.T)
+        base, lift = linear_factors(source.X.T, target.X.T)
     else:
-        factors = prepare_kernels(source.X, target.X, cfg).factors
+        pk = prepare_kernels(source.X, target.X, cfg)
+        base, lift = pk.base, pk.lift
     bound = trace[-1] * (1.0 - gap)
     y = np.concatenate([source.y, target.y]).astype(float)
-    p = factors.metric_order
+    p = lift.shape[0]
     rng = np.random.default_rng(len(source) * 100 + len(target))
     for _ in range(5):
         A = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-2, 2)
         H = DenseMetric(trace_cap(psd_project(A + A.T), cfg.lam), cfg.lam)
-        K = symmetrize(factors.base + factors.lift.T @ H.matrix @ factors.lift)
+        K = symmetrize(base + lift.T @ H.matrix @ lift)
         try:
             P_H = solve_dual(DualProblem(K, y, cfg.C), tol=1e-8, warm_start=model.beta * y,
                              max_iter=20_000).objective
@@ -151,6 +152,53 @@ def test_metric_feasible_along_alternation(problem):
             # lower estimate of P(H), so the assertion stays sound
             P_H = float(np.sum(np.abs(model.beta)) - 0.5 * model.beta @ K @ model.beta)
         assert bound <= P_H + 1e-9 * scale
+
+
+# Two draws of small_binary_problems, as the failing runs under
+# --hypothesis-seed=13 and 38 print them (8 significant digits). On both the
+# cold first solve in _alternate grinds to SMO's max_iter budget (ROADMAP
+# item 5); strict, so an SMO that converges here fails these until the mark
+# goes and they run the property test's checks as plain tests.
+smo_grinds = pytest.mark.xfail(
+    raises=RuntimeError, strict=True,
+    reason="SMO grinds to its max_iter budget on a badly scaled, rank-deficient linear kernel (ROADMAP item 5)",
+)
+
+
+@smo_grinds
+def test_metric_feasible_along_alternation_seed_13():
+    source = Dataset("source", np.array([
+        [4.10513909e+00, 6.08383639e+00, -7.05943312e+00, -1.16587850e+00, 7.24191291e+00],
+        [-9.45475096e+00, -2.46434836e-01, 1.99982649e+00, 6.29595845e+00, 7.50071056e+00],
+        [-6.45575923e+00, 5.51368163e+00, -1.39135650e+01, 2.44846003e+00, 3.73834210e+00],
+        [-1.07628200e+01, -2.78326425e-01, 8.81866163e+00, 5.01273068e+00, -1.07557465e+01],
+        [-1.62729008e+01, 1.16417862e+01, 2.44249688e+00, 1.59075061e+01, 2.37120079e+01],
+        [-2.14385139e+01, -1.33325149e+00, -5.70675771e+00, -1.97510950e+00, 1.07121828e+01],
+        [-1.78844949e-02, -6.14760470e+00, -6.79571593e+00, 1.82699624e+01, 9.00986016e+00],
+        [-9.89061551e+00, 5.04954958e+00, 2.88920078e+00, -1.08101006e+01, -8.69759898e+00],
+        [7.86051239e+00, 3.06258657e+00, -8.09229201e+00, -1.32395472e+01, 2.32414417e+01],
+        [-2.83345072e+00, 2.60215174e+00, -1.68112616e+01, 2.71494828e+01, 7.98261990e+00],
+    ]), np.array([1, -1, -1, 1, -1, 1, 1, 1, 1, 1]))
+    target = Dataset("target", np.array([[-0.0409109], [-0.19416863], [0.67579045], [0.0444809],
+                                         [-1.07270852], [-0.24105572], [0.17661461]]),
+                     np.array([-1, 1, 1, -1, 1, -1, 1]))
+    cfg = HfaConfig(C=1.0, lam=100.0, kernel_family="linear", t_max=15)
+    probe = np.array([-0.99289483, -0.01420037, -2.14739941, 0.81750552, 0.93232237,
+                      -1.0526965, -0.93276711, -0.06313632, -1.37074328, -0.66583015,
+                      0.17475405, 0.45529591, 1.10496892, -0.67464655, -0.78214599,
+                      0.12136118, -0.95541617])
+    test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "linear", cfg, probe))
+
+
+@smo_grinds
+def test_metric_feasible_along_alternation_seed_38():
+    source = Dataset("source", np.array([[-7.69521347], [-4.51747758], [10.16091883], [-0.67946039],
+                                         [-17.61562177], [17.54595222], [15.25313012], [-3.93086112]]),
+                     np.array([-1, 1, 1, 1, -1, 1, -1, 1]))
+    target = Dataset("target", np.array([[0.59876858], [0.97675364]]), np.array([-1, -1]))
+    cfg = HfaConfig(C=10.0, lam=100.0, kernel_family="linear", t_max=15)
+    probe = np.array([-1.64876429, -2.1568037])
+    test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "explicit", cfg, probe))
 
 
 def test_training_is_deterministic():
@@ -170,7 +218,7 @@ def test_prediction_consistent_with_working_kernel():
         cfg = HfaConfig(C=1.0, lam=1.0, t_max=20)
         pk = prepare_kernels(source.X, target.X, cfg)
         model = hfa_train(source, target, cfg, kernels=pk)
-        KH = build_KH_kernelized(pk.factors, model.metric)
+        KH = build_KH_kernelized(pk, model.metric)
         expansion = KH @ model.beta + model.expansion.bias
         n_s = len(source)
         for j in range(len(target)):
@@ -274,8 +322,8 @@ def test_objective_trace_starts_at_uncoupled_budget_spread():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     n = len(source) + len(target)
-    S = pk.factors.lift
-    K0 = pk.factors.base + (cfg.lam / n) * S @ S
+    S = pk.lift
+    K0 = pk.base + (cfg.lam / n) * S @ S
     y = np.concatenate([source.y, target.y]).astype(float)
     ref = solve_dual(DualProblem(K0, y, cfg.C), tol=1e-8)
     assert np.isclose(model.objective_trace[0], ref.objective, rtol=1e-5)
