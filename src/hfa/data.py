@@ -76,7 +76,8 @@ class Dataset:
 
     @property
     def classes(self) -> np.ndarray:
-        return np.unique(self.y)
+        # return_counts keeps np.unique off its numpy.ma import
+        return np.unique(self.y, return_counts=True)[0]
 
     def class_counts(self) -> dict[int, int]:
         labels, counts = np.unique(self.y, return_counts=True)
@@ -325,7 +326,8 @@ def sample_protocol(dataset: Dataset, per_class: int, seed: int) -> tuple[Datase
         raise ValueError("per_class must be positive")
     rng = np.random.default_rng(seed)
     picks = []
-    for c in np.unique(dataset.y):
+    # return_counts keeps np.unique off its numpy.ma import
+    for c in np.unique(dataset.y, return_counts=True)[0]:
         idx = np.flatnonzero(dataset.y == c)
         if idx.size < per_class:
             raise ValueError(f"class {int(c)} has {idx.size} samples, needs {per_class}")

@@ -46,7 +46,8 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
     list of (class label, model), one per label present in either
     domain, in ascending order.
     """
-    if np.unique(target.y).size < 2:
+    # return_counts keeps np.unique off its numpy.ma import
+    if np.unique(target.y, return_counts=True)[0].size < 2:
         raise ValueError("target training data must contain at least 2 classes")
     classes = sorted(set(int(c) for c in source.y) | set(int(c) for c in target.y))
     kernels = prepare_kernels(source.X, target.X, cfg)
@@ -64,7 +65,8 @@ def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[
     resolves the target domain's, so on the same rows both experiment
     arms use the same target kernel.
     """
-    present = np.unique(target.y)
+    # return_counts keeps np.unique off its numpy.ma import
+    present = np.unique(target.y, return_counts=True)[0]
     if present.size < 2:
         raise ValueError("target training data must contain at least 2 classes")
     spec = cfg.kernel_spec_for(target.X)

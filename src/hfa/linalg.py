@@ -76,7 +76,11 @@ def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """||x_i||^2 + ||z_j||^2 - 2 x_i.z_j, which round-off can leave slightly negative."""
     sx = np.einsum("ij,ij->i", X, X)
     sz = np.einsum("ij,ij->i", Z, Z)
-    return sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T)
+    cross = X @ Z.T
+    cross *= 2.0
+    d2 = sx[:, None] + sz[None, :]
+    d2 -= cross
+    return d2
 
 
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -89,7 +93,8 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         return X @ Z.T
     d2 = _sq_dists(X, Z)
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-spec.gamma * d2)
+    d2 *= -spec.gamma
+    return np.exp(d2, out=d2)
 
 
 def median_heuristic_gamma(X) -> float:
@@ -103,10 +108,26 @@ def median_heuristic_gamma(X) -> float:
     if n < 2:
         return 1.0
     pairs = _sq_dists(X, X)[np.triu_indices(n, k=1)]
-    med = float(np.median(pairs))
+    med = _median(pairs)
     if med <= 0.0:
         return 1.0
     return 1.0 / med
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit.
+
+    The same partition and np.mean as np.median, with its NaN check done
+    here: np.median's own check imports numpy.ma (about 13 ms) on first use.
+    """
+    n = values.size
+    half = n // 2
+    kth = [half, -1] if n % 2 else [half - 1, half, -1]
+    part = np.partition(values, kth)
+    # NaN sorts last, so a NaN anywhere lands in the last slot
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + n % 2 : half + 1]))
 
 
 def symmetrize(M) -> np.ndarray:

@@ -153,6 +153,44 @@ def test_experiment_m_sweep(corpus, tmp_path):
     assert "protocol.per_class_target = 5" in text
 
 
+def test_commands_leave_numpy_ma_unimported(corpus, tmp_path):
+    """train, experiment and predict never import numpy.ma.
+
+    np.median and np.unique without return_counts import it on first use,
+    which costs about 13 ms per command. A fresh interpreter is needed,
+    because another test may already have imported it into this one.
+    """
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    source, target = corpus / "source.csv", corpus / "target.csv"
+    commands = [
+        ["train", "--source", str(source), "--target", str(target), "--out", str(tmp_path / "m.json")],
+        ["experiment", "--source", str(source), "--target", str(target), "--out", str(tmp_path / "r.txt"),
+         "--per-class-target", "3", "--trials", "2"],
+        ["predict", "--model", str(tmp_path / "m.json"), "--target", str(target),
+         "--out", str(tmp_path / "p.csv")],
+    ]
+    script = textwrap.dedent(f"""
+        import sys
+        from hfa.cli import main
+        seen = []
+        for argv in {commands!r}:
+            assert main(argv) == 0, argv
+            seen.append("numpy.ma" in sys.modules)
+        print(seen)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"  # after train, experiment, predict
+
+
 def test_flag_overrides_config_file(corpus, tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("protocol.trials = 3\nhfa.C = 2.0\n", encoding="utf-8")

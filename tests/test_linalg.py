@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hfa.linalg import (
     KernelSpec,
+    _median,
     cross_gram,
     default_ridge,
     gram_matrix,
@@ -109,6 +111,60 @@ def test_median_heuristic_matches_brute_force():
 def test_median_heuristic_degenerate():
     assert median_heuristic_gamma(np.zeros((5, 2))) == 1.0
     assert median_heuristic_gamma(np.ones((1, 4))) == 1.0
+
+
+@pytest.mark.parametrize("X, gamma", [
+    (np.random.default_rng(4).standard_normal((11, 3)), 0.15102001672983692),  # 55 pairs
+    (np.random.default_rng(5).standard_normal((4, 2)), 0.37286122801126637),  # 6 pairs
+    (np.array([[0.0, 1.0], [2.0, -1.0]]), 0.125),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]), 0.2222222222222222),  # ties
+])
+def test_median_heuristic_pinned_values(X, gamma):
+    # the values np.median gave before the partition-based median replaced it
+    assert median_heuristic_gamma(X) == gamma
+
+
+def test_median_heuristic_nan_input():
+    assert np.isnan(median_heuristic_gamma(np.array([[0.0], [np.nan], [1.0]])))
+
+
+def _assert_same_median(values):
+    values = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        want = np.median(values)
+        got = _median(values.copy())
+    assert np.float64(got).tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0],
+    [2.0, 1.0],
+    [5.0, 2.0, 2.0, 1.0, 2.0],
+    [4.0, 1.0, 1.0, 4.0],
+    [-0.0],
+    [-0.0, -0.0],
+    [0.0, -0.0, -0.0],
+    [-0.0, 0.0, -0.0, 0.0],
+    [np.inf, 1.0, 2.0],
+    [-np.inf, np.inf],
+    [np.inf, np.inf, -1.0, 7.0],
+    [1.0, np.nan, 2.0],
+    [1.0, np.nan, 2.0, 3.0],
+    [np.nan],
+])
+def test_median_matches_numpy_bit_for_bit(values):
+    _assert_same_median(values)
+
+
+def test_median_of_nan_input_is_nan():
+    assert np.isnan(_median(np.array([4.0, 1.0, np.nan, 2.0])))
+    assert np.isnan(_median(np.array([np.nan, 1.0, 2.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0])), min_size=1, max_size=40))
+def test_median_matches_numpy_on_random_arrays(values):
+    _assert_same_median(values)
 
 
 def test_sym_eigen_reconstruction_and_order():

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, solve_qp_batch
+from smo_reference import reference_solve_dual
 
+from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
 from hfa.svm import (
     DegenerateProblemError,
     DualProblem,
@@ -232,3 +234,63 @@ def test_exit_conditions_cold_and_warm(case):
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
         assert _violating_gap(p.K, y, C, sol.alpha) <= tol + roundoff
     assert warm_sol.objective == pytest.approx(cold.objective, rel=1e-8)
+
+
+@st.composite
+def smo_cases(draw):
+    """RBF, linear or rank-deficient Gram with n in [2, 40] and C in [1e-2, 1e2],
+    a cold start or a feasible warm start, and a max_iter budget small
+    enough that some solves stop on it."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["rbf", "linear", "rank_deficient"]))
+    C = 10.0 ** draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pos = draw(st.integers(1, n - 1))
+    y = rng.permutation(np.r_[np.ones(n_pos), -np.ones(n - n_pos)])
+    if kind == "rbf":
+        X = rng.standard_normal((n, 3))
+        K = gram_matrix(KernelSpec("rbf", median_heuristic_gamma(X)), X)
+    elif kind == "linear":
+        K = gram_matrix(KernelSpec("linear"), rng.standard_normal((n, 5)))
+    else:
+        A = rng.standard_normal((n, draw(st.integers(1, max(1, n // 2)))))
+        K = A @ A.T
+    warm = None
+    if draw(st.booleans()):
+        # alphas at 0, at C and inside the box; shrinking the side with the
+        # larger sum makes y'alpha = 0 up to round-off
+        warm = rng.uniform(0.0, C, n) * (rng.random(n) < 0.7)
+        warm[rng.random(n) < 0.2] = C
+        pos_sum, neg_sum = warm[y > 0].sum(), warm[y < 0].sum()
+        if pos_sum > neg_sum:
+            warm[y > 0] *= neg_sum / pos_sum
+        elif neg_sum > 0.0:
+            warm[y < 0] *= pos_sum / neg_sum
+    return DualProblem(K, y, C), warm, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(smo_cases())
+def test_solve_dual_bit_identical_to_reference(case):
+    """The curvature-row cache leaves the SMO path unchanged.
+
+    tests/smo_reference.py keeps the loop that rebuilt each curvature row
+    on every pair update. A change to SMO that is meant to alter the pair
+    path (a stall guard, shrinking) retires this oracle and this test.
+    """
+    problem, warm, max_iter = case
+    outcomes = []
+    for solve in (solve_dual, reference_solve_dual):
+        try:
+            outcomes.append(solve(problem, 1e-6, warm_start=warm, max_iter=max_iter))
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.alpha, want.alpha)
+    assert np.array_equal(got.beta, want.beta)
+    assert got.bias == want.bias
+    assert got.objective == want.objective
+    assert got.iterations == want.iterations
