@@ -9,7 +9,6 @@ optional leading "#dim N" line.
 from __future__ import annotations
 
 import csv
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,11 +73,6 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def classes(self) -> np.ndarray:
-        # return_counts keeps np.unique off its numpy.ma import
-        return np.unique(self.y, return_counts=True)[0]
-
     def class_counts(self) -> dict[int, int]:
         labels, counts = np.unique(self.y, return_counts=True)
         return {int(c): int(k) for c, k in zip(labels, counts)}
@@ -108,12 +102,12 @@ def _dense_header(path, reader) -> int:
     return dim
 
 
-# A body line of plain number characters: on these numpy's number parsing
-# and Python's float() and int() accept the same fields with the same values
-# (compared token by token). Any other character, such as a quote, an
-# underscore, a letter of "nan" or a Unicode space, sends the file to the
-# per-line parser.
-_PLAIN_LINE = re.compile(r"[0-9+\-.eE,\t ]*(?:\r\n|\r|\n)?")
+# The bytes of a plain body: on number characters and line ends numpy's
+# number parsing and Python's float() and int() accept the same fields with
+# the same values (compared token by token). Any other byte, such as a quote,
+# an underscore, a letter of "nan", a Unicode space or a byte that is not
+# UTF-8, sends the file to the per-line parser.
+_PLAIN_BYTES = b"0123456789+-.eE,\t \r\n"
 
 
 def load_dense_csv(path) -> Dataset:
@@ -121,8 +115,8 @@ def load_dense_csv(path) -> Dataset:
 
     The accepted files, their values and every error are those of the
     per-line parser, _load_dense_csv_lines; parsing is numpy-first. After
-    the header check, a body made only of plain number characters, with
-    no line longer than csv's field limit, is parsed by one numpy call.
+    the header check, a body made only of plain number bytes, with no
+    line longer than csv's field limit, is parsed by one numpy call.
     Any other body, any file numpy rejects, and any file numpy reads but
     the per-line parser would not (numpy skips blank lines, so its row
     count differs from the line count, and reads negative labels) are
@@ -132,14 +126,11 @@ def load_dense_csv(path) -> Dataset:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             dim = _dense_header(path, csv.reader(fh))
-            limit = csv.field_size_limit()
-            lines = 0
-            for line in fh:
-                if len(line) > limit or _PLAIN_LINE.fullmatch(line) is None:
-                    return _load_dense_csv_lines(path)
-                lines += 1
     except UnicodeDecodeError:
         # the per-line parser may meet a bad row before the bad byte
+        return _load_dense_csv_lines(path)
+    lines = _plain_body_lines(path)
+    if lines is None:
         return _load_dense_csv_lines(path)
     if lines == 0:
         # numpy warns on a file without data rows
@@ -155,6 +146,33 @@ def load_dense_csv(path) -> Dataset:
     if body.shape[0] != lines or body["y"].min() < 0:
         return _load_dense_csv_lines(path)
     return Dataset(path.stem, np.ascontiguousarray(body["X"]), body["y"])
+
+
+def _plain_body_lines(path) -> int | None:
+    """Number of lines after the header line, or None if the body has a byte
+    outside _PLAIN_BYTES or a line longer than csv's field limit.
+
+    The file is read 64 KB at a time. A header _dense_header accepts is one
+    line, and bytes.splitlines splits where text mode with newline="" does,
+    at \\n, \\r and \\r\\n; the last line of each read is held back, since
+    the next read may continue it.
+    """
+    limit = csv.field_size_limit()
+    lines, rest, header = 0, b"", True
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 16)
+            rows = (rest + chunk).splitlines(keepends=True)
+            rest = rows.pop() if chunk and rows else b""
+            if header and rows:
+                del rows[0]
+                header = False
+            if len(rest) > limit or b"".join(rows).translate(None, _PLAIN_BYTES) \
+                    or max(map(len, rows), default=0) > limit:
+                return None
+            lines += len(rows)
+            if not chunk:
+                return lines
 
 
 def _load_dense_csv_lines(path) -> Dataset:

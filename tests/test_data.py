@@ -32,7 +32,6 @@ def test_dataset_basic_accessors():
     ds = small_dataset()
     assert len(ds) == 4
     assert ds.dim == 2
-    assert list(ds.classes) == [0, 1, 2]
     assert ds.class_counts() == {0: 1, 1: 2, 2: 1}
 
 

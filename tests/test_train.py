@@ -155,17 +155,11 @@ def test_metric_feasible_along_alternation(problem):
 
 
 # Two draws of small_binary_problems, as the failing runs under
-# --hypothesis-seed=13 and 38 print them (8 significant digits). On both the
-# cold first solve in _alternate grinds to SMO's max_iter budget (ROADMAP
-# item 5); strict, so an SMO that converges here fails these until the mark
-# goes and they run the property test's checks as plain tests.
-smo_grinds = pytest.mark.xfail(
-    raises=RuntimeError, strict=True,
-    reason="SMO grinds to its max_iter budget on a badly scaled, rank-deficient linear kernel (ROADMAP item 5)",
-)
-
-
-@smo_grinds
+# --hypothesis-seed=13 and 38 printed them (8 significant digits). The cold
+# first solve in _alternate is a badly scaled, rank-deficient linear-kernel
+# dual on which pair updates alone zigzag past SMO's max_iter budget; they
+# run the property test's checks on the path the free-set Newton steps in
+# solve_dual take.
 def test_metric_feasible_along_alternation_seed_13():
     source = Dataset("source", np.array([
         [4.10513909e+00, 6.08383639e+00, -7.05943312e+00, -1.16587850e+00, 7.24191291e+00],
@@ -190,7 +184,6 @@ def test_metric_feasible_along_alternation_seed_13():
     test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "linear", cfg, probe))
 
 
-@smo_grinds
 def test_metric_feasible_along_alternation_seed_38():
     source = Dataset("source", np.array([[-7.69521347], [-4.51747758], [10.16091883], [-0.67946039],
                                          [-17.61562177], [17.54595222], [15.25313012], [-3.93086112]]),
