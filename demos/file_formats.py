@@ -10,7 +10,8 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from hfa import Dataset, load_dense_csv, load_sparse, pca_fit_transform, save_dense_csv
+from hfa import Dataset, load_dense_csv, load_sparse, save_dense_csv
+from pca import pca_fit_transform
 
 with TemporaryDirectory() as tmp:
     tmp = Path(tmp)

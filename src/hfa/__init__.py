@@ -19,7 +19,6 @@ from hfa.data import (
     generate_synthetic,
     load_dense_csv,
     load_sparse,
-    pca_fit_transform,
     sample_protocol,
     save_dense_csv,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "load_dense_csv",
     "load_model_set",
     "load_sparse",
-    "pca_fit_transform",
     "prepare_kernels",
     "render_report",
     "run_experiment",

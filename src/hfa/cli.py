@@ -12,7 +12,6 @@ the requested artifact was fully written.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -35,8 +34,6 @@ from hfa.evaluate import decision_matrix, render_report, run_experiment, train_m
 from hfa.model_io import load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
-
-log = logging.getLogger("hfa")
 
 
 def _parse_optional_float(text: str):
@@ -187,6 +184,13 @@ def _counts_text(d: Dataset) -> str:
     return ", ".join(f"{c}:{k}" for c, k in sorted(d.class_counts().items()))
 
 
+def _progress(tau: int, metric, step) -> None:
+    """The trainer's monitor: stderr lines for each halved step and each outer iteration."""
+    for t in step.halved:
+        print("outer %d step halved to t = %.3e" % (tau, t), file=sys.stderr)
+    print("outer %d objective %.10e gap %.3e" % (tau, step.objective, step.gap), file=sys.stderr)
+
+
 def cmd_generate(cfg: CliConfig) -> None:
     source, target = generate_synthetic(cfg.synthetic)
     out_dir = Path(cfg.out) if cfg.out is not None else Path(".")
@@ -208,7 +212,7 @@ def cmd_train(cfg: CliConfig) -> None:
         mean_t, scale_t = standardize_fit(target.X)
         target = Dataset(target.domain, standardize_apply(target.X, mean_t, scale_t), target.y)
         metadata["standardize"] = {"target_mean": mean_t.tolist(), "target_scale": scale_t.tolist()}
-    models = train_multiclass(source, target, cfg.hfa)
+    models = train_multiclass(source, target, cfg.hfa, monitor=_progress)
     out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")
     _atomic(out, lambda tmp: save_model_set(models, tmp, metadata))
     for c, model in models:
@@ -252,6 +256,7 @@ def cmd_experiment(cfg: CliConfig) -> None:
             trials=cfg.trials,
             base_seed=cfg.base_seed,
             per_class_source=cfg.per_class_source,
+            monitor=_progress,
         )
         blocks.append(render_report(run.hfa))
         blocks.append(render_report(run.svm_t))
@@ -303,18 +308,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
     try:
         cfg = resolve_config(args)
         COMMANDS[args.command](cfg)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        log.removeHandler(handler)
     return 0
 
 

@@ -18,8 +18,7 @@ and sample counts do not exceed feature dimensions.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,17 +33,18 @@ from hfa.linalg import (
     symmetrize,
 )
 from hfa.metric import TransformMetric, initial_metric
-from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
-
-log = logging.getLogger("hfa")
+from hfa.svm import DegenerateProblemError, DualSolution, solve_dual, trusted_problem
 
 # SMO stopping gap for every dual solve in training
 SVM_TOL = 1e-6
+# most halvings of a Frank-Wolfe step (600 random small problems needed 17)
+_MAX_HALVINGS = 60
 
 __all__ = [
     "HfaConfig",
     "HfaModel",
     "KernelExpansion",
+    "OuterStep",
     "PrecomputedKernels",
     "prepare_kernels",
     "hfa_train",
@@ -127,13 +127,28 @@ class PrecomputedKernels:
     base is blockdiag(Ks, Kt), the working kernel at a zero metric, and
     lift blockdiag of their ridged square roots, which maps dual
     coefficients into the metric space (v = lift @ beta); kt_inv_sqrt @ Kt
-    == kt_sqrt up to round-off.
+    == kt_sqrt up to round-off. base must be finite and exactly symmetric
+    and lift finite (checked here), as the trainer builds its working
+    kernels from them unchecked.
     """
 
     kernel_target: KernelSpec
     base: np.ndarray
     lift: np.ndarray
     kt_inv_sqrt: np.ndarray
+    _couplings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.base)) and np.array_equal(self.base, self.base.T)):
+            raise ValueError("kernel base must be finite and exactly symmetric")
+        if not np.all(np.isfinite(self.lift)):
+            raise ValueError("kernel lift must be finite")
+
+    def start_coupling(self, lam: float) -> np.ndarray:
+        """_start_coupling(lift, lam), built on first use for each lam and kept."""
+        if lam not in self._couplings:
+            self._couplings[lam] = _start_coupling(self.lift, lam)
+        return self._couplings[lam]
 
 
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
@@ -161,12 +176,27 @@ def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
         raise DegenerateProblemError("both classes must appear across the two domains")
 
 
-def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig, monitor=None):
+def _start_coupling(lift: np.ndarray, lam: float) -> np.ndarray:
+    """L'H0L at the start metric H0 = initial_metric(order, lam), whose scale is lam / order."""
+    return symmetrize(lift.T @ ((lam / lift.shape[0]) * lift))
+
+
+@dataclass(frozen=True)
+class OuterStep(DualSolution):
+    """An outer iteration as the trainer's monitor sees it: the accepted
+    dual solution, the certified relative saddle gap after the iteration,
+    and the step sizes t its halving loop tried, in order."""
+
+    gap: float
+    halved: tuple[float, ...]
+
+
+def _alternate(base: np.ndarray, lift: np.ndarray, coupling: np.ndarray, y: np.ndarray, cfg: HfaConfig, monitor=None):
     """Run the alternation; returns (metric, final solution, objective trace, saddle gap).
 
-    base is F and lift is L (order x n), so the metric has order
-    lift.shape[0]; both paths share this loop (the explicit oracle passes
-    its own F and L).
+    base is F, lift is L (order x n), so the metric has order lift.shape[0],
+    and coupling is _start_coupling(L, cfg.lam); both paths share this loop
+    (the explicit oracle passes its own F and L).
 
     P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
     fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
@@ -176,7 +206,11 @@ def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig
     By Danskin's theorem dP/dt = -1/2 (lam (u'beta_t)^2 - beta_t' coupling
     beta_t) at the dual solution for K(t); t = 1 is taken when that slope is
     not positive there, else the lower of t = 1 and the secant root of the
-    slope between t = 0 and 1, halved until P does not rise.
+    slope between t = 0 and 1, halved until P does not rise, or at most
+    _MAX_HALVINGS times: then the step is t = 0 and the loop ends, as the
+    next iteration would repeat this one. With F finite and exactly
+    symmetric and L finite, each working kernel is too by construction, so
+    it reaches solve_dual unchecked (trusted_problem); only u is checked.
 
     Every solve's alpha also gives L(alpha) = 1'alpha - 1/2 beta'F beta -
     1/2 lam ||L beta||^2, a lower bound on the saddle value, so
@@ -186,8 +220,7 @@ def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig
     """
     lam = cfg.lam
     metric = initial_metric(lift.shape[0], lam)
-    coupling = symmetrize(lift.T @ (metric.scale * lift))
-    sol = solve_dual(DualProblem(base + coupling, y, cfg.C), SVM_TOL)
+    sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL)
     lower = -np.inf
 
     def slope(s, t, w):
@@ -201,18 +234,21 @@ def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig
     def trial(t):
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
-        s = solve_dual(DualProblem(base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+        s = solve_dual(trusted_problem(base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         return s, coupling_t, slope(s, t, lift @ s.beta)
 
     objective = []
     reached = False
     for tau in range(cfg.t_max):
+        halved = []
         if tau > 0:
             if reached:
                 break
             reached = gap <= cfg.conv_tol
             if slope_0 < 0.0:
                 u = lift.T @ h
+                if not np.isfinite(lam * float(u @ u)):
+                    raise ValueError(f"outer {tau}: the step direction is not finite")
                 t = 1.0
                 best, coupling_t, slope_1 = trial(t)
                 if slope_1 > 0.0:
@@ -220,24 +256,26 @@ def _alternate(base: np.ndarray, lift: np.ndarray, y: np.ndarray, cfg: HfaConfig
                     step = trial(t_root)
                     if step[0].objective < best.objective:
                         t, (best, coupling_t, _) = t_root, step
-                while best.objective > sol.objective:
+                while best.objective > sol.objective and len(halved) < _MAX_HALVINGS:
                     t *= 0.5
-                    log.info("outer %d step halved to t = %.3e", tau, t)
+                    halved.append(t)
                     best, coupling_t, _ = trial(t)
-                metric = metric.rank1_update(1.0 - t, t * lam, h)
-                coupling, sol = coupling_t, best
+                if best.objective > sol.objective:
+                    reached = True  # t = 0: the next iteration would repeat this one
+                else:
+                    metric = metric.rank1_update(1.0 - t, t * lam, h)
+                    coupling, sol = coupling_t, best
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
-                sol = solve_dual(DualProblem(base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+                sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
         v = lift @ sol.beta
         norm = np.sqrt(float(v @ v))
         h = v / norm if norm > 0.0 else v  # v = 0 leaves no direction, and slope 0
         slope_0 = slope(sol, 0.0, v)
         gap = (sol.objective - lower) / max(abs(sol.objective), 1e-12)
         objective.append(sol.objective)
-        log.info("outer %d objective %.10e gap %.3e", tau, sol.objective, gap)
         if monitor is not None:
-            monitor(tau, metric, sol)
+            monitor(tau, metric, OuterStep(**vars(sol), gap=gap, halved=tuple(halved)))
     return metric, sol, np.array(objective), gap
 
 
@@ -318,8 +356,11 @@ def hfa_train(
         Shared Gram factorization when training several relabelings of
         the same samples (one-vs-rest); must match the sample counts.
     monitor : callable, optional
-        monitor(iteration, metric, dual_solution), called once per outer
-        iteration including the initial solve.
+        monitor(iteration, metric, step), called once per outer iteration
+        including the initial solve, after its step. step is an OuterStep:
+        the iteration's DualSolution with the certified relative saddle
+        gap after it and the step sizes its halving loop tried. The `hfa`
+        command prints its progress lines from it.
 
     Returns
     -------
@@ -331,7 +372,7 @@ def hfa_train(
     elif kernels.base.shape[0] != len(source) + len(target) or kernels.kt_inv_sqrt.shape[0] != len(target):
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = _alternate(kernels.base, kernels.lift, y, cfg, monitor)
+    metric, sol, trace, gap = _alternate(kernels.base, kernels.lift, kernels.start_coupling(cfg.lam), y, cfg, monitor)
     n_s = len(source)
     lift = kernels.lift
     beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]

@@ -1,4 +1,4 @@
-"""Datasets, file ingestion, PCA, split protocol and synthetic data.
+"""Datasets, file ingestion, split protocol and synthetic data.
 
 Two on-disk formats are supported and documented in the README: a dense
 CSV with header "label,f0,...,f{d-1}", and a sparse text format with
@@ -15,17 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.linalg import sym_eigen, symmetrize
-
 __all__ = [
     "ParseError",
     "Dataset",
-    "PcaBasis",
     "SyntheticSpec",
     "load_dense_csv",
     "save_dense_csv",
     "load_sparse",
-    "pca_fit_transform",
     "sample_protocol",
     "generate_synthetic",
     "standardize_fit",
@@ -204,13 +200,13 @@ def _load_dense_csv_lines(path) -> Dataset:
 
 
 def save_dense_csv(dataset: Dataset, path) -> None:
-    """Write the dense CSV format; floats use shortest round-trip repr."""
+    """Write the dense CSV format as csv.writer would (CRLF line ends, no
+    field needs quoting); floats use shortest round-trip repr."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
-        for label, row in zip(dataset.y, dataset.X):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(",".join(["label"] + [f"f{i}" for i in range(dataset.dim)]) + "\r\n")
+        for label, row in zip(dataset.y.tolist(), dataset.X.tolist()):
+            fh.write(",".join(map(repr, [label] + row)) + "\r\n")
 
 
 def load_sparse(path) -> Dataset:
@@ -273,65 +269,6 @@ def load_sparse(path) -> Dataset:
         for idx, val in row:
             X[i, idx - 1] = val
     return Dataset(path.stem, X, np.array(labels, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class PcaBasis:
-    """Centered projection basis with the full covariance spectrum."""
-
-    mean: np.ndarray
-    components: np.ndarray  # (k, d), rows are principal directions
-    eigenvalues: np.ndarray  # all d, descending, clipped at numerical rank
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
-
-    @property
-    def retained_energy(self) -> float:
-        total = float(self.eigenvalues.sum())
-        if total == 0.0:
-            return 1.0
-        k = self.components.shape[0]
-        return float(self.eigenvalues[:k].sum()) / total
-
-
-def pca_fit_transform(dataset: Dataset, energy: float) -> tuple[Dataset, PcaBasis]:
-    """Project onto the fewest principal axes holding `energy` variance.
-
-    Parameters
-    ----------
-    dataset : Dataset
-        At least two samples.
-    energy : float in (0, 1]
-        Fraction of total centered variance to retain.
-
-    Returns
-    -------
-    (projected, basis) : Dataset and PcaBasis
-        Output dim k is the smallest k whose leading eigenvalue sum
-        reaches the requested energy; eigenvalues below 1e-12 of the
-        largest count as zero so round-off cannot inflate k.
-    """
-    if not 0.0 < energy <= 1.0:
-        raise ValueError(f"energy must lie in (0, 1], got {energy}")
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("PCA needs at least 2 samples")
-    mean = dataset.X.mean(axis=0)
-    Xc = dataset.X - mean
-    cov = symmetrize(Xc.T @ Xc / (n - 1))
-    w, V = sym_eigen(cov)
-    cutoff = (w[0] if w[0] > 0 else 0.0) * 1e-12
-    w = np.where(w > cutoff, w, 0.0)
-    total = float(w.sum())
-    if total == 0.0:
-        k = 1  # flat data: a single (zero-variance) axis
-    else:
-        ratios = np.cumsum(w) / total
-        k = int(np.searchsorted(ratios, energy - 1e-12)) + 1
-        k = min(k, w.size)
-    basis = PcaBasis(mean=mean, components=V[:, :k].T, eigenvalues=w)
-    return Dataset(dataset.domain, Xc @ V[:, :k], dataset.y), basis
 
 
 def sample_protocol(dataset: Dataset, per_class: int, seed: int) -> tuple[Dataset, Dataset]:

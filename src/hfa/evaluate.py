@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 
-def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[int, HfaModel]]:
+def train_multiclass(
+    source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig(), monitor=None
+) -> list[tuple[int, HfaModel]]:
     """Train one binary model per class on the full source+target data,
     sharing one Gram factorization (prepare_kernels) across the classes.
 
@@ -40,6 +42,8 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
         Training sets with original (nonnegative integer) labels; the
         target set must contain at least 2 distinct classes.
     cfg : HfaConfig
+    monitor : callable, optional
+        hfa_train's monitor, for every class in turn.
 
     Returns
     -------
@@ -52,7 +56,7 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
     classes = sorted(set(int(c) for c in source.y) | set(int(c) for c in target.y))
     kernels = prepare_kernels(source.X, target.X, cfg)
     return [
-        (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels))
+        (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels, monitor=monitor))
         for c in classes
     ]
 
@@ -184,13 +188,14 @@ def run_experiment(
     trials: int = 10,
     base_seed: int = 0,
     per_class_source: int | None = None,
+    monitor=None,
 ) -> ExperimentRun:
     """Repeated-random-split comparison of the cross-domain model and SVM_T.
 
     Trial t draws its target train/test partition (and source training
     subset when per_class_source is given) with seed base_seed+t; both
     arms see byte-identical partitions and resolve the same target kernel
-    from them.
+    from them. monitor is passed to train_multiclass in every trial.
     Infeasible protocols fail before any training starts.
 
     Returns
@@ -228,7 +233,7 @@ def run_experiment(
             mean_t, scale_t = standardize_fit(train_t.X)
             train_t = Dataset(train_t.domain, standardize_apply(train_t.X, mean_t, scale_t), train_t.y)
             test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
-        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg), test_t))
+        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor), test_t))
         acc_t.append(accuracy(svm_t_baseline(train_t, cfg), test_t))
     return ExperimentRun(
         hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),

@@ -149,8 +149,7 @@ def save_model_set(models, path, metadata: dict | None = None) -> None:
         "metadata": metadata if metadata is not None else {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
+        fh.write(json.dumps(record) + "\n")  # json.dumps runs the C encoder, json.dump Python's
 
 
 def load_model_set(path) -> ModelSet:

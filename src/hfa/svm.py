@@ -10,7 +10,8 @@ Selection Using Second Order Information for Training Support Vector
 Machines", JMLR 2005; the rule LIBSVM uses), interleaved with Newton
 steps on the free set (the active-set idea of SimpleSVM, Vishwanathan,
 Smola & Murty, ICML 2003). The kernel matrix is taken as given; callers
-own its construction.
+own its construction. DualProblem(...) checks it and makes it exactly
+symmetric; trusted_problem skips both, for a builder that already has.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "DualSolution",
     "DegenerateProblemError",
     "solve_dual",
+    "trusted_problem",
 ]
 
 # curvature floor for the pair step denominator K_ii + K_jj - 2 K_ij
@@ -79,6 +81,15 @@ class DualProblem:
     @property
     def size(self) -> int:
         return self.y.size
+
+
+def trusted_problem(K: np.ndarray, y: np.ndarray, C: float) -> DualProblem:
+    """DualProblem(K, y, C) without its checks and copies, for a builder that
+    made K finite and exactly symmetric (which symmetrize returns bit for
+    bit), y float +-1 of both signs and C > 0: the trainer's working kernels."""
+    problem = object.__new__(DualProblem)
+    problem.__dict__.update(K=K, y=y, C=C)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -204,7 +215,8 @@ def solve_dual(
 
         # second-order choice of j: b_j^2 / a_ij, twice the objective gain
         # of the pair step, largest over I_low entries with G_j < G_i.
-        # Rows of K are read (contiguous); DualProblem made K exactly symmetric.
+        # Rows of K are read (contiguous); K is exactly symmetric (DualProblem
+        # or the builder of a trusted_problem made it so).
         K_i = K[i]
         a = curvature_rows.get(i)
         if a is None:

@@ -144,7 +144,8 @@ def hfa_train_linear(
     _validate_binary_pair(source, target)
     base, lift = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = hfa.core._alternate(base, lift, y, cfg, monitor)
+    coupling = hfa.core._start_coupling(lift, cfg.lam)
+    metric, sol, trace, gap = hfa.core._alternate(base, lift, coupling, y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

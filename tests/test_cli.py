@@ -1,13 +1,16 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hfa.core
 from hfa.cli import CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, save_dense_csv
+from hfa.evaluate import train_multiclass
 from hfa.model_io import load_model_set
 
 
@@ -75,6 +78,53 @@ def test_train_reports_objective_and_writes_models(corpus, capsys, tmp_path):
     gaps = [float(g) for g in re.findall(r", certified gap (\S+)$", captured.out, re.M)]
     assert len(gaps) == 2
     assert all(g <= HfaConfig().conv_tol for g in gaps)
+
+
+def _expected_progress(source, target, cfg):
+    """The stderr lines of `hfa train`, built from the trainer's monitor
+    with the pinned formats."""
+    lines = []
+
+    def monitor(tau, metric, step):
+        lines.extend("outer %d step halved to t = %.3e" % (tau, t) for t in step.halved)
+        lines.append("outer %d objective %.10e gap %.3e" % (tau, step.objective, step.gap))
+
+    train_multiclass(source, target, cfg, monitor=monitor)
+    return lines
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_train_progress_lines_on_stderr(corpus, tmp_path, capsys, monkeypatch, forced):
+    # stderr holds exactly one line per halved step and one per outer
+    # iteration, class after class. forced: every warm-started solve reports
+    # an objective far above the accepted one (dual objectives here are
+    # below C n = 50), so every Frank-Wolfe step is halved until the
+    # halvings run out, the step is t = 0 and the alternation ends
+    if forced:
+        solve = hfa.core.solve_dual
+
+        def higher(problem, tol, warm_start=None):
+            sol = solve(problem, tol, warm_start=warm_start)
+            return sol if warm_start is None else replace(sol, objective=sol.objective + 1e6)
+
+        monkeypatch.setattr(hfa.core, "solve_dual", higher)
+    source, target = load_dense_csv(corpus / "source.csv"), load_dense_csv(corpus / "target.csv")
+    want = _expected_progress(source, target, HfaConfig())
+    capsys.readouterr()
+    assert main(["train", "--source", str(corpus / "source.csv"), "--target", str(corpus / "target.csv"),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == want
+    number = r"-?\d\.\d+e[+-]\d\d"
+    for line in err:
+        assert re.fullmatch(rf"outer \d+ (objective {number} gap {number}|step halved to t = {number})", line)
+    halvings = [line for line in err if "halved" in line]
+    if forced:
+        # two classes, each stopped at iteration 1 after the full halving run
+        assert len(halvings) == 2 * hfa.core._MAX_HALVINGS
+        assert [line.split()[1] for line in err if "objective" in line] == ["0", "1", "0", "1"]
+    else:
+        assert not halvings
 
 
 def test_train_missing_input_fails(tmp_path, capsys):
@@ -154,11 +204,12 @@ def test_experiment_m_sweep(corpus, tmp_path):
 
 
 def test_commands_leave_numpy_ma_unimported(corpus, tmp_path):
-    """train, experiment and predict never import numpy.ma.
+    """train, experiment and predict never import numpy.ma or logging.
 
-    np.median and np.unique without return_counts import it on first use,
-    which costs about 13 ms per command. A fresh interpreter is needed,
-    because another test may already have imported it into this one.
+    np.median and np.unique without return_counts import numpy.ma on first
+    use, which costs about 13 ms per command; logging (with traceback and
+    string) costs about 4.5 ms and 0.45 MB. A fresh interpreter is needed,
+    because another test may already have imported them into this one.
     """
     import os
     import subprocess
@@ -181,14 +232,15 @@ def test_commands_leave_numpy_ma_unimported(corpus, tmp_path):
         seen = []
         for argv in {commands!r}:
             assert main(argv) == 0, argv
-            seen.append("numpy.ma" in sys.modules)
+            seen.append(("numpy.ma" in sys.modules, "logging" in sys.modules))
         print(seen)
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, False]"  # after train, experiment, predict
+    # (numpy.ma, logging) after train, experiment, predict
+    assert proc.stdout.splitlines()[-1] == "[(False, False), (False, False), (False, False)]"
 
 
 def test_flag_overrides_config_file(corpus, tmp_path):

@@ -1,10 +1,13 @@
 """Augmentation maps, working-kernel builders and kernel preparation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _sqrt_factors
-from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
+from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma, symmetrize
+from hfa.metric import initial_metric
 from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
 from metric_oracle import DenseMetric
 
@@ -225,3 +228,34 @@ def test_prepare_kernels_contract():
     assert not base[:6, 6:].any() and not base[6:, :6].any()
     assert not lift[:6, 6:].any() and not lift[6:, :6].any()
     assert np.max(np.abs(pk.kt_inv_sqrt @ Kt - lift[6:, 6:])) <= 1e-9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["base", "lift"])
+def test_non_finite_kernel_factors_fail_fast(name, value):
+    # the trainer builds working kernels from base and lift unchecked, so
+    # PrecomputedKernels refuses non-finite ones, naming the factor
+    *_, pk = grams_and_roots(np.random.default_rng(4), 4, 3)
+    bad = getattr(pk, name).copy()
+    bad[1, 5] = bad[5, 1] = value
+    with pytest.raises(ValueError, match=f"kernel {name} must be finite"):
+        dataclasses.replace(pk, **{name: bad})
+
+
+def test_asymmetric_kernel_base_fails_fast():
+    *_, pk = grams_and_roots(np.random.default_rng(5), 4, 3)
+    bad = pk.base.copy()
+    bad[0, 1] = np.nextafter(bad[0, 1], np.inf)
+    with pytest.raises(ValueError, match="kernel base must be finite and exactly symmetric"):
+        dataclasses.replace(pk, base=bad)
+
+
+def test_start_coupling_is_built_once_per_budget():
+    *_, pk = grams_and_roots(np.random.default_rng(6), 4, 3)
+    first = pk.start_coupling(2.0)
+    assert pk.start_coupling(2.0) is first
+    # the start metric of the alternation, through the square roots
+    assert np.array_equal(first, symmetrize(pk.lift.T @ (initial_metric(7, 2.0).scale * pk.lift)))
+    assert not np.array_equal(pk.start_coupling(3.0), first)
+    # a copy with other factors starts with no couplings of its own
+    assert dataclasses.replace(pk, lift=2.0 * pk.lift).start_coupling(2.0) is not first

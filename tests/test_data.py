@@ -1,5 +1,8 @@
 """Dataset containers, file formats, PCA, splits and the generator."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +14,13 @@ from hfa.data import (
     generate_synthetic,
     load_dense_csv,
     load_sparse,
-    pca_fit_transform,
     sample_protocol,
     save_dense_csv,
     standardize_apply,
     standardize_fit,
 )
 from hfa.data import _load_dense_csv_lines  # the per-line fallback, the oracle here
+from pca import pca_fit_transform  # demos/pca.py
 
 
 def small_dataset():
@@ -69,6 +72,23 @@ def test_dense_csv_round_trip(tmp_path):
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
     assert back.domain == "rt"
+
+
+def test_dense_csv_bytes_match_csv_writer(tmp_path):
+    # save_dense_csv writes what csv.writer's default dialect writes for the
+    # same fields, on signed zeros, tiny, huge and subnormal floats and
+    # labels up to the int64 limit
+    X = np.array([[-0.0, 1e-300, 1e16], [5e-324, -1.7976931348623157e308, 0.1], [1.0, -2.5, 3e-7]])
+    y = np.array([0, 2**63 - 1, 123456789012])
+    path = tmp_path / "w.csv"
+    save_dense_csv(Dataset("w", X, y), path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["label", "f0", "f1", "f2"])
+    for label, row in zip(y, X):
+        writer.writerow([int(label)] + [repr(float(v)) for v in row])
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert b"-0.0,1e-300,1e+16\r\n" in path.read_bytes()
 
 
 def test_dense_csv_header_only_gives_empty_dataset(tmp_path):

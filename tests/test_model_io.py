@@ -1,5 +1,6 @@
 """Round-trip and format-validation tests for model persistence."""
 
+import io
 import json
 
 import numpy as np
@@ -86,6 +87,16 @@ def test_single_model_round_trip_exact(tmp_path):
     again = tmp_path / "again.json"
     save_model_set(loaded_set.models, again, loaded_set.metadata)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_model_set_bytes_match_json_dump(tmp_path):
+    # the file holds what json.dump writes for its record, plus a newline
+    _, models = small_set()
+    path = tmp_path / "set.json"
+    save_model_set(models, path, metadata={"note": "fixture"})
+    want = io.StringIO()
+    json.dump(json.loads(path.read_text(encoding="utf-8")), want)
+    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
 
 
 def test_model_set_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from hfa.svm import (
     DualProblem,
     _free_set_step,
     solve_dual,
+    trusted_problem,
 )
 
 
@@ -145,6 +146,19 @@ def test_bias_inside_admissible_interval():
         hi = G[upper].min() if upper.any() else np.inf
         slack = 1e-6 * max(1.0, abs(sol.bias))
         assert lo - slack <= sol.bias <= hi + slack
+
+
+def test_trusted_problem_solves_as_the_checked_problem():
+    # on an exactly symmetric finite K the unchecked construction keeps K
+    # uncopied and solve_dual returns the same bits as on DualProblem
+    X = np.random.default_rng(12).standard_normal((20, 3))
+    K = gram_matrix(KernelSpec("rbf", 0.5), X)
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    trusted = trusted_problem(K, y, 2.0)
+    assert trusted.K is K and trusted.size == 20
+    a, b = solve_dual(DualProblem(K, y, 2.0)), solve_dual(trusted)
+    assert np.array_equal(a.alpha, b.alpha)
+    assert (a.bias, a.objective, a.iterations) == (b.bias, b.objective, b.iterations)
 
 
 def test_warm_start_agrees_with_cold_start():

@@ -1,5 +1,6 @@
 """Alternating trainer, predictors and cross-path agreement."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import hfa.core
 from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
 from hfa.linalg import symmetrize
-from hfa.svm import DegenerateProblemError, DualProblem, solve_dual
+from hfa.svm import DegenerateProblemError, DualProblem, solve_dual, trusted_problem
 from linear_oracle import build_KH_kernelized, hfa_train_linear, kernels_at_ridge, linear_factors
 from metric_oracle import DenseMetric, psd_project, trace_cap
 
@@ -84,15 +85,16 @@ def small_binary_problems(draw):
 def test_metric_feasible_along_alternation(problem):
     # every metric the monitor sees is PSD by its factors and within the
     # budget, its factor formulas match its dense matrix, and every working
-    # kernel handed to the dual solver is exactly symmetric
+    # kernel handed to the dual solver, unchecked, is finite and exactly symmetric
     source, target, path, cfg, probe = problem
-    kernels = []
+    kernels, steps = [], []
 
     def record(K, y, C):
         kernels.append(np.array(K))
-        return DualProblem(K, y, C)
+        return trusted_problem(K, y, C)
 
-    def monitor(it, metric, sol):
+    def monitor(it, metric, step):
+        steps.append(step)
         assert metric.scale >= 0 and np.all(metric.weights >= 0)
         t = metric.trace
         assert t <= cfg.lam * (1.0 + 1e-12)
@@ -104,15 +106,15 @@ def test_metric_feasible_along_alternation(problem):
         assert abs(metric.energy(probe) - probe @ M @ probe) <= 1e-12 * t * norm**2
         assert np.max(np.abs(metric.apply(probe) - M @ probe)) <= 1e-12 * t * norm
 
-    with mock.patch.object(hfa.core, "DualProblem", record), mock.patch.object(hfa.core.log, "info") as info:
+    with mock.patch.object(hfa.core, "trusted_problem", record):
         train = hfa_train_linear if path == "explicit" else hfa_train
         model = train(source, target, cfg, monitor=monitor)
     # one solve per accepted step plus at most one more line-search trial,
     # and one per halved step
     trace = model.objective_trace
-    halvings = sum("halved" in call.args[0] for call in info.call_args_list)
+    halvings = sum(len(step.halved) for step in steps)
     assert len(trace) <= len(kernels) <= 2 * len(trace) - 1 + halvings
-    assert all(np.array_equal(K, K.T) for K in kernels)
+    assert all(np.array_equal(K, K.T) and np.all(np.isfinite(K)) for K in kernels)
 
     # the saddle-gap certificate on the same run: the objective never rises
     # and falls at every step that starts above conv_tol, the gap is
@@ -120,8 +122,8 @@ def test_metric_feasible_along_alternation(problem):
     # and its last change, and P * (1 - gap) is a real lower bound: no
     # feasible metric has a smaller dual optimum
     gap = model.saddle_gap
-    # per-iteration (objective, gap) from the "outer N objective P gap G" lines
-    logged = [call.args[2:] for call in info.call_args_list if "objective" in call.args[0]]
+    # per-iteration (objective, gap) as the monitor sees them
+    logged = [(step.objective, step.gap) for step in steps]
     assert [obj for obj, _ in logged] == list(trace) and logged[-1][1] == gap
     scale = max(abs(trace[-1]), 1e-12)
     assert np.all(np.diff(trace) <= 1e-12 * scale)
@@ -192,6 +194,34 @@ def test_metric_feasible_along_alternation_seed_38():
     cfg = HfaConfig(C=10.0, lam=100.0, kernel_family="linear", t_max=15)
     probe = np.array([-1.64876429, -2.1568037])
     test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "explicit", cfg, probe))
+
+
+def test_halving_loop_ends_when_every_trial_raises_the_objective():
+    # a solver whose warm-started trials all report an objective above the
+    # accepted one: the step is halved _MAX_HALVINGS times, then taken as
+    # t = 0 (solution and metric kept), and the alternation ends there
+    source, target = binary_pair(seed=4)
+    cfg = HfaConfig(C=1.0, lam=1.0, t_max=50, conv_tol=1e-12)
+    calls, steps = [], []
+
+    def higher(problem, tol, warm_start=None):
+        calls.append(warm_start is not None)
+        sol = solve_dual(problem, tol, warm_start=warm_start)
+        return sol if warm_start is None else replace(sol, objective=sol.objective + 1e6)
+
+    with mock.patch.object(hfa.core, "solve_dual", higher):
+        model = hfa_train(source, target, cfg, monitor=lambda it, metric, step: steps.append((metric, step)))
+    (metric_0, step_0), (metric_1, step_1) = steps
+    assert step_0.halved == ()
+    halved = step_1.halved
+    assert len(halved) == hfa.core._MAX_HALVINGS and halved[0] <= 0.5
+    assert all(b == a / 2 for a, b in zip(halved, halved[1:]))
+    # the t = 1 trial, at most one secant trial, then one trial per halving
+    assert calls[0] is False and all(calls[1:])
+    assert len(halved) + 1 <= len(calls) - 1 <= len(halved) + 2
+    assert metric_1 is metric_0 and metric_0.atoms.shape[0] == 0
+    assert np.array_equal(step_1.alpha, step_0.alpha) and list(model.objective_trace) == [step_0.objective] * 2
+    assert model.saddle_gap == step_1.gap
 
 
 def test_training_is_deterministic():
