@@ -283,8 +283,9 @@ def _alternate(base: np.ndarray, lift: np.ndarray, coupling: np.ndarray, y: np.n
 class KernelExpansion:
     """Deployed predictor f(x) = k(X, x)' coef + bias over stored target rows X.
 
-    Both experiment arms predict in this form: the cross-domain model with
-    coef = Kt^{-1/2} (H v)_t + beta_t, the target-only SVM with coef = beta.
+    Both experiment arms predict in this form: the cross-domain model
+    (HfaModel) with coef = Kt^{-1/2} (H v)_t + beta_t, the target-only SVM
+    with coef = beta. It is all that a saved model keeps.
     """
 
     X: np.ndarray
@@ -311,31 +312,22 @@ class KernelExpansion:
 
     def decision_function(self, X) -> np.ndarray:
         """Decision values for target-domain rows X, shape (m,)."""
-        X = self.query_rows(X)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        return self.from_block(cross_gram(self.kernel, self.X, X))
+        return self.from_block(cross_gram(self.kernel, self.X, self.query_rows(X)))
 
 
 @dataclass(frozen=True)
-class HfaModel:
-    """Trained kernelized model over one binary source/target pair.
-
-    Prediction delegates to `expansion`, all that a saved model keeps. The
-    other fields are what training produced and are not saved; beta splits
-    as (beta_source, beta_target) in training order and saddle_gap is the
+class HfaModel(KernelExpansion):
+    """Trained kernelized model over one binary source/target pair: the
+    deployed kernel expansion over the target training rows, plus what
+    training produced and a saved model does not keep. beta splits as
+    (beta_source, beta_target) in training order and saddle_gap is the
     certified relative gap at exit.
     """
 
-    expansion: KernelExpansion
     metric: TransformMetric
     beta: np.ndarray
     objective_trace: np.ndarray
     saddle_gap: float
-
-    def decision_function(self, X) -> np.ndarray:
-        """Decision values for target-domain rows X, shape (m,)."""
-        return self.expansion.decision_function(X)
 
 
 def hfa_train(
@@ -364,7 +356,7 @@ def hfa_train(
 
     Returns
     -------
-    HfaModel, whose `expansion` is the deployed predictor
+    HfaModel
     """
     _validate_binary_pair(source, target)
     if kernels is None:
@@ -379,9 +371,6 @@ def hfa_train(
     v = np.concatenate([lift[:n_s, :n_s] @ beta_s, lift[n_s:, n_s:] @ beta_t])
     coef = kernels.kt_inv_sqrt @ metric.apply(v)[n_s:] + beta_t
     return HfaModel(
-        expansion=KernelExpansion(target.X, kernels.kernel_target, coef, sol.bias),
-        metric=metric,
-        beta=sol.beta,
-        objective_trace=trace,
-        saddle_gap=gap,
+        X=target.X, kernel=kernels.kernel_target, coef=coef, bias=sol.bias,
+        metric=metric, beta=sol.beta, objective_trace=trace, saddle_gap=gap,
     )

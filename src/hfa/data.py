@@ -281,11 +281,10 @@ def sample_protocol(dataset: Dataset, per_class: int, seed: int) -> tuple[Datase
         raise ValueError("per_class must be positive")
     rng = np.random.default_rng(seed)
     picks = []
-    # return_counts keeps np.unique off its numpy.ma import
-    for c in np.unique(dataset.y, return_counts=True)[0]:
+    for c in dataset.class_counts():
         idx = np.flatnonzero(dataset.y == c)
         if idx.size < per_class:
-            raise ValueError(f"class {int(c)} has {idx.size} samples, needs {per_class}")
+            raise ValueError(f"class {c} has {idx.size} samples, needs {per_class}")
         picks.append(rng.choice(idx, size=per_class, replace=False))
     train_idx = np.sort(np.concatenate(picks))
     mask = np.zeros(len(dataset), dtype=bool)

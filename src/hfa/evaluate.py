@@ -50,10 +50,10 @@ def train_multiclass(
     list of (class label, model), one per label present in either
     domain, in ascending order.
     """
-    # return_counts keeps np.unique off its numpy.ma import
-    if np.unique(target.y, return_counts=True)[0].size < 2:
+    present = target.class_counts()
+    if len(present) < 2:
         raise ValueError("target training data must contain at least 2 classes")
-    classes = sorted(set(int(c) for c in source.y) | set(int(c) for c in target.y))
+    classes = sorted(source.class_counts().keys() | present.keys())
     kernels = prepare_kernels(source.X, target.X, cfg)
     return [
         (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels, monitor=monitor))
@@ -69,14 +69,13 @@ def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[
     resolves the target domain's, so on the same rows both experiment
     arms use the same target kernel.
     """
-    # return_counts keeps np.unique off its numpy.ma import
-    present = np.unique(target.y, return_counts=True)[0]
-    if present.size < 2:
+    present = target.class_counts()
+    if len(present) < 2:
         raise ValueError("target training data must contain at least 2 classes")
     spec = cfg.kernel_spec_for(target.X)
     K = gram_matrix(spec, target.X)
     models = []
-    for c in present.tolist():
+    for c in present:
         y = np.where(target.y == c, 1.0, -1.0)
         sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
         models.append((c, KernelExpansion(target.X, spec, sol.beta, sol.bias)))
@@ -84,15 +83,15 @@ def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[
 
 
 def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class decision values for rows X.
+    """Per-class decision values for rows X from (class, KernelExpansion)
+    pairs, an HfaModel being one.
 
     Returns (classes ascending, scores of shape (rows, classes)); the
-    model list must be nonempty. Kernel expansions (an HfaModel through
-    its `expansion`) that share one stored-rows array and kernel, as a
-    loaded or freshly trained one-vs-rest set does, share one cross_gram
-    block; each class's column is then the matrix-vector product its
-    decision_function computes, so scores are bit-identical to per-model
-    calls. Other models are scored through their decision_function.
+    model list must be nonempty. Expansions that share one stored-rows
+    array and kernel, as a loaded or freshly trained one-vs-rest set does,
+    share one cross_gram block; each class's column is then the
+    matrix-vector product its decision_function computes, so scores are
+    bit-identical to per-model calls.
     """
     if not models:
         raise ValueError("model list must be nonempty")
@@ -102,15 +101,11 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     columns = []
     for i in order:
         model = models[i][1]
-        expansion = model.expansion if isinstance(model, HfaModel) else model
-        if not isinstance(expansion, KernelExpansion):
-            columns.append(model.decision_function(X))
-            continue
-        key = (id(expansion.X), expansion.kernel)
-        rows = expansion.query_rows(X)
+        key = (id(model.X), model.kernel)
+        rows = model.query_rows(X)
         if key not in blocks:
-            blocks[key] = cross_gram(expansion.kernel, expansion.X, rows)
-        columns.append(expansion.from_block(blocks[key]))
+            blocks[key] = cross_gram(model.kernel, model.X, rows)
+        columns.append(model.from_block(blocks[key]))
     return classes, np.column_stack(columns)
 
 

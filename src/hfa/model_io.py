@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import HfaModel, KernelExpansion
+from hfa.core import KernelExpansion
 from hfa.linalg import KernelSpec
 
 __all__ = [
@@ -38,10 +38,6 @@ class ModelFormatError(ValueError):
 
 def _array(a: np.ndarray) -> list:
     return np.asarray(a, dtype=float).tolist()
-
-
-def _expansion(model: HfaModel | KernelExpansion) -> KernelExpansion:
-    return model.expansion if isinstance(model, HfaModel) else model
 
 
 def _require(record: dict, key: str, path):
@@ -133,9 +129,8 @@ def save_model_set(models, path, metadata: dict | None = None) -> None:
     """
     if not models:
         raise ValueError("a model set needs at least one model")
-    expansions = [_expansion(m) for _, m in models]
-    first = expansions[0]
-    for (c, _), e in zip(models, expansions):
+    first = models[0][1]
+    for c, e in models:
         if e.kernel != first.kernel or not np.array_equal(e.X, first.X):
             raise ValueError(f"class {c}: every model in a set must share the target rows and kernel")
     record = {
@@ -144,8 +139,8 @@ def save_model_set(models, path, metadata: dict | None = None) -> None:
         "classes": [int(c) for c, _ in models],
         "kernel": {"family": first.kernel.family, "gamma": first.kernel.gamma},
         "X_t": _array(first.X),
-        "coef": [_array(e.coef) for e in expansions],
-        "bias": [float(e.bias) for e in expansions],
+        "coef": [_array(e.coef) for _, e in models],
+        "bias": [float(e.bias) for _, e in models],
         "metadata": metadata if metadata is not None else {},
     }
     with open(path, "w", encoding="utf-8") as fh:

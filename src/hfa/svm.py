@@ -120,12 +120,6 @@ def solve_dual(
     (Fan, Chen & Lin, JMLR 2005), then moves alpha_i and alpha_j along the
     equality constraint to the clipped optimum of that pair.
 
-    The curvature row K_ii + K_jj - 2 K_ij over j is cached per solve,
-    keyed by i, the first time i is selected (as LIBSVM caches kernel
-    rows; Chang & Lin, ACM TIST 2011). Only a few indices are ever
-    selected as i, so most updates reuse a row; the cache holds at most
-    (distinct i selected) x n floats and is dropped when the solve returns.
-
     While the exit test fails, a Newton step on the free set (the alphas
     strictly inside the box) is tried at entry and again after each
     _NEWTON_INTERVAL (10) pair updates, or after about m^3 / 10n updates
@@ -183,7 +177,6 @@ def solve_dual(
 
     bound_eps = _BOUND_EPS * C
     up, low = _bound_masks(alpha, pos, C)
-    curvature_rows: dict[int, np.ndarray] = {}
 
     iterations = 0
     # pair-update counts at which the next Newton step is due and at which
@@ -218,12 +211,9 @@ def solve_dual(
         # Rows of K are read (contiguous); K is exactly symmetric (DualProblem
         # or the builder of a trusted_problem made it so).
         K_i = K[i]
-        a = curvature_rows.get(i)
-        if a is None:
-            a = diag + diag[i]
-            a -= 2.0 * K_i
-            np.maximum(a, _CURVATURE_FLOOR, out=a)
-            curvature_rows[i] = a
+        a = diag + diag[i]
+        a -= 2.0 * K_i
+        np.maximum(a, _CURVATURE_FLOOR, out=a)
         np.maximum(b, 0.0, out=b)
         b *= b
         b /= a

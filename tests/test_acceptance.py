@@ -167,7 +167,7 @@ def test_criterion_05_predictor_consistency():
         pk = prepare_kernels(source.X, target.X, HfaConfig())
         model = hfa_train(source, target, HfaConfig(), kernels=pk)
         K = build_KH_kernelized(pk, model.metric)
-        want = K[ns:, :] @ model.beta + model.expansion.bias
+        want = K[ns:, :] @ model.beta + model.bias
         got = model.decision_function(target.X)
         worst = max(worst, float(np.abs(got - want).max()))
     report(5, worst <= 1e-8,

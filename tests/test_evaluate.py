@@ -18,24 +18,13 @@ from hfa.evaluate import (
     svm_t_baseline,
     train_multiclass,
 )
-from hfa.linalg import gram_matrix
+from hfa.linalg import KernelSpec, gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 
-class FixedModel:
-    """Test stand-in returning a constant score for every row."""
-
-    def __init__(self, score, dim=3):
-        self.score = score
-        self.dim = dim
-
-    def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.dim:
-            raise ValueError(f"expected rows of dimension {self.dim}")
-        return np.full(X.shape[0], self.score)
+def constant_model(score, dim=3):
+    """A KernelExpansion scoring every row `score`: one zero coefficient over one stored row."""
+    return KernelExpansion(np.zeros((1, dim)), KernelSpec("linear"), np.zeros(1), score)
 
 
 def tiny_pools(seed=3, num_classes=3):
@@ -75,10 +64,10 @@ def test_decision_matrix_builds_one_kernel_block_per_set(monkeypatch):
         _, scores = decision_matrix(models, X)
         assert len(blocks) == 1  # every class shares target.X and the kernel
         assert np.array_equal(scores, np.column_stack([m.decision_function(X) for _, m in models]))
-    # a model that is not a kernel expansion is scored on its own
+    # an expansion over other stored rows gets a block of its own
     blocks.clear()
-    _, scores = decision_matrix(hfa_models + [(99, FixedModel(0.5, dim=X.shape[1]))], X)
-    assert len(blocks) == 1 and np.array_equal(scores[:, -1], np.full(len(X), 0.5))
+    _, scores = decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], X)
+    assert len(blocks) == 2 and np.array_equal(scores[:, -1], np.full(len(X), 0.5))
 
 
 def test_single_class_target_rejected():
@@ -96,9 +85,9 @@ def one_row(label, dim=3):
 
 
 def test_classify_argmax_and_ties():
-    models = [(0, FixedModel(0.7)), (1, FixedModel(-0.2)), (2, FixedModel(0.1))]
+    models = [(0, constant_model(0.7)), (1, constant_model(-0.2)), (2, constant_model(0.1))]
     assert accuracy(models, one_row(0)) == 1.0
-    tied = [(4, FixedModel(0.5)), (2, FixedModel(0.5)), (7, FixedModel(-1.0))]
+    tied = [(4, constant_model(0.5)), (2, constant_model(0.5)), (7, constant_model(-1.0))]
     assert accuracy(tied, one_row(2)) == 1.0  # exact tie goes to the smaller class
     assert accuracy(list(reversed(tied)), one_row(2)) == 1.0  # regardless of list order
     with pytest.raises(ValueError, match="nonempty"):
@@ -111,13 +100,13 @@ def test_classify_matches_sign_rule_in_binary_case():
     rng = np.random.default_rng(8)
     for _ in range(50):
         f = float(rng.standard_normal())
-        models = [(0, FixedModel(f)), (1, FixedModel(-f))]
+        models = [(0, constant_model(f)), (1, constant_model(-f))]
         want = 0 if f > 0 else (1 if f < 0 else 0)
         assert accuracy(models, one_row(want)) == 1.0
 
 
 def test_accuracy_all_correct_and_fixture():
-    models = [(0, FixedModel(1.0)), (1, FixedModel(-1.0))]
+    models = [(0, constant_model(1.0)), (1, constant_model(-1.0))]
     test = Dataset("t", np.zeros((4, 3)), np.zeros(4, dtype=int))
     assert accuracy(models, test) == 1.0
     # constant predictor says class 0; hand count: 2 of 5 rows are class 0
@@ -260,7 +249,7 @@ def test_shared_kernel_between_arms():
     train_t, test_t = sample_protocol(target, 3, 1)
     hfa_models = train_multiclass(source, train_t, cfg)
     base = svm_t_baseline(train_t, cfg)
-    kernels = {m.expansion.kernel for _, m in hfa_models} | {m.kernel for _, m in base}
+    kernels = {m.kernel for _, m in hfa_models} | {m.kernel for _, m in base}
     assert kernels == {prepare_kernels(source.X, train_t.X, cfg).kernel_target}
     assert accuracy(hfa_models, test_t) == run.hfa.accuracies[0]
     assert accuracy(base, test_t) == run.svm_t.accuracies[0]

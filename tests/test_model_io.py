@@ -79,14 +79,28 @@ def test_single_model_round_trip_exact(tmp_path):
     b = loaded.decision_function(X)
     assert np.array_equal(a, b)  # exact float reproduction, stronger than 1e-12
     assert np.max(np.abs(a - b)) <= 1e-12
-    assert np.array_equal(loaded.coef, model.expansion.coef)
-    assert loaded.bias == model.expansion.bias
-    assert np.array_equal(loaded.X, model.expansion.X)
-    assert loaded.kernel == model.expansion.kernel
+    assert np.array_equal(loaded.coef, model.coef)
+    assert loaded.bias == model.bias
+    assert np.array_equal(loaded.X, model.X)
+    assert loaded.kernel == model.kernel
     # a reloaded set saves back to the same bytes
     again = tmp_path / "again.json"
     save_model_set(loaded_set.models, again, loaded_set.metadata)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_trained_model_is_its_expansion(tmp_path):
+    # a trained HfaModel saves and scores as the plain expansion of its four fields
+    target, models = small_set()
+    plain = [(c, KernelExpansion(m.X, m.kernel, m.coef, m.bias)) for c, m in models]
+    assert all(isinstance(m, KernelExpansion) for _, m in models)
+    save_model_set(models, tmp_path / "trained.json")
+    save_model_set(plain, tmp_path / "plain.json")
+    assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    X = np.random.default_rng(3).standard_normal((10, target.dim))
+    assert np.array_equal(decision_matrix(models, X)[1], decision_matrix(plain, X)[1])
+    for (_, m), (_, e) in zip(models, plain):
+        assert np.array_equal(m.decision_function(X), e.decision_function(X))
 
 
 def test_model_set_bytes_match_json_dump(tmp_path):
@@ -111,9 +125,9 @@ def test_model_set_round_trip(tmp_path):
     for (c0, m0), (c1, m1) in zip(models, loaded.models):
         assert c0 == c1
         assert np.array_equal(m0.decision_function(X), m1.decision_function(X))
-        assert np.array_equal(m1.coef, m0.expansion.coef)
-        assert m1.bias == m0.expansion.bias
-        assert np.array_equal(m1.X, m0.expansion.X)
+        assert np.array_equal(m1.coef, m0.coef)
+        assert m1.bias == m0.bias
+        assert np.array_equal(m1.X, m0.X)
         assert m1.X is shared  # one X_t array serves every class
         assert m1.coef.flags.c_contiguous
 
@@ -205,7 +219,7 @@ def test_wrong_format_tag(tmp_path):
 
 def test_single_model_format_rejected(tmp_path):
     # the retired one-model record: kernel, X_t, a coef vector and a scalar bias
-    e = small_model().expansion
+    e = small_model()
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "format": "hfa-model", "version": 2,

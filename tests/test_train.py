@@ -231,7 +231,7 @@ def test_training_is_deterministic():
     b = hfa_train(source, target, cfg)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.metric.matrix, b.metric.matrix)
-    assert a.expansion.bias == b.expansion.bias
+    assert a.bias == b.bias
 
 
 def test_prediction_consistent_with_working_kernel():
@@ -242,7 +242,7 @@ def test_prediction_consistent_with_working_kernel():
         pk = prepare_kernels(source.X, target.X, cfg)
         model = hfa_train(source, target, cfg, kernels=pk)
         KH = build_KH_kernelized(pk, model.metric)
-        expansion = KH @ model.beta + model.expansion.bias
+        expansion = KH @ model.beta + model.bias
         n_s = len(source)
         for j in range(len(target)):
             assert np.isclose(model.decision_function(target.X[j][None, :])[0], expansion[n_s + j], atol=1e-8)
@@ -336,6 +336,15 @@ def test_decision_function_shape_errors():
     with pytest.raises(ValueError, match="dimension"):
         model.decision_function(np.zeros((2, target.dim + 2)))
     assert model.decision_function(np.empty((0, target.dim))).size == 0
+
+
+@pytest.mark.parametrize("family", ["linear", "rbf"])
+def test_decision_function_of_no_rows(family):
+    # cross_gram returns an (n_t, 0) block, which scores to shape (0,)
+    source, target = binary_pair(seed=10)
+    model = hfa_train(source, target, HfaConfig(kernel_family=family, t_max=5))
+    scores = model.decision_function(target.X[:0])
+    assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 def test_objective_trace_starts_at_uncoupled_budget_spread():
