@@ -31,9 +31,13 @@ from hfa.data import (
     standardize_fit,
 )
 from hfa.evaluate import decision_matrix, render_report, run_experiment, train_multiclass
-from hfa.model_io import load_model_set, save_model_set
+from hfa.model_io import _standardization, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
+
+# prediction rows formatted per block: the text of one block, not of the
+# whole predictions file, is held at once
+_WRITE_ROWS = 1024
 
 
 def _parse_optional_float(text: str):
@@ -222,25 +226,32 @@ def cmd_train(cfg: CliConfig) -> None:
     print(f"wrote {out}: {len(models)} models")
 
 
+def _write_predictions(path, classes: np.ndarray, scores: np.ndarray) -> None:
+    """One CSV line per row, formatted a block of _WRITE_ROWS rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("row,predicted_class," + ",".join(f"score_class{c}" for c in classes) + "\n")
+        for start in range(0, len(scores), _WRITE_ROWS):
+            block = scores[start : start + _WRITE_ROWS]
+            predicted = classes[np.argmax(block, axis=1)].tolist()
+            for i, (label, row) in enumerate(zip(predicted, block.tolist()), start):
+                fh.write(f"{i},{label},{','.join(map(repr, row))}\n")
+
+
 def cmd_predict(cfg: CliConfig) -> None:
-    model_set = load_model_set(_require_path(cfg.model, "--model"))
+    model_path = _require_path(cfg.model, "--model")
+    model_set = load_model_set(model_path)
     test = _load_dataset(_require_path(cfg.target, "--target"))
     d_t = model_set.models[0][1].dim
     if len(test) and test.dim != d_t:
         raise ValueError(f"test features have dimension {test.dim}, model expects target dimension {d_t}")
-    X = test.X
+    count, X = len(test), test.X
+    del test  # X then holds the only copy of the query rows, which standardizing replaces
     if "standardize" in model_set.metadata:
-        params = model_set.metadata["standardize"]
-        X = standardize_apply(X, np.asarray(params["target_mean"]), np.asarray(params["target_scale"]))
+        X = standardize_apply(X, *_standardization(model_set.metadata, model_path, d_t))
     classes, scores = decision_matrix(list(model_set.models), X)
-    predicted = classes[np.argmax(scores, axis=1)]
-    header = "row,predicted_class," + ",".join(f"score_class{c}" for c in classes)
-    lines = [header]
-    for i, (label, row) in enumerate(zip(predicted.tolist(), scores.tolist())):
-        lines.append(f"{i},{label},{','.join(map(repr, row))}")
     out = cfg.out if cfg.out is not None else "predictions.csv"
-    _atomic(out, lambda tmp: tmp.write_text("\n".join(lines) + "\n", encoding="utf-8"))
-    print(f"wrote {out}: {len(test)} predictions")
+    _atomic(out, lambda tmp: _write_predictions(tmp, classes, scores))
+    print(f"wrote {out}: {count} predictions")
 
 
 def cmd_experiment(cfg: CliConfig) -> None:

@@ -39,6 +39,15 @@ from hfa.svm import DegenerateProblemError, DualSolution, solve_dual, trusted_pr
 SVM_TOL = 1e-6
 # most halvings of a Frank-Wolfe step (600 random small problems needed 17)
 _MAX_HALVINGS = 60
+# bytes of one n_t x rows float64 cross-kernel block when scoring query
+# rows: prediction memory is bounded by a block, not by the query's length
+_BLOCK_BYTES = 1 << 18
+# scoring blocks have a multiple of this many rows and none has fewer, so
+# that each score rounds as in one product over all the rows: OpenBLAS
+# (0.3.31, AVX-512 x86-64) rounds the rows past a product's last full
+# 16-row group with other kernels, and differently again when the product
+# has at most 192 rows
+_BLOCK_ALIGN = 256
 
 __all__ = [
     "HfaConfig",
@@ -306,13 +315,51 @@ class KernelExpansion:
             raise ValueError(f"expected target-domain rows of dimension {self.dim}, got {X.shape}")
         return X
 
-    def from_block(self, K: np.ndarray) -> np.ndarray:
-        """Decision values from K = cross_gram(kernel, self.X, rows), shape (rows,)."""
-        return K.T @ self.coef + self.bias
-
     def decision_function(self, X) -> np.ndarray:
-        """Decision values for target-domain rows X, shape (m,)."""
-        return self.from_block(cross_gram(self.kernel, self.X, self.query_rows(X)))
+        """Decision values for target-domain rows X, shape (m,).
+
+        Scored in row blocks by the loop a set of expansions shares
+        (hfa.evaluate.decision_matrix), so a model scores the same alone
+        and in a set, bit for bit.
+        """
+        return _decision_columns([self], X)[:, 0]
+
+
+def _row_blocks(n_stored: int, m: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks that score m query rows against n_stored stored rows.
+
+    A block has a multiple of _BLOCK_ALIGN rows, as many as an n_stored x
+    rows float64 block in _BLOCK_BYTES allows, and the last block takes a
+    remainder shorter than _BLOCK_ALIGN rows.
+    """
+    step = max(_BLOCK_BYTES // (8 * max(n_stored, 1)) // _BLOCK_ALIGN, 1) * _BLOCK_ALIGN
+    starts = list(range(0, m, step)) or [0]
+    if len(starts) > 1 and m - starts[-1] < _BLOCK_ALIGN:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [m]))
+
+
+def _decision_columns(expansions, X) -> np.ndarray:
+    """Decision values of each expansion for rows X, shape (rows, expansions).
+
+    The rows are scored in the blocks of _row_blocks. For each block,
+    expansions that share one stored-rows array (by identity) and kernel,
+    as a loaded or freshly trained one-vs-rest set does, share one
+    cross_gram block K; each column is then K.T @ coef + bias.
+    """
+    X = expansions[0].query_rows(X)
+    groups = {}  # (id of stored rows, kernel) -> column indices
+    for j, e in enumerate(expansions):
+        groups.setdefault((id(e.X), e.kernel), []).append(j)
+    scores = np.empty((len(X), len(expansions)))
+    for columns in groups.values():
+        first = expansions[columns[0]]
+        rows = first.query_rows(X)  # checks this group's dimension
+        for start, stop in _row_blocks(len(first.X), len(X)):
+            K = cross_gram(first.kernel, first.X, rows[start:stop])
+            for j in columns:
+                scores[start:stop, j] = K.T @ expansions[j].coef + expansions[j].bias
+    return scores
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.core import SVM_TOL, HfaConfig, HfaModel, KernelExpansion, hfa_train, prepare_kernels
+from hfa.core import (
+    SVM_TOL,
+    HfaConfig,
+    HfaModel,
+    KernelExpansion,
+    _decision_columns,
+    hfa_train,
+    prepare_kernels,
+)
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
-from hfa.linalg import cross_gram, gram_matrix
+from hfa.linalg import gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 __all__ = [
@@ -87,26 +95,19 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     pairs, an HfaModel being one.
 
     Returns (classes ascending, scores of shape (rows, classes)); the
-    model list must be nonempty. Expansions that share one stored-rows
-    array and kernel, as a loaded or freshly trained one-vs-rest set does,
-    share one cross_gram block; each class's column is then the
-    matrix-vector product its decision_function computes, so scores are
-    bit-identical to per-model calls.
+    model list must be nonempty. The rows are scored in row blocks sized
+    from a fixed byte budget over the stored rows (n_t), so memory is
+    bounded by one n_t x block cross-kernel, not by the number of query
+    rows. Within a block, expansions that share one stored-rows array and
+    kernel, as a loaded or freshly trained one-vs-rest set does, share one
+    cross_gram; each class's column comes from the loop its
+    decision_function runs, so scores are bit-identical to per-model calls.
     """
     if not models:
         raise ValueError("model list must be nonempty")
     order = sorted(range(len(models)), key=lambda i: models[i][0])
     classes = np.array([models[i][0] for i in order])
-    blocks = {}  # (id of stored rows, kernel) -> cross_gram block
-    columns = []
-    for i in order:
-        model = models[i][1]
-        key = (id(model.X), model.kernel)
-        rows = model.query_rows(X)
-        if key not in blocks:
-            blocks[key] = cross_gram(model.kernel, model.X, rows)
-        columns.append(model.from_block(blocks[key]))
-    return classes, np.column_stack(columns)
+    return classes, _decision_columns([models[i][1] for i in order], X)
 
 
 def accuracy(models, test: Dataset) -> float:

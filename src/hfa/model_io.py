@@ -72,14 +72,23 @@ def _list(value, length: int, path, field: str, per: str) -> list:
 
 
 def _vector(value, length: int, path, field: str, per: str) -> np.ndarray:
-    value = _list(value, length, path, field, per)
+    """A JSON list of exactly `length` finite numbers, as a float array."""
+    value = _numbers(_list(value, length, path, field, per), path, field)
     try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        vec = np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the float range
         raise ModelFormatError(f"{path}: field {field!r}: {exc}") from exc
-    if vec.ndim != 1:
-        raise ModelFormatError(f"{path}: field {field!r} must be a list of numbers")
+    if not np.all(np.isfinite(vec)):
+        raise ModelFormatError(f"{path}: field {field!r} has non-finite values")
     return vec
+
+
+def _numbers(values: list, path, field: str) -> list:
+    """values, if every entry is a JSON number: numpy would also read true and "0.5" as numbers."""
+    for v in values:
+        if type(v) not in (int, float):
+            raise ModelFormatError(f"{path}: field {field!r} has {json.dumps(v)}, not a number")
+    return values
 
 
 def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
@@ -95,13 +104,29 @@ def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
         raise ModelFormatError(f"{path}: field 'kernel': {exc}") from exc
     try:
         X = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: field 'X_t': {exc}") from exc
     if X.ndim != 2:
         raise ModelFormatError(f"{path}: field 'X_t' must be a 2-D array of rows, got shape {X.shape}")
+    for row in rows:
+        _numbers(row, path, "X_t")
     if not np.all(np.isfinite(X)):
         raise ModelFormatError(f"{path}: field 'X_t' has non-finite values")
     return X, spec
+
+
+def _standardization(metadata: dict, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The target_mean and target_scale a model file's metadata.standardize holds, d_t numbers each."""
+    params = metadata["standardize"]
+    if not isinstance(params, dict):
+        raise ModelFormatError(f"{path}: metadata 'standardize' must be an object")
+    mean, scale = (
+        _vector(_require(params, key, path), dim, path, f"metadata.standardize.{key}", "target feature")
+        for key in ("target_mean", "target_scale")
+    )
+    if not np.all(scale > 0):
+        raise ModelFormatError(f"{path}: field 'metadata.standardize.target_scale' must be positive")
+    return mean, scale
 
 
 @dataclass(frozen=True)
@@ -154,16 +179,18 @@ def load_model_set(path) -> ModelSet:
     classes = _require(payload, "classes", path)
     if not isinstance(classes, list) or len(classes) == 0:
         raise ModelFormatError(f"{path}: field 'classes' must be a nonempty list")
-    try:
-        labels = [int(c) for c in classes]
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: field 'classes': {exc}") from exc
+    for c in classes:
+        if type(c) is not int:
+            raise ModelFormatError(f"{path}: field 'classes' entry {json.dumps(c)} is not an integer label")
+    if len(set(classes)) != len(classes):
+        duplicated = sorted({c for c in classes if classes.count(c) > 1})
+        raise ModelFormatError(f"{path}: field 'classes' repeats label(s) {duplicated}")
     X, spec = _shared_from(payload, path)
-    rows = _list(_require(payload, "coef", path), len(labels), path, "coef", "class in 'classes'")
+    rows = _list(_require(payload, "coef", path), len(classes), path, "coef", "class in 'classes'")
     coef = [_vector(row, X.shape[0], path, f"coef[{i}]", "X_t row") for i, row in enumerate(rows)]
-    bias = _vector(_require(payload, "bias", path), len(labels), path, "bias", "class in 'classes'")
+    bias = _vector(_require(payload, "bias", path), len(classes), path, "bias", "class in 'classes'")
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ModelFormatError(f"{path}: metadata must be an object")
-    models = tuple((c, KernelExpansion(X, spec, w, float(b))) for c, w, b in zip(labels, coef, bias))
+    models = tuple((c, KernelExpansion(X, spec, w, float(b))) for c, w, b in zip(classes, coef, bias))
     return ModelSet(models=models, metadata=metadata)

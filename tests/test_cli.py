@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import hfa.core
 from hfa.cli import CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, save_dense_csv
-from hfa.evaluate import train_multiclass
+from hfa.evaluate import decision_matrix, train_multiclass
 from hfa.model_io import load_model_set
 
 
@@ -153,6 +154,50 @@ def test_predict_consistent_with_loaded_models(corpus, tmp_path):
         assert float(s1) == scores[1][i]
         want = 0 if scores[0][i] >= scores[1][i] else 1
         assert int(pred) == want
+
+
+def test_predict_file_of_several_blocks_matches_joined_lines(corpus, tmp_path):
+    # the file is written a block of rows at a time; its bytes are those of
+    # the whole file built as one joined string
+    ms = load_model_set(corpus / "model.json")
+    n_t, d_t = ms.models[0][1].X.shape
+    rows = 5 * hfa.core._row_blocks(n_t, 10**6)[0][1] // 2
+    rng = np.random.default_rng(3)
+    save_dense_csv(Dataset("t", rng.standard_normal((rows, d_t)), rng.integers(0, 2, rows)), tmp_path / "q.csv")
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(corpus / "model.json"), "--target", str(tmp_path / "q.csv"),
+                 "--out", str(out)]) == 0
+    classes, scores = decision_matrix(list(ms.models), load_dense_csv(tmp_path / "q.csv").X)
+    predicted = classes[np.argmax(scores, axis=1)]
+    lines = ["row,predicted_class," + ",".join(f"score_class{c}" for c in classes)]
+    for i, (label, row) in enumerate(zip(predicted.tolist(), scores.tolist())):
+        lines.append(f"{i},{label},{','.join(map(repr, row))}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _with_standardize(corpus, tmp_path, params):
+    record = json.loads((corpus / "model.json").read_text(encoding="utf-8"))
+    record["metadata"] = {"standardize": params}
+    path = tmp_path / "std.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("params, fragment", [
+    ({"target_mean": [0.0] * 8}, "'target_scale'"),
+    ({"target_mean": [0.0] * 7, "target_scale": [1.0] * 8}, "'metadata.standardize.target_mean' has 7 entries"),
+    ({"target_mean": [0.0] * 8, "target_scale": [1.0] * 9}, "'metadata.standardize.target_scale' has 9 entries"),
+    ({"target_mean": [0.0] * 8, "target_scale": [1.0] * 7 + [0.0]}, "must be positive"),
+    ({"target_mean": [0.0] * 7 + ["0"], "target_scale": [1.0] * 8}, "not a number"),
+    ([0.0] * 8, "must be an object"),
+])
+def test_predict_rejects_bad_standardize_metadata(corpus, tmp_path, capsys, params, fragment):
+    model = _with_standardize(corpus, tmp_path, params)
+    assert main(["predict", "--model", str(model), "--target", str(corpus / "target.csv"),
+                 "--out", str(tmp_path / "preds.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err and fragment in err
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_predict_empty_test_file(corpus, tmp_path):

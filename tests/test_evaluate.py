@@ -1,5 +1,6 @@
 """Multiclass wrapping, accuracy, baseline, and experiment-runner tests."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -57,8 +58,8 @@ def test_decision_matrix_builds_one_kernel_block_per_set(monkeypatch):
     base_models = svm_t_baseline(target, FAST)
     X = tiny_pools(seed=9)[1].X
     blocks = []
-    real = evaluate.cross_gram
-    monkeypatch.setattr(evaluate, "cross_gram", lambda *a: blocks.append(a) or real(*a))
+    real = hfa.core.cross_gram
+    monkeypatch.setattr(hfa.core, "cross_gram", lambda *a: blocks.append(a) or real(*a))
     for models in (hfa_models, base_models):
         blocks.clear()
         _, scores = decision_matrix(models, X)
@@ -68,6 +69,54 @@ def test_decision_matrix_builds_one_kernel_block_per_set(monkeypatch):
     blocks.clear()
     _, scores = decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], X)
     assert len(blocks) == 2 and np.array_equal(scores[:, -1], np.full(len(X), 0.5))
+    # a query of 2.5 row blocks: one kernel block per set and row block
+    step = hfa.core._row_blocks(len(target), 10**6)[0][1]
+    long = np.resize(X, (5 * step // 2, X.shape[1]))
+    blocks.clear()
+    decision_matrix(hfa_models, long)
+    assert [len(b[2]) for b in blocks] == [step, step, len(long) - 2 * step]
+    # over one stored row, the constant model's row blocks hold every query row
+    blocks.clear()
+    decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], long)
+    assert len(blocks) == 3 + 1
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.3)], ids=["linear", "rbf"])
+def test_blocked_scores_equal_per_model_and_per_block(kernel):
+    rng = np.random.default_rng(4)
+    stored = rng.standard_normal((40, 5))
+    models = [(c, KernelExpansion(stored, kernel, rng.standard_normal(40), float(rng.standard_normal())))
+              for c in (2, 0, 1)]
+    step = hfa.core._row_blocks(len(stored), 10**6)[0][1]
+    X = rng.standard_normal((5 * step // 2, 5))
+    bounds = hfa.core._row_blocks(len(stored), len(X))
+    assert len(bounds) == 3
+    by_class = dict(models)
+    for rows in (X, X[7], X[:0]):
+        classes, scores = decision_matrix(models, rows)
+        assert scores.shape == (len(np.atleast_2d(rows)), 3)
+        assert np.array_equal(scores, np.column_stack([by_class[c].decision_function(rows) for c in classes]))
+    _, scores = decision_matrix(models, X)
+    for start, stop in bounds:
+        assert np.array_equal(scores[start:stop], decision_matrix(models, X[start:stop])[1])
+
+
+def test_decision_matrix_memory_is_one_block():
+    # the parent built the whole n_t x rows cross-kernel, and a second array
+    # of that size inside cross_gram: a traced peak of twice the bound below
+    rng = np.random.default_rng(5)
+    stored = rng.standard_normal((100, 20))
+    models = [(c, KernelExpansion(stored, KernelSpec("rbf", 0.05), rng.standard_normal(100), 0.0))
+              for c in range(6)]
+    X = rng.standard_normal((5000, 20))
+    assert len(hfa.core._row_blocks(len(stored), len(X))) >= 3
+    tracemalloc.start()
+    try:
+        decision_matrix(models, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(stored) * len(X) * 8  # one unblocked float64 cross-kernel
 
 
 def test_single_class_target_rejected():

@@ -303,6 +303,45 @@ def test_X_t_must_be_a_finite_matrix(tmp_path, rows, fragment):
     _rejected(path, "'X_t'", fragment)
 
 
+@pytest.mark.parametrize("label", [1.5, True, "1", None])
+def test_class_labels_must_be_json_integers(tmp_path, label):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r["classes"].__setitem__(1, label))
+    _rejected(path, "'classes'", f"entry {json.dumps(label)} is not an integer label")
+
+
+def test_duplicate_class_label_rejected(tmp_path):
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r.update(classes=[2, 0, 2]))
+    _rejected(path, "'classes'", "repeats label(s) [2]")
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None])
+@pytest.mark.parametrize("field", ["coef[1]", "bias", "X_t"])
+def test_coef_bias_and_rows_must_be_numbers(tmp_path, field, value):
+    path = _set_file(tmp_path)
+
+    def edit(record):
+        entries = {"coef[1]": record["coef"][1], "bias": record["bias"], "X_t": record["X_t"][2]}[field]
+        entries[0] = value
+
+    edit_record(path, edit)
+    _rejected(path, f"'{field}'", f"has {json.dumps(value)}, not a number")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("field", ["coef[1]", "bias"])
+def test_coef_and_bias_must_be_finite(tmp_path, field, value):
+    path = _set_file(tmp_path)
+
+    def edit(record):
+        (record["coef"][1] if field == "coef[1]" else record["bias"])[-1] = value
+
+    edit_record(path, edit)
+    _rejected(path, f"'{field}'")
+
+
 def test_unknown_kernel_family(tmp_path):
     path = _set_file(tmp_path)
     edit_record(path, lambda r: r["kernel"].update(family="poly"))
