@@ -101,6 +101,16 @@ def test_blocked_scores_equal_per_model_and_per_block(kernel):
         assert np.array_equal(scores[start:stop], decision_matrix(models, X[start:stop])[1])
 
 
+def test_row_blocks_are_aligned_and_never_short():
+    step = hfa.core._row_blocks(40, 10**6)[0][1]
+    assert step % 256 == 0 and 40 * step * 8 <= hfa.core._BLOCK_BYTES
+    assert hfa.core._row_blocks(40, 0) == [(0, 0)]
+    # a remainder under 256 rows joins the last block, one of 256 or more is a block
+    assert hfa.core._row_blocks(40, 2 * step + 255) == [(0, step), (step, 2 * step + 255)]
+    assert hfa.core._row_blocks(40, 2 * step + 256) == [(0, step), (step, 2 * step), (2 * step, 2 * step + 256)]
+    assert hfa.core._row_blocks(10**5, 300) == [(0, 300)]  # at least 256 rows, whatever n_t
+
+
 def test_decision_matrix_memory_is_one_block():
     # the parent built the whole n_t x rows cross-kernel, and a second array
     # of that size inside cross_gram: a traced peak of twice the bound below
