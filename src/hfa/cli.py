@@ -12,6 +12,7 @@ the requested artifact was fully written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -31,7 +32,7 @@ from hfa.data import (
     standardize_fit,
 )
 from hfa.evaluate import decision_matrix, render_report, run_experiment, train_multiclass
-from hfa.model_io import _standardization, load_model_set, save_model_set
+from hfa.model_io import ModelFormatError, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
 
@@ -226,6 +227,36 @@ def cmd_train(cfg: CliConfig) -> None:
     print(f"wrote {out}: {len(models)} models")
 
 
+def _target_standardization(metadata: dict, path, d_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The target_mean and target_scale that cmd_train writes to metadata["standardize"]:
+    d_t finite numbers each, every scale positive."""
+    params = metadata["standardize"]
+    if not isinstance(params, dict):
+        raise ModelFormatError(f"{path}: metadata 'standardize' must be an object")
+    vectors = []
+    for key in ("target_mean", "target_scale"):
+        field = f"metadata.standardize.{key}"
+        if key not in params:
+            raise ModelFormatError(f"{path}: missing field {key!r}")
+        values = params[key]
+        if not isinstance(values, list) or len(values) != d_t:
+            got = f"{len(values)} entries" if isinstance(values, list) else f"a {type(values).__name__}"
+            raise ModelFormatError(f"{path}: field {field!r} has {got}, expected {d_t} (one per target feature)")
+        for v in values:
+            if type(v) not in (int, float):  # numpy would also read true and "0.5" as numbers
+                raise ModelFormatError(f"{path}: field {field!r} has {json.dumps(v)}, not a number")
+        try:
+            vec = np.array(values, dtype=float)
+        except OverflowError as exc:  # an integer literal beyond the float range
+            raise ModelFormatError(f"{path}: field {field!r}: {exc}") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ModelFormatError(f"{path}: field {field!r} has non-finite values")
+        vectors.append(vec)
+    if not np.all(vectors[1] > 0):
+        raise ModelFormatError(f"{path}: field 'metadata.standardize.target_scale' must be positive")
+    return vectors[0], vectors[1]
+
+
 def _write_predictions(path, classes: np.ndarray, scores: np.ndarray) -> None:
     """One CSV line per row, formatted a block of _WRITE_ROWS rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -247,7 +278,7 @@ def cmd_predict(cfg: CliConfig) -> None:
     count, X = len(test), test.X
     del test  # X then holds the only copy of the query rows, which standardizing replaces
     if "standardize" in model_set.metadata:
-        X = standardize_apply(X, *_standardization(model_set.metadata, model_path, d_t))
+        X = standardize_apply(X, *_target_standardization(model_set.metadata, model_path, d_t))
     classes, scores = decision_matrix(list(model_set.models), X)
     out = cfg.out if cfg.out is not None else "predictions.csv"
     _atomic(out, lambda tmp: _write_predictions(tmp, classes, scores))

@@ -115,20 +115,6 @@ def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
     return X, spec
 
 
-def _standardization(metadata: dict, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The target_mean and target_scale a model file's metadata.standardize holds, d_t numbers each."""
-    params = metadata["standardize"]
-    if not isinstance(params, dict):
-        raise ModelFormatError(f"{path}: metadata 'standardize' must be an object")
-    mean, scale = (
-        _vector(_require(params, key, path), dim, path, f"metadata.standardize.{key}", "target feature")
-        for key in ("target_mean", "target_scale")
-    )
-    if not np.all(scale > 0):
-        raise ModelFormatError(f"{path}: field 'metadata.standardize.target_scale' must be positive")
-    return mean, scale
-
-
 @dataclass(frozen=True)
 class ModelSet:
     """One-vs-rest model collection plus free-form metadata.

@@ -19,7 +19,7 @@ from hfa.evaluate import (
     svm_t_baseline,
     train_multiclass,
 )
-from hfa.linalg import KernelSpec, gram_matrix
+from hfa.linalg import KernelSpec, cross_gram, gram_matrix
 from hfa.svm import DualProblem, solve_dual
 
 
@@ -96,9 +96,12 @@ def test_blocked_scores_equal_per_model_and_per_block(kernel):
         classes, scores = decision_matrix(models, rows)
         assert scores.shape == (len(np.atleast_2d(rows)), 3)
         assert np.array_equal(scores, np.column_stack([by_class[c].decision_function(rows) for c in classes]))
-    _, scores = decision_matrix(models, X)
+    classes, scores = decision_matrix(models, X)
     for start, stop in bounds:
         assert np.array_equal(scores[start:stop], decision_matrix(models, X[start:stop])[1])
+    # and blocking rounds every score as one product over all the rows does
+    K = cross_gram(kernel, stored, X)
+    assert np.array_equal(scores, np.column_stack([K.T @ by_class[c].coef + by_class[c].bias for c in classes]))
 
 
 def test_row_blocks_are_aligned_and_never_short():

@@ -10,9 +10,10 @@ Run from anywhere inside the repository:
 The parent commit is exported with `git archive REV | tar -x` into a
 temporary directory, so the repository's `.git` is left alone; the
 change side is this working tree. Each pair runs this tree's
-`bench/run.py --workload W --seed S --seconds 30 --trace 0` once with the
-working directory set to each side, one run at a time. The side that goes
-first alternates from pair to pair, parent first on the first pair. For
+`bench/run.py --workload W --seed S --seconds R --trace 0` once with the
+working directory set to each side, one run at a time; R is the
+`run_seconds` of BENCHMARK.json. The side that goes first alternates
+from pair to pair, parent first on the first pair. For
 every end-to-end metric in BENCHMARK.json the file gives each side's
 runs, median and quartiles (`statistics.quantiles(runs, n=4)`), the pairs
 the change won (ties count for neither side), the change of the median
@@ -85,7 +86,7 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def bench_run(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(side: Path, workload: str, seed: int, seconds: int) -> dict:
     """One end-to-end run of this tree's bench/run.py in `side`; its final JSON line."""
     proc = subprocess.run(
         [sys.executable, str(REPO / "bench" / "run.py"), "--workload", workload, "--seed", str(seed),
@@ -125,14 +126,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"), help="e.g. 1-10")
     parser.add_argument("--held-out-seed", type=int)
     parser.add_argument("--held-out-pairs", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", default="")
     args = parser.parse_args(argv)
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, check=True,
                           capture_output=True, text=True).stdout.strip()
     report = {
-        "about": f"bench/run.py --seconds {args.seconds:g} --trace 0, written by tools/bench_pairs.py: "
+        "about": f"bench/run.py --seconds {seconds} --trace 0, written by tools/bench_pairs.py: "
                  "parent exported with git archive, change is the working tree; one run at a time, "
                  "the side that goes first alternating from pair to pair (parent first on the first)",
         "parent_commit": None,
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
                 order += 1
                 pair = {"seed": seed, "held_out": held_out, "first": first}
                 for side in (first, SIDES[1 - SIDES.index(first)]):
-                    pair[side] = bench_run(roots[side], workload, seed, args.seconds)
+                    pair[side] = bench_run(roots[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           + ", ".join(f"{k}={v:.6g}" for k, v in pair[side]["metrics"].items()), flush=True)
                 pairs.append(pair)
