@@ -12,7 +12,6 @@ the requested artifact was fully written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -32,7 +31,7 @@ from hfa.data import (
     standardize_fit,
 )
 from hfa.evaluate import decision_matrix, render_report, run_experiment, train_multiclass
-from hfa.model_io import ModelFormatError, load_model_set, save_model_set
+from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
 
@@ -233,25 +232,8 @@ def _target_standardization(metadata: dict, path, d_t: int) -> tuple[np.ndarray,
     params = metadata["standardize"]
     if not isinstance(params, dict):
         raise ModelFormatError(f"{path}: metadata 'standardize' must be an object")
-    vectors = []
-    for key in ("target_mean", "target_scale"):
-        field = f"metadata.standardize.{key}"
-        if key not in params:
-            raise ModelFormatError(f"{path}: missing field {key!r}")
-        values = params[key]
-        if not isinstance(values, list) or len(values) != d_t:
-            got = f"{len(values)} entries" if isinstance(values, list) else f"a {type(values).__name__}"
-            raise ModelFormatError(f"{path}: field {field!r} has {got}, expected {d_t} (one per target feature)")
-        for v in values:
-            if type(v) not in (int, float):  # numpy would also read true and "0.5" as numbers
-                raise ModelFormatError(f"{path}: field {field!r} has {json.dumps(v)}, not a number")
-        try:
-            vec = np.array(values, dtype=float)
-        except OverflowError as exc:  # an integer literal beyond the float range
-            raise ModelFormatError(f"{path}: field {field!r}: {exc}") from exc
-        if not np.all(np.isfinite(vec)):
-            raise ModelFormatError(f"{path}: field {field!r} has non-finite values")
-        vectors.append(vec)
+    vectors = [_vector(_require(params, key, path), d_t, path, f"metadata.standardize.{key}", "target feature")
+               for key in ("target_mean", "target_scale")]
     if not np.all(vectors[1] > 0):
         raise ModelFormatError(f"{path}: field 'metadata.standardize.target_scale' must be positive")
     return vectors[0], vectors[1]

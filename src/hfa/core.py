@@ -9,16 +9,18 @@ started) at each trial step, and stops on a certified saddle gap;
 prediction needs target kernel values only.
 
 The one shipped training path is kernelized: its metric has order
-n_s+n_t over per-domain Gram square roots. The paper's explicit path,
-with a metric of order d_s+d_t over raw features, lives next to the
-tests as an oracle (tests/linear_oracle.py) and runs the same outer loop;
-the optimal objectives of the two agree when the linear kernel is used
-and sample counts do not exceed feature dimensions.
+n_s+n_t over per-domain Gram square roots L, and the trainer reads it
+only through dual vectors and M = L'L, with no L formed (hfa.metric).
+The paper's explicit path, with a metric of order d_s+d_t over raw
+features, lives next to the tests as an oracle (tests/linear_oracle.py)
+and runs the same outer loop; the optimal objectives of the two agree
+when the linear kernel is used and sample counts do not exceed feature
+dimensions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,20 +115,21 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ridged square root of a Gram matrix and its paired inverse factor.
+    """The ridged Gram M = L'L of a Gram matrix's square root L, and its coef map Q.
 
-    Eigendirections below 1e-12 of the largest eigenvalue are zeroed in
-    both factors, which makes inv @ K == sqrt hold to round-off; the
-    predictor relies on that identity to reproduce training-kernel
-    decision values exactly.
+    With K = V diag(w) V', L = V diag(sqrt(w + ridge)) V' lifts dual
+    coefficients into the metric space, so M = V diag(w + ridge) V' and
+    Q = V diag((w + ridge) / w) V'. Eigendirections below 1e-12 of the
+    largest eigenvalue are zeroed in both, which makes Q @ K == M hold to
+    round-off; the predictor relies on that identity to reproduce
+    training-kernel decision values exactly. Both are exactly symmetric.
     """
     w, V = sym_eigen(K)
     wmax = w[0] if w.size and w[0] > 0 else 0.0
     keep = w > 1e-12 * wmax
     safe_w = np.where(keep, w, 1.0)
-    s = np.where(keep, np.sqrt(safe_w + ridge), 0.0)
-    inv = np.where(keep, s / safe_w, 0.0)
-    return symmetrize((V * s) @ V.T), symmetrize((V * inv) @ V.T)
+    ridged = np.where(keep, safe_w + ridge, 0.0)
+    return symmetrize((V * ridged) @ V.T), symmetrize((V * (ridged / safe_w)) @ V.T)
 
 
 @dataclass(frozen=True)
@@ -134,30 +137,25 @@ class PrecomputedKernels:
     """Gram factors shared by all models on one training set.
 
     base is blockdiag(Ks, Kt), the working kernel at a zero metric, and
-    lift blockdiag of their ridged square roots, which maps dual
-    coefficients into the metric space (v = lift @ beta); kt_inv_sqrt @ Kt
-    == kt_sqrt up to round-off. base must be finite and exactly symmetric
-    and lift finite (checked here), as the trainer builds its working
+    gram is M = L'L = blockdiag(Ms, Mt) for the lift L = blockdiag of
+    their ridged square roots, which maps dual coefficients into the
+    metric space (v = L beta); the trainer reads the metric through M
+    alone. coef_map is the target block's Q of _sqrt_factors, with
+    coef_map @ Kt == Mt up to round-off. base and gram must be finite and
+    exactly symmetric (checked here), as the trainer builds its working
     kernels from them unchecked.
     """
 
     kernel_target: KernelSpec
     base: np.ndarray
-    lift: np.ndarray
-    kt_inv_sqrt: np.ndarray
-    _couplings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    gram: np.ndarray
+    coef_map: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.base)) and np.array_equal(self.base, self.base.T)):
-            raise ValueError("kernel base must be finite and exactly symmetric")
-        if not np.all(np.isfinite(self.lift)):
-            raise ValueError("kernel lift must be finite")
-
-    def start_coupling(self, lam: float) -> np.ndarray:
-        """_start_coupling(lift, lam), built on first use for each lam and kept."""
-        if lam not in self._couplings:
-            self._couplings[lam] = _start_coupling(self.lift, lam)
-        return self._couplings[lam]
+        for name in ("base", "gram"):
+            a = getattr(self, name)
+            if not (np.all(np.isfinite(a)) and np.array_equal(a, a.T)):
+                raise ValueError(f"kernel {name} must be finite and exactly symmetric")
 
 
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
@@ -165,13 +163,10 @@ def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) 
     spec_t = cfg.kernel_spec_for(target_X)
     Ks = gram_matrix(cfg.kernel_spec_for(source_X), source_X)
     Kt = gram_matrix(spec_t, target_X)
-    ks_sqrt, _ = _sqrt_factors(Ks, default_ridge(Ks))
-    kt_sqrt, kt_inv_sqrt = _sqrt_factors(Kt, default_ridge(Kt))
+    ms, _ = _sqrt_factors(Ks, default_ridge(Ks))
+    mt, coef_map = _sqrt_factors(Kt, default_ridge(Kt))
     return PrecomputedKernels(
-        kernel_target=spec_t,
-        base=_block_diag(Ks, Kt),
-        lift=_block_diag(ks_sqrt, kt_sqrt),
-        kt_inv_sqrt=kt_inv_sqrt,
+        kernel_target=spec_t, base=_block_diag(Ks, Kt), gram=_block_diag(ms, mt), coef_map=coef_map,
     )
 
 
@@ -185,11 +180,6 @@ def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
         raise DegenerateProblemError("both classes must appear across the two domains")
 
 
-def _start_coupling(lift: np.ndarray, lam: float) -> np.ndarray:
-    """L'H0L at the start metric H0 = initial_metric(order, lam), whose scale is lam / order."""
-    return symmetrize(lift.T @ ((lam / lift.shape[0]) * lift))
-
-
 @dataclass(frozen=True)
 class OuterStep(DualSolution):
     """An outer iteration as the trainer's monitor sees it: the accepted
@@ -200,51 +190,56 @@ class OuterStep(DualSolution):
     halved: tuple[float, ...]
 
 
-def _alternate(base: np.ndarray, lift: np.ndarray, coupling: np.ndarray, y: np.ndarray, cfg: HfaConfig, monitor=None):
-    """Run the alternation; returns (metric, final solution, objective trace, saddle gap).
+def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, monitor=None):
+    """Run the alternation; returns (metric, final solution, gram @ its beta, objective trace, saddle gap).
 
-    base is F, lift is L (order x n), so the metric has order lift.shape[0],
-    and coupling is _start_coupling(L, cfg.lam); both paths share this loop
-    (the explicit oracle passes its own F and L).
+    base is F and gram is M = L'L for the lift L (order x n) of dual
+    coefficients into the metric space, v = L beta; both paths share this
+    loop (the explicit oracle passes its own F, M and order). L is never
+    formed: every lifted vector the loop needs is L times a dual vector,
+    so h'v = c'M beta, ||v||^2 = beta'M beta and L'h = M c for h = L c.
 
     P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
     fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
-    rank-1 vertex lam*hh', h = v/||v||, v = L beta. Each outer iteration is
-    one Frank-Wolfe step H <- (1-t)H + t*lam*hh' (Jaggi, ICML 2013), so the
-    working kernel is K(t) = F + (1-t)*coupling + t*lam*uu' with u = L'h.
-    By Danskin's theorem dP/dt = -1/2 (lam (u'beta_t)^2 - beta_t' coupling
-    beta_t) at the dual solution for K(t); t = 1 is taken when that slope is
-    not positive there, else the lower of t = 1 and the secant root of the
-    slope between t = 0 and 1, halved until P does not rise, or at most
-    _MAX_HALVINGS times: then the step is t = 0 and the loop ends, as the
-    next iteration would repeat this one. With F finite and exactly
-    symmetric and L finite, each working kernel is too by construction, so
-    it reaches solve_dual unchecked (trusted_problem); only u is checked.
+    rank-1 vertex lam*hh', h = v/||v|| = L c with c = beta/sqrt(beta'M beta).
+    Each outer iteration is one Frank-Wolfe step H <- (1-t)H + t*lam*hh'
+    (Jaggi, ICML 2013), so the working kernel is K(t) = F + (1-t)*coupling
+    + t*lam*uu' with u = L'h = Mc, from coupling = L'HL = (lam/order)*M at
+    the start metric. By Danskin's theorem dP/dt = -1/2 (lam (u'beta_t)^2 -
+    beta_t' coupling beta_t) at the dual solution for K(t); t = 1 is taken
+    when that slope is not positive there, else the lower of t = 1 and the
+    secant root of the slope between t = 0 and 1, halved until P does not
+    rise, or at most _MAX_HALVINGS times: then the step is t = 0 and the
+    loop ends, as the next iteration would repeat this one. With F and M
+    finite and exactly symmetric, each working kernel is too by
+    construction, so it reaches solve_dual unchecked (trusted_problem);
+    only u is checked.
 
     Every solve's alpha also gives L(alpha) = 1'alpha - 1/2 beta'F beta -
-    1/2 lam ||L beta||^2, a lower bound on the saddle value, so
+    1/2 lam beta'M beta, a lower bound on the saddle value, so
     (P - max L) / |P| is a certified relative gap. The loop stops one step
     after it reaches cfg.conv_tol, which bounds that last step's change of
     P by conv_tol too, or after cfg.t_max solves are accepted.
     """
     lam = cfg.lam
-    metric = initial_metric(lift.shape[0], lam)
+    metric = initial_metric(order, lam, gram.shape[0])
+    coupling = (lam / order) * gram
     sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL)
     lower = -np.inf
 
-    def slope(s, t, w):
-        # dP/dt at the solution s for K(t), w = L s.beta; s's alpha also
+    def slope(s, t, m):
+        # dP/dt at the solution s for K(t), m = M s.beta; s's alpha also
         # tightens the bound
         nonlocal lower
-        energy, along = metric.energy(w), lam * float(h @ w) ** 2
-        lower = max(lower, s.objective + 0.5 * ((1.0 - t) * energy + t * along - lam * float(w @ w)))
+        energy, along = metric.energy(s.beta, m), lam * float(c @ m) ** 2
+        lower = max(lower, s.objective + 0.5 * ((1.0 - t) * energy + t * along - lam * float(s.beta @ m)))
         return -0.5 * (along - energy)
 
     def trial(t):
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
         s = solve_dual(trusted_problem(base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
-        return s, coupling_t, slope(s, t, lift @ s.beta)
+        return s, coupling_t, slope(s, t, gram @ s.beta)
 
     objective = []
     reached = False
@@ -255,7 +250,7 @@ def _alternate(base: np.ndarray, lift: np.ndarray, coupling: np.ndarray, y: np.n
                 break
             reached = gap <= cfg.conv_tol
             if slope_0 < 0.0:
-                u = lift.T @ h
+                u = gram @ c
                 if not np.isfinite(lam * float(u @ u)):
                     raise ValueError(f"outer {tau}: the step direction is not finite")
                 t = 1.0
@@ -272,20 +267,23 @@ def _alternate(base: np.ndarray, lift: np.ndarray, coupling: np.ndarray, y: np.n
                 if best.objective > sol.objective:
                     reached = True  # t = 0: the next iteration would repeat this one
                 else:
-                    metric = metric.rank1_update(1.0 - t, t * lam, h)
+                    metric = metric.rank1_update(1.0 - t, t * lam, c)
                     coupling, sol = coupling_t, best
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
                 sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
-        v = lift @ sol.beta
-        norm = np.sqrt(float(v @ v))
-        h = v / norm if norm > 0.0 else v  # v = 0 leaves no direction, and slope 0
-        slope_0 = slope(sol, 0.0, v)
+        m = gram @ sol.beta
+        norm2 = float(sol.beta @ m)
+        if norm2 > 0.0:
+            c = sol.beta / np.sqrt(norm2)
+        else:  # v = 0, so M beta = 0 up to round-off: no direction, and slope 0
+            c = m = np.zeros_like(m)
+        slope_0 = slope(sol, 0.0, m)
         gap = (sol.objective - lower) / max(abs(sol.objective), 1e-12)
         objective.append(sol.objective)
         if monitor is not None:
             monitor(tau, metric, OuterStep(**vars(sol), gap=gap, halved=tuple(halved)))
-    return metric, sol, np.array(objective), gap
+    return metric, sol, m, np.array(objective), gap
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ class KernelExpansion:
     """Deployed predictor f(x) = k(X, x)' coef + bias over stored target rows X.
 
     Both experiment arms predict in this form: the cross-domain model
-    (HfaModel) with coef = Kt^{-1/2} (H v)_t + beta_t, the target-only SVM
+    (HfaModel) with coef = Q_t g_t + beta_t (L g = H v, see hfa_train), the target-only SVM
     with coef = beta. It is all that a saved model keeps.
     """
 
@@ -408,15 +406,13 @@ def hfa_train(
     _validate_binary_pair(source, target)
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
-    elif kernels.base.shape[0] != len(source) + len(target) or kernels.kt_inv_sqrt.shape[0] != len(target):
+    elif kernels.base.shape[0] != len(source) + len(target) or kernels.coef_map.shape[0] != len(target):
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, trace, gap = _alternate(kernels.base, kernels.lift, kernels.start_coupling(cfg.lam), y, cfg, monitor)
+    metric, sol, m, trace, gap = _alternate(kernels.base, kernels.gram, len(y), y, cfg, monitor)
+    # H v = L g, and the target rows of L'L g are Mt g_t = Kt Q_t g_t
     n_s = len(source)
-    lift = kernels.lift
-    beta_s, beta_t = sol.beta[:n_s], sol.beta[n_s:]
-    v = np.concatenate([lift[:n_s, :n_s] @ beta_s, lift[n_s:, n_s:] @ beta_t])
-    coef = kernels.kt_inv_sqrt @ metric.apply(v)[n_s:] + beta_t
+    coef = kernels.coef_map @ metric.apply(sol.beta, m)[n_s:] + sol.beta[n_s:]
     return HfaModel(
         X=target.X, kernel=kernels.kernel_target, coef=coef, bias=sol.bias,
         metric=metric, beta=sol.beta, objective_trace=trace, saddle_gap=gap,

@@ -1,21 +1,25 @@
-"""Trace-constrained PSD metric in factored form.
+"""Trace-constrained PSD metric in factored form, with atoms in dual coordinates.
 
 At fixed dual coefficients beta the adversarial objective is linear in
 the metric H:
 
-    G(H) = -1/2 (beta' F beta + v' H v),    v = lift @ beta,
+    G(H) = -1/2 (beta' F beta + v' H v),    v = L beta,
 
-with F = base and lift as hfa.core.PrecomputedKernels holds them,
-minimized over the feasible set {H PSD, trace(H) <= budget}. Its
-minimizer is the rank-1 vertex budget * hh', h = v / ||v||. The trainer
-(hfa.core._alternate) takes Frank-Wolfe steps toward that vertex, each
-mapping H to (1 - t) * H + t * budget * hh' with t in [0, 1], from a
-scaled identity, so H is always
+with F the working kernel at a zero metric and L the lift of dual
+coefficients into the metric space, minimized over the feasible set
+{H PSD, trace(H) <= budget}. Its minimizer is the rank-1 vertex
+budget * hh', h = v / ||v||. The trainer (hfa.core._alternate) takes
+Frank-Wolfe steps toward that vertex, each mapping H to
+(1 - t) * H + t * budget * hh' with t in [0, 1], from a scaled identity,
+so H is always
 
-    H = scale * I + sum_k weights[k] * atoms[k] atoms[k]',
+    H = scale * I + sum_k weights[k] * h_k h_k',    ||h_k|| = 1.
 
-which is how TransformMetric stores it. The dense matrix route of the
-subproblem is the reference in tests/metric_oracle.py.
+Every h_k is L times a dual vector, h_k = L c_k, so TransformMetric keeps
+the atoms c_k and reads H only through M = L'L (the gram of
+hfa.core.PrecomputedKernels): h_k'v = c_k'M beta, ||v||^2 = beta'M beta
+and L'h_k = M c_k; L is never formed. The dense matrix route of the subproblem is the reference
+in tests/metric_oracle.py.
 """
 
 from __future__ import annotations
@@ -32,15 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransformMetric:
-    """PSD metric scale * I + sum_k weights[k] * atoms[k] atoms[k]' with a trace budget.
+    """PSD metric scale * I + sum_k weights[k] * h_k h_k' of order `order`, with a trace budget.
 
     The metric couples the two domain blocks of the working kernel; its
     order is n_s+n_t on the kernelized path (d_s+d_t on the explicit
-    path of tests/linear_oracle.py). scale and weights are nonnegative, so the metric is
-    PSD by construction; atoms holds one row per rank-1 term, and its
-    column count is the order.
+    path of tests/linear_oracle.py). Row k of atoms holds the dual
+    coordinates c_k of the unit vector h_k = L c_k, so atoms has one
+    column per training sample whatever the order. scale and weights are
+    nonnegative, so the metric is PSD by construction, and its trace is
+    scale * order + sum(weights).
     """
 
+    order: int
     budget: float
     scale: float
     atoms: np.ndarray
@@ -49,6 +56,8 @@ class TransformMetric:
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        if not self.order >= 1:
+            raise ValueError(f"order must be positive, got {self.order}")
         if not self.budget > 0:
             raise ValueError("trace budget must be positive")
         if not (np.isfinite(self.scale) and self.scale >= 0):
@@ -66,37 +75,29 @@ class TransformMetric:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def order(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
     def trace(self) -> float:
-        return self.scale * self.order + float(self.weights @ np.einsum("ij,ij->i", self.atoms, self.atoms))
+        return self.scale * self.order + float(np.sum(self.weights))
 
-    def energy(self, v: np.ndarray) -> float:
-        """v' H v."""
-        proj = self.atoms @ v
-        return self.scale * float(v @ v) + float(self.weights @ (proj * proj))
+    def energy(self, beta: np.ndarray, m: np.ndarray) -> float:
+        """v' H v for v = L beta, given m = M beta."""
+        proj = self.atoms @ m
+        return self.scale * float(beta @ m) + float(self.weights @ (proj * proj))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v."""
-        return self.scale * v + self.atoms.T @ (self.weights * (self.atoms @ v))
+    def apply(self, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The dual coordinates g of H v (H v = L g) for v = L beta, given m = M beta."""
+        return self.scale * beta + self.atoms.T @ (self.weights * (self.atoms @ m))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense order x order metric, built on each access; for inspection."""
-        roots = self.atoms.T * np.sqrt(self.weights)
-        dense = roots @ roots.T  # numpy's A @ A.T kernel returns an exactly symmetric result
-        dense[np.diag_indices(self.order)] += self.scale
-        return dense
-
-    def rank1_update(self, gamma: float, delta: float, v: np.ndarray) -> TransformMetric:
-        """The metric gamma * H + delta * vv', with one more atom."""
+    def rank1_update(self, gamma: float, delta: float, c: np.ndarray) -> TransformMetric:
+        """The metric gamma * H + delta * hh' for the unit vector h = L c, with c as one
+        more atom; an atom whose weight gamma * weights[k] is not above 0 is dropped."""
+        weights = gamma * self.weights
+        keep = weights > 0.0
         return TransformMetric(
+            self.order,
             self.budget,
             gamma * self.scale,
-            np.vstack([self.atoms, v]),
-            np.append(gamma * self.weights, delta),
+            np.vstack([self.atoms[keep], c]),
+            np.append(weights[keep], delta),
         )
 
     def is_feasible(self, tol: float = 1e-10) -> bool:
@@ -104,9 +105,9 @@ class TransformMetric:
         return self.trace <= self.budget * (1.0 + tol)
 
 
-def initial_metric(order: int, budget: float) -> TransformMetric:
-    """Scaled identity (budget/order) * I, the alternation's start point."""
+def initial_metric(order: int, budget: float, n: int) -> TransformMetric:
+    """Scaled identity (budget/order) * I with no atoms over n dual coordinates,
+    the alternation's start point."""
     if order < 1:
         raise ValueError("order must be positive")
-    return TransformMetric(budget, budget / order, np.empty((0, order)), np.empty(0))
-
+    return TransformMetric(order, budget, budget / order, np.empty((0, n)), np.empty(0))

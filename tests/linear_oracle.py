@@ -6,9 +6,12 @@ metric H = [P, Q]'[P, Q] has order d_s + d_t over raw features. The
 library trains only the kernelized form, whose metric has order n_s + n_t
 over per-domain Gram square roots. This module keeps the explicit form
 for cross-checking at small scale: the augmentation maps, the working
-kernel of either path built from a dense metric matrix, and a trainer
-that runs the library's own Frank-Wolfe loop (hfa.core._alternate) on the
-explicit factors. With a linear kernel and no more samples than feature
+kernel of the explicit path from a dense metric matrix and of the
+kernelized path from a factored one, and a trainer that runs the
+library's own Frank-Wolfe loop (hfa.core._alternate) on the explicit
+factors. The loop reads the metric through M = L'L only, and on the
+explicit path L = blockdiag(Xs, Xt) makes M = blockdiag(Xs'Xs, Xt'Xt),
+the path's own base. With a linear kernel and no more samples than feature
 dimensions the two paths reach the same optimal objective, to round-off
 when the kernelized path's Gram roots carry a tiny fixed ridge
 (kernels_at_ridge).
@@ -48,10 +51,6 @@ def augment_target(x, Q, source_dim: int) -> np.ndarray:
     return np.concatenate([Q @ x, np.zeros(source_dim), x])
 
 
-def _metric_kernel(base: np.ndarray, lift: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return symmetrize(base + lift.T @ (H @ lift))
-
-
 def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(base, lift) of the explicit path for column-sample matrices Xs
     (d_s x n_s) and Xt (d_t x n_t): base = blockdiag(Xs'Xs, Xt'Xt) and
@@ -63,9 +62,10 @@ def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _block_diag(symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt)), _block_diag(Xs, Xt)
 
 
-def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> np.ndarray:
-    """Working kernel of the explicit path; equals the Gram matrix of the
-    augmented vectors when the metric factors as [P,Q]'[P,Q].
+def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric) -> np.ndarray:
+    """Working kernel of the explicit path for a dense metric (metric_oracle.DenseMetric);
+    equals the Gram matrix of the augmented vectors when the metric factors
+    as [P,Q]'[P,Q].
 
     Xs and Xt hold samples as columns (d_s x n_s and d_t x n_t); the
     metric order must be d_s + d_t.
@@ -73,16 +73,18 @@ def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric: TransformMetric) -> 
     base, lift = linear_factors(Xs, Xt)
     if metric.order != lift.shape[0]:
         raise ValueError(f"metric order {metric.order} != d_s + d_t = {lift.shape[0]}")
-    return _metric_kernel(base, lift, metric.matrix)
+    return symmetrize(base + lift.T @ (metric.matrix @ lift))
 
 
 def build_KH_kernelized(kernels: PrecomputedKernels, metric: TransformMetric) -> np.ndarray:
-    """Working kernel of the kernelized path, blockdiag(Ks, Kt) plus the
-    metric coupling through the Gram square roots, from the base and lift
-    of prepare_kernels."""
-    if metric.order != kernels.lift.shape[0]:
-        raise ValueError(f"metric order {metric.order} != n_s + n_t = {kernels.lift.shape[0]}")
-    return _metric_kernel(kernels.base, kernels.lift, metric.matrix)
+    """Working kernel of the kernelized path for a factored metric, from the
+    base and gram M = L'L of prepare_kernels: base + L'HL = base + scale * M
+    + (M C')W(C M), with C the metric's atoms and W its weights."""
+    M = kernels.gram
+    if metric.order != M.shape[0]:
+        raise ValueError(f"metric order {metric.order} != n_s + n_t = {M.shape[0]}")
+    U = M @ metric.atoms.T
+    return symmetrize(kernels.base + metric.scale * M + (U * metric.weights) @ U.T)
 
 
 def kernels_at_ridge(source_X, target_X, cfg: HfaConfig, ridge: float) -> PrecomputedKernels:
@@ -118,11 +120,14 @@ class LinearHfaModel:
         return self.beta[self.n_source:]
 
     def weight_vector(self) -> np.ndarray:
-        """Effective target-space weights: metric coupling plus the direct term."""
-        d_s = self.source.dim
-        v = np.concatenate([self.source.X.T @ self.beta_source, self.target.X.T @ self.beta_target])
-        hv_target = self.metric.apply(v)[d_s:]
-        return hv_target + self.target.X.T @ self.beta_target
+        """Effective target-space weights: metric coupling plus the direct term.
+
+        The metric maps v = L beta to H v = L g, whose target block is
+        Xt' g_t for the lift L = blockdiag(Xs', Xt') of rows Xs and Xt.
+        """
+        base, _ = linear_factors(self.source.X.T, self.target.X.T)
+        g = self.metric.apply(self.beta, base @ self.beta)
+        return self.target.X.T @ (g[self.n_source:] + self.beta_target)
 
     def decision_function(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -144,8 +149,7 @@ def hfa_train_linear(
     _validate_binary_pair(source, target)
     base, lift = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    coupling = hfa.core._start_coupling(lift, cfg.lam)
-    metric, sol, trace, gap = hfa.core._alternate(base, lift, coupling, y, cfg, monitor)
+    metric, sol, _, trace, gap = hfa.core._alternate(base, base, lift.shape[0], y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

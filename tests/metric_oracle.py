@@ -5,7 +5,8 @@ At fixed dual coefficients beta the objective is linear in the metric H:
     G(H) = -1/2 (beta' base beta + v' H v),    v = lift @ beta,
 
 minimized over {H PSD, trace(H) <= budget}. This module solves it the
-direct way, on explicit order x order matrices: the gradient -1/2 vv',
+direct way, on explicit order x order matrices and an explicit lift L,
+which the library never forms: the gradient -1/2 vv',
 projected-gradient steps (eigenvalue clip, then trace cap) chosen by a
 backtracking line search, and the closed-form rank-1 vertex
 budget * vv' / ||v||^2, where the trainer's full Frank-Wolfe step
@@ -13,18 +14,18 @@ budget * vv' / ||v||^2, where the trainer's full Frank-Wolfe step
 functions.
 
 The functions read a metric through .matrix, .budget, .trace and .order
-only, so they accept hfa.metric.TransformMetric as well as DenseMetric.
-They read the subproblem through .base (n x n) and .lift (order x n)
-only, as hfa.core.PrecomputedKernels holds them; a types.SimpleNamespace
-with those two arrays serves for a random subproblem.
+only (DenseMetric; `lifted` turns a factored hfa.metric.TransformMetric
+into one). They read the subproblem through .base (n x n) and .lift
+(order x n) only, as a types.SimpleNamespace holds them; for the
+kernelized path, lift = gram_root(PrecomputedKernels.gram).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.core import PrecomputedKernels
 from hfa.linalg import KernelSpec, sym_eigen, symmetrize
+from hfa.metric import TransformMetric
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,30 @@ class DenseMetric:
         return bool(w.min() >= -tol * max(t, 1.0) if w.size else True)
 
 
+def gram_root(M: np.ndarray) -> np.ndarray:
+    """A lift L with L'L = M for a PSD M: its symmetric square root, with the
+    eigenvalues at or below 1e-12 of the largest (round-off of a cut
+    direction) set to 0."""
+    w, V = sym_eigen(M)
+    keep = w > 1e-12 * w.max(initial=0.0)
+    return symmetrize((V * np.sqrt(np.where(keep, w, 0.0))) @ V.T)
+
+
+def unit_atoms(rng, k: int, lift: np.ndarray) -> np.ndarray:
+    """k random dual vectors c, one per row, with ||lift @ c|| = 1."""
+    C = rng.standard_normal((k, lift.shape[1]))
+    return C / np.linalg.norm(C @ lift.T, axis=1)[:, None]
+
+
+def lifted(metric: TransformMetric, lift: np.ndarray) -> DenseMetric:
+    """The dense order x order metric scale * I + sum_k w_k (L c_k)(L c_k)' of a
+    factored metric whose atoms c_k are dual coordinates for the lift L."""
+    if lift.shape != (metric.order, metric.atoms.shape[1]):
+        raise ValueError(f"lift shape {lift.shape} != (order, n) = {(metric.order, metric.atoms.shape[1])}")
+    roots = (lift @ metric.atoms.T) * np.sqrt(metric.weights)
+    return DenseMetric(roots @ roots.T + metric.scale * np.eye(metric.order), metric.budget)
+
+
 @dataclass(frozen=True)
 class LineSearchParams:
     """Backtracking constants for the projected-gradient step."""
@@ -69,7 +94,7 @@ class LineSearchParams:
     max_backtracks: int = 50
 
 
-def lift_vector(factors: PrecomputedKernels, beta: np.ndarray) -> np.ndarray:
+def lift_vector(factors, beta: np.ndarray) -> np.ndarray:
     """v = lift @ beta, the vector the metric subproblem sees; checks beta's length."""
     beta = np.asarray(beta, dtype=float)
     n = factors.lift.shape[1]
@@ -123,7 +148,7 @@ def frobenius_inner(A, B) -> float:
     return float(np.tensordot(A, B))
 
 
-def sdp_objective(beta: np.ndarray, metric, factors: PrecomputedKernels) -> float:
+def sdp_objective(beta: np.ndarray, metric, factors) -> float:
     """G(H) = -1/2 (beta' base beta + v' H v)."""
     beta = np.asarray(beta, dtype=float)
     if metric.order != factors.lift.shape[0]:
@@ -132,13 +157,13 @@ def sdp_objective(beta: np.ndarray, metric, factors: PrecomputedKernels) -> floa
     return -0.5 * float(beta @ (factors.base @ beta) + v @ (metric.matrix @ v))
 
 
-def sdp_gradient(beta: np.ndarray, factors: PrecomputedKernels) -> np.ndarray:
+def sdp_gradient(beta: np.ndarray, factors) -> np.ndarray:
     """dG/dH = -1/2 vv'; symmetric, negative semidefinite, rank <= 1."""
     v = lift_vector(factors, beta)
     return -0.5 * np.outer(v, v)
 
 
-def sdp_closed_form(beta: np.ndarray, budget: float, factors: PrecomputedKernels) -> DenseMetric:
+def sdp_closed_form(beta: np.ndarray, budget: float, factors) -> DenseMetric:
     """Analytic minimizer budget * vv' / ||v||^2; zero metric when v = 0."""
     if not budget > 0:
         raise ValueError("trace budget must be positive")
@@ -159,7 +184,7 @@ def _stall_threshold(gnorm: float, trace: float, f0: float) -> float:
     return 1e-13 * (gnorm * max(trace, 1.0) + abs(f0))
 
 
-def sdp_pgd_step(metric, beta: np.ndarray, eta: float, factors: PrecomputedKernels) -> DenseMetric:
+def sdp_pgd_step(metric, beta: np.ndarray, eta: float, factors) -> DenseMetric:
     """One projected-gradient update H <- project(H - eta * dG/dH).
 
     The projection clips negative eigenvalues, then rescales onto the
@@ -177,7 +202,7 @@ def line_search(
     metric,
     beta: np.ndarray,
     grad: np.ndarray,
-    factors: PrecomputedKernels,
+    factors,
     params: LineSearchParams = LineSearchParams(),
 ) -> tuple[float, bool]:
     """Backtracking step-size choice for the projected-gradient update.
@@ -223,7 +248,7 @@ def line_search(
 def optimize_metric(
     metric,
     beta: np.ndarray,
-    factors: PrecomputedKernels,
+    factors,
     steps: int = 10,
     params: LineSearchParams = LineSearchParams(),
 ):

@@ -27,7 +27,7 @@ from linear_oracle import (
     kernels_at_ridge,
 )
 from metric_oracle import DenseMetric as TransformMetric
-from metric_oracle import line_search, sdp_closed_form, sdp_gradient, sdp_objective, sdp_pgd_step
+from metric_oracle import gram_root, lifted, line_search, sdp_closed_form, sdp_gradient, sdp_objective, sdp_pgd_step
 from qp_oracle import random_problems, solve_qp_batch
 
 
@@ -88,7 +88,7 @@ def test_criterion_02_sdp_oracle_equivalence():
         f = random_factors(rng, ns, nt)
         beta = rng.standard_normal(ns + nt)
         budget = float(rng.uniform(0.5, 3.0))
-        H = initial_metric(ns + nt, budget)
+        H = lifted(initial_metric(ns + nt, budget, ns + nt), f.lift)
         target = sdp_objective(beta, sdp_closed_form(beta, budget, f), f)
         g = sdp_gradient(beta, f)
         steps = 0
@@ -187,9 +187,10 @@ def test_criterion_06_feasibility_invariants():
     ]
     for k, cfg in enumerate(configs):
         source, target = random_binary_pair(rng, 10 + k, 5 + k, 6, 5)
+        lift = gram_root(prepare_kernels(source.X, target.X, cfg).gram)
 
-        def monitor(tau, metric, sol, lam=cfg.lam):
-            w = np.linalg.eigvalsh(metric.matrix)
+        def monitor(tau, metric, sol, lam=cfg.lam, lift=lift):
+            w = np.linalg.eigvalsh(lifted(metric, lift).matrix)
             records.append((float(w.min()), metric.trace, lam))
 
         hfa_train(source, target, cfg, monitor=monitor)

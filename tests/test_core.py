@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _sqrt_factors
-from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma, symmetrize
-from hfa.metric import initial_metric
+from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
+from hfa.metric import TransformMetric
 from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
-from metric_oracle import DenseMetric
+from metric_oracle import DenseMetric, gram_root, lifted, unit_atoms
 
 
 def pq_metric(rng, d_s, d_t, p):
@@ -105,35 +105,38 @@ def test_build_KH_linear_order_mismatch():
 # ------------------------------------------------------------- kernelized builder
 
 
+def ridged_root(K):
+    """The ridged square root V diag(sqrt(w + default_ridge)) V' of a full-rank
+    Gram, computed here without _sqrt_factors."""
+    w, V = np.linalg.eigh(K)
+    return (V * np.sqrt(w + default_ridge(K))) @ V.T
+
+
 def grams_and_roots(rng, n_s, n_t, gamma=0.7):
-    """Grams, their ridged roots, and the PrecomputedKernels built from them."""
+    """Grams, their ridged grams M, and the PrecomputedKernels built from them."""
     spec = KernelSpec("rbf", gamma)
     Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
     Ks, Kt = gram_matrix(spec, Xs), gram_matrix(spec, Xt)
-    ks, _ = _sqrt_factors(Ks, default_ridge(Ks))
-    kt, kt_inv = _sqrt_factors(Kt, default_ridge(Kt))
-    return Ks, Kt, ks, kt, PrecomputedKernels(spec, _block_diag(Ks, Kt), _block_diag(ks, kt), kt_inv)
+    ms, _ = _sqrt_factors(Ks, default_ridge(Ks))
+    mt, coef_map = _sqrt_factors(Kt, default_ridge(Kt))
+    return Ks, Kt, ms, mt, PrecomputedKernels(spec, _block_diag(Ks, Kt), _block_diag(ms, mt), coef_map)
 
 
 def test_build_KH_kernelized_oracle():
+    # base + L'HL with L built here from the Grams and H dense
     rng = np.random.default_rng(3)
-    Ks, Kt, ks, kt, pk = grams_and_roots(rng, 4, 3)
+    Ks, Kt, _, _, pk = grams_and_roots(rng, 4, 3)
     n = 7
-    B = rng.standard_normal((n, n))
-    H = B @ B.T
-    metric = DenseMetric(H, float(np.trace(H)) + 1.0)
+    S = _block_diag(ridged_root(Ks), ridged_root(Kt))
+    metric = TransformMetric(n, 5.0, 0.3, unit_atoms(rng, 3, S), rng.uniform(0.1, 1.0, 3))
     K = build_KH_kernelized(pk, metric)
-    S = np.zeros((n, n))
-    S[:4, :4], S[4:, 4:] = ks, kt
-    base = np.zeros((n, n))
-    base[:4, :4], base[4:, 4:] = Ks, Kt
-    assert np.allclose(K, base + S @ metric.matrix @ S, atol=1e-12)
+    assert np.allclose(K, _block_diag(Ks, Kt) + S @ lifted(metric, S).matrix @ S, atol=1e-12)
 
 
 def test_build_KH_kernelized_zero_metric_blockdiag():
     rng = np.random.default_rng(4)
     Ks, Kt, _, _, pk = grams_and_roots(rng, 5, 2)
-    K = build_KH_kernelized(pk, DenseMetric(np.zeros((7, 7)), 1.0))
+    K = build_KH_kernelized(pk, TransformMetric(7, 1.0, 0.0, np.empty((0, 7)), np.empty(0)))
     assert np.allclose(K[:5, :5], Ks) and np.allclose(K[5:, 5:], Kt)
     assert np.allclose(K[:5, 5:], 0.0)
 
@@ -142,13 +145,13 @@ def test_build_KH_kernelized_shape_errors():
     rng = np.random.default_rng(5)
     *_, pk = grams_and_roots(rng, 4, 3)
     with pytest.raises(ValueError, match="metric order"):
-        build_KH_kernelized(pk, DenseMetric(np.eye(6), 1.0))
+        build_KH_kernelized(pk, TransformMetric(6, 1.0, 0.1, np.empty((0, 7)), np.empty(0)))
 
 
 def test_factor_helpers_compose_the_same_kernel():
     rng = np.random.default_rng(6)
     *_, pk = grams_and_roots(rng, 3, 3)
-    assert pk.base.shape == pk.lift.shape == (6, 6)
+    assert pk.base.shape == pk.gram.shape == (6, 6)
     Xs, Xt = rng.standard_normal((3, 2)), rng.standard_normal((4, 5))
     base, lift = linear_factors(Xs.T, Xt.T)
     assert base.shape == (7, 7) and lift.shape == (2 + 5, 7)
@@ -158,28 +161,52 @@ def test_factor_helpers_compose_the_same_kernel():
 
 
 def test_sqrt_factor_squares_to_ridged_gram():
+    # M = L'L is K + ridge * I where no direction is cut
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 8))
     K = X @ X.T  # full rank almost surely
     ridge = 1e-6
-    s, _ = _sqrt_factors(K, ridge)
-    assert np.allclose(s @ s, K + ridge * np.eye(8), rtol=1e-10, atol=1e-10)
+    M, Q = _sqrt_factors(K, ridge)
+    assert np.allclose(M, K + ridge * np.eye(8), rtol=1e-10, atol=1e-10)
+    assert np.allclose(Q @ K, M, rtol=1e-10, atol=1e-10)
+
+
+def cut_directions(K):
+    """Orthonormal columns spanning K's eigendirections at or below 1e-12 of its largest."""
+    w, V = np.linalg.eigh(K)
+    return V[:, w <= 1e-12 * w[-1]]
 
 
 def test_inverse_factor_pairs_with_sqrt_on_singular_gram():
+    # on a singular Gram (a duplicate row) and a linear Gram with n > d,
+    # M and Q vanish on the cut directions and Q K == M holds to round-off
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, 3))
-    X = np.vstack([X, X[0]])  # duplicate row makes the Gram singular
-    K = X @ X.T
-    s, inv = _sqrt_factors(K, 1e-8)
-    assert np.max(np.abs(inv @ K - s)) <= 1e-10 * np.max(np.abs(s))
+    duplicate = np.vstack([X, X[0]])
+    wide = rng.standard_normal((12, 5))
+    for K in (duplicate @ duplicate.T, gram_matrix(KernelSpec("linear"), wide)):
+        M, Q = _sqrt_factors(K, default_ridge(K))
+        P = cut_directions(K)
+        assert P.shape[1] == len(K) - np.linalg.matrix_rank(K) > 0
+        scale = np.max(np.abs(M))
+        assert np.max(np.abs(M @ P)) <= 1e-12 * scale and np.max(np.abs(Q @ P)) <= 1e-12 * np.max(np.abs(Q))
+        assert np.max(np.abs(Q @ K - M)) <= 1e-10 * scale
 
 
 def test_sqrt_factor_zeroes_null_directions():
     K = np.diag([4.0, 1.0, 0.0])
-    s, inv = _sqrt_factors(K, 1e-10)
-    assert s[2, 2] == 0.0 and inv[2, 2] == 0.0
-    assert np.isclose(s[0, 0], np.sqrt(4.0 + 1e-10))
+    M, Q = _sqrt_factors(K, 1e-10)
+    assert M[2, 2] == 0.0 and Q[2, 2] == 0.0
+    assert np.isclose(M[0, 0], 4.0 + 1e-10, rtol=1e-15) and np.isclose(Q[0, 0], (4.0 + 1e-10) / 4.0, rtol=1e-15)
+
+
+def test_ridged_gram_is_exactly_symmetric():
+    rng = np.random.default_rng(11)
+    for n in (5, 40, 131):
+        X = rng.standard_normal((n, 3))
+        K = gram_matrix(KernelSpec("rbf", 0.5), X)
+        M, Q = _sqrt_factors(K, default_ridge(K))
+        assert np.array_equal(M, M.T) and np.array_equal(Q, Q.T)
 
 
 # ---------------------------------------------------------------- configuration
@@ -213,27 +240,31 @@ def test_prepare_kernels_contract():
     Xs, Xt = rng.standard_normal((6, 3)), rng.standard_normal((4, 5))
     cfg = HfaConfig(kernel_family="rbf")
     pk = prepare_kernels(Xs, Xt, cfg)
-    base, lift = pk.base, pk.lift
-    assert base.shape == lift.shape == (10, 10) and pk.kt_inv_sqrt.shape == (4, 4)
+    base, gram = pk.base, pk.gram
+    assert base.shape == gram.shape == (10, 10) and pk.coef_map.shape == (4, 4)
     spec_s, spec_t = cfg.kernel_spec_for(Xs), cfg.kernel_spec_for(Xt)
     assert pk.kernel_target == spec_t and spec_s.family == "rbf"
     # different domains resolve different bandwidths
     assert spec_s.gamma != spec_t.gamma
-    # the diagonal blocks are the Grams and their ridged roots, recomputed
-    # here independently; the domains do not couple in either factor
+    # the diagonal blocks are the Grams and their ridged grams L'L, with L
+    # recomputed here independently; the domains couple in neither
     Ks, Kt = gram_matrix(spec_s, Xs), gram_matrix(spec_t, Xt)
     assert np.array_equal(base[:6, :6], Ks) and np.array_equal(base[6:, 6:], Kt)
-    assert np.array_equal(lift[:6, :6], _sqrt_factors(Ks, default_ridge(Ks))[0])
-    assert np.array_equal(lift[6:, 6:], _sqrt_factors(Kt, default_ridge(Kt))[0])
+    for block, K in ((gram[:6, :6], Ks), (gram[6:, 6:], Kt)):
+        L = ridged_root(K)
+        assert np.max(np.abs(block - L @ L)) <= 1e-12 * np.max(np.abs(block))
     assert not base[:6, 6:].any() and not base[6:, :6].any()
-    assert not lift[:6, 6:].any() and not lift[6:, :6].any()
-    assert np.max(np.abs(pk.kt_inv_sqrt @ Kt - lift[6:, 6:])) <= 1e-9
+    assert not gram[:6, 6:].any() and not gram[6:, :6].any()
+    # the coef map turns Kt into the target block of M, and M into gram_root(M) squared
+    assert np.max(np.abs(pk.coef_map @ Kt - gram[6:, 6:])) <= 1e-9
+    root = gram_root(gram)
+    assert np.max(np.abs(root @ root - gram)) <= 1e-12 * np.max(np.abs(gram))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["base", "lift"])
+@pytest.mark.parametrize("name", ["base", "gram"])
 def test_non_finite_kernel_factors_fail_fast(name, value):
-    # the trainer builds working kernels from base and lift unchecked, so
+    # the trainer builds working kernels from base and gram unchecked, so
     # PrecomputedKernels refuses non-finite ones, naming the factor
     *_, pk = grams_and_roots(np.random.default_rng(4), 4, 3)
     bad = getattr(pk, name).copy()
@@ -248,14 +279,8 @@ def test_asymmetric_kernel_base_fails_fast():
     bad[0, 1] = np.nextafter(bad[0, 1], np.inf)
     with pytest.raises(ValueError, match="kernel base must be finite and exactly symmetric"):
         dataclasses.replace(pk, base=bad)
-
-
-def test_start_coupling_is_built_once_per_budget():
-    *_, pk = grams_and_roots(np.random.default_rng(6), 4, 3)
-    first = pk.start_coupling(2.0)
-    assert pk.start_coupling(2.0) is first
-    # the start metric of the alternation, through the square roots
-    assert np.array_equal(first, symmetrize(pk.lift.T @ (initial_metric(7, 2.0).scale * pk.lift)))
-    assert not np.array_equal(pk.start_coupling(3.0), first)
-    # a copy with other factors starts with no couplings of its own
-    assert dataclasses.replace(pk, lift=2.0 * pk.lift).start_coupling(2.0) is not first
+    # the start coupling is a multiple of gram, so gram is held to the same check
+    bad = pk.gram.copy()
+    bad[0, 1] = np.nextafter(bad[0, 1], np.inf)
+    with pytest.raises(ValueError, match="kernel gram must be finite and exactly symmetric"):
+        dataclasses.replace(pk, gram=bad)

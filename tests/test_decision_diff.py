@@ -1,0 +1,47 @@
+"""The comparison arithmetic of tools/decision_diff.py on fixed numbers."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))  # decision_diff imports bench_pairs from its own directory
+_spec = importlib.util.spec_from_file_location("decision_diff", TOOLS / "decision_diff.py")
+decision_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(decision_diff)
+
+
+def record(scores, objective, iterations=(3, 4), gaps=(1e-9, 2e-8), live=(1, 2), stored=(1, 2)):
+    return {"scores": scores, "objective": list(objective), "iterations": list(iterations),
+            "gaps": list(gaps), "live_atoms": list(live), "stored_atoms": list(stored)}
+
+
+def test_relative_change_of_fixed_scores():
+    parent = [[2.0, -4.0], [1.0, 0.5]]
+    change = [[2.0, -4.0 + 2e-12], [1.0 - 1e-12, 0.5]]
+    # the largest |change - parent| over the largest |parent|
+    assert decision_diff.relative_change(parent, change) == pytest.approx(2e-12 / 4.0, rel=1e-3)
+    assert decision_diff.relative_change(parent, parent) == 0.0
+    assert decision_diff.relative_change([[0.0]], [[1.0]]) == 0.0
+    with pytest.raises(ValueError, match="shape"):
+        decision_diff.relative_change([1.0, 2.0], [1.0])
+
+
+def test_max_objective_change_is_per_class():
+    # class 1 moves by 1e-3 of 10, class 2 by 1e-3 of 0.5
+    assert decision_diff.max_objective_change([10.0, 0.5], [10.001, 0.501]) == pytest.approx(2e-3)
+
+
+def test_compare_keeps_both_sides():
+    parent = record(np.ones((2, 2)).tolist(), [5.0, 4.0])
+    change = record(np.full((2, 2), 1.5).tolist(), [5.0, 4.0], iterations=(3, 5), live=(1, 1), stored=(1, 1))
+    s = decision_diff.compare(parent, change)
+    assert s["decision_rel"] == 0.5 and s["objective_rel"] == 0.0
+    assert s["same_iterations"] is False
+    assert (s["iterations_parent"], s["iterations_change"]) == ([3, 4], [3, 5])
+    assert (s["stored_atoms_parent"], s["stored_atoms_change"]) == ([1, 2], [1, 1])
+    text = decision_diff.render("fixed", s)
+    assert "max |df| / max |f| 5.00e-01" in text and "(differ)" in text

@@ -1,7 +1,6 @@
 """Multiclass wrapping, accuracy, baseline, and experiment-runner tests."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,23 +177,15 @@ def test_accuracy_all_correct_and_fixture():
         accuracy(models, Dataset("t", np.zeros((0, 3)), np.zeros(0, dtype=int)))
 
 
-def test_start_coupling_built_once_per_training_set():
-    # the one-vs-rest models share the start coupling of their training set,
-    # and train as they do alone
+def test_one_vs_rest_models_train_as_they_do_alone():
+    # the one-vs-rest models share the kernels of their training set, and
+    # train bit for bit as they do alone
     spec = SyntheticSpec(latent_dim=3, num_classes=3, d_s=6, d_t=5, source_per_class=6,
                          target_per_class=3, seed=4)
     source, target = generate_synthetic(spec)
     cfg = HfaConfig(t_max=5)
-    built = []
-    start_coupling = hfa.core._start_coupling
-
-    def record(lift, lam):
-        built.append(lam)
-        return start_coupling(lift, lam)
-
-    with mock.patch.object(hfa.core, "_start_coupling", record):
-        models = train_multiclass(source, target, cfg)
-    assert built == [cfg.lam] and len(models) == 3
+    models = train_multiclass(source, target, cfg)
+    assert len(models) == 3
     for c, model in models:
         alone = hfa_train(source.binary_view(c), target.binary_view(c), cfg)
         assert np.array_equal(model.beta, alone.beta)

@@ -12,6 +12,8 @@ from metric_oracle import (
     DenseMetric,
     LineSearchParams,
     lift_vector,
+    lifted,
+    unit_atoms,
     line_search,
     optimize_metric,
     sdp_closed_form,
@@ -45,18 +47,26 @@ def random_feasible_metric(rng, order, budget):
     return DenseMetric(M, budget)
 
 
-def random_factored_metric(rng, order, budget):
-    """scale * I plus 0-4 atoms, at a random fraction of the budget."""
+def random_factored_metric(rng, f, budget):
+    """scale * I plus 0-4 unit atoms for the lift f.lift, at a random fraction of the budget."""
     k = int(rng.integers(0, 5))
-    m = TransformMetric(budget, float(rng.uniform(0.1, 1.0)),
-                        rng.standard_normal((k, order)), rng.uniform(0.0, 1.0, k))
-    s = rng.uniform(0.05, 1.0) * budget / m.trace
-    return TransformMetric(budget, s * m.scale, m.atoms, s * m.weights)
+    scale, weights = float(rng.uniform(0.1, 1.0)), rng.uniform(0.0, 1.0, k)
+    order = f.lift.shape[0]
+    s = rng.uniform(0.05, 1.0) * budget / (scale * order + weights.sum())
+    return TransformMetric(order, budget, s * scale, unit_atoms(rng, k, f.lift), s * weights)
+
+
+# a worked case: the lift L = diag(2, 1), so M = diag(4, 1), and the atom
+# c = (0.3, 0.8) has L c = (0.6, 0.8), a unit vector
+LIFT = np.diag([2.0, 1.0])
+GRAM = LIFT.T @ LIFT
+ATOM = np.array([0.3, 0.8])
 
 
 def test_transform_metric_validation():
-    atoms, weights = np.array([[1.0, 2.0]]), np.array([0.5])
+    atoms, weights = ATOM[None, :], np.array([0.5])
     for bad in (
+        dict(order=0),
         dict(atoms=np.empty((0, 0)), weights=np.empty(0)),
         dict(budget=0.0),
         dict(scale=-1e-3),
@@ -66,39 +76,54 @@ def test_transform_metric_validation():
         dict(weights=np.array([-0.5])),
         dict(atoms=np.array([[np.inf, 0.0]])),
     ):
-        args = dict(budget=5.0, scale=0.25, atoms=atoms, weights=weights) | bad
+        args = dict(order=2, budget=5.0, scale=0.25, atoms=atoms, weights=weights) | bad
         with pytest.raises(ValueError):
             TransformMetric(**args)
-    m = TransformMetric(5.0, 0.25, atoms, weights)
-    assert m.order == 2
-    # atoms.T * sqrt(weights) times its transpose lands within 4.4e-16 of these
-    assert_allclose(m.matrix, [[0.75, 1.0], [1.0, 2.25]], rtol=1e-15, atol=0)
-    assert m.trace == pytest.approx(3.0, rel=1e-15)
-    v = np.array([1.0, -1.0])
-    assert m.energy(v) == pytest.approx(1.0, rel=1e-15)
-    assert_allclose(m.apply(v), [-0.25, -1.25], atol=1e-15)
-    # gamma * H + delta * vv' appends one atom and rescales the rest
-    u = m.rank1_update(0.5, 2.0, v)
-    assert_allclose(u.matrix, 0.5 * m.matrix + 2.0 * np.outer(v, v), atol=1e-15)
+    m = TransformMetric(2, 5.0, 0.25, atoms, weights)
+    # H = 0.25 I + 0.5 (0.6, 0.8)(0.6, 0.8)'
+    assert_allclose(lifted(m, LIFT).matrix, [[0.43, 0.24], [0.24, 0.57]], rtol=1e-15, atol=0)
+    assert m.trace == pytest.approx(1.0, rel=1e-15)
+    # beta = (1, -1): v = L beta = (2, -1) and M beta = (4, -1)
+    beta = np.array([1.0, -1.0])
+    assert m.energy(beta, GRAM @ beta) == pytest.approx(1.33, rel=1e-15)
+    # H v = (0.62, -0.09) = L g
+    g = m.apply(beta, GRAM @ beta)
+    assert_allclose(g, [0.31, -0.09], rtol=1e-15)
+    assert_allclose(LIFT @ g, [0.62, -0.09], rtol=1e-15)
+    # gamma * H + delta * hh' appends one atom and rescales the rest
+    c = np.array([0.5, 0.0])  # L c = (1, 0)
+    u = m.rank1_update(0.5, 2.0, c)
+    assert_allclose(lifted(u, LIFT).matrix, 0.5 * lifted(m, LIFT).matrix + 2.0 * np.diag([1.0, 0.0]), atol=1e-15)
     assert u.atoms.shape == (2, 2) and m.atoms.shape == (1, 2)
     with pytest.raises(ValueError):
-        m.rank1_update(1.0, -1.0, v)
+        m.rank1_update(1.0, -1.0, c)
+
+
+def test_rank1_update_drops_atoms_of_zero_weight():
+    m = TransformMetric(2, 5.0, 0.25, np.array([ATOM, [0.5, 0.0]]), np.array([0.5, 0.0]))
+    kept = m.rank1_update(0.5, 1.0, np.array([0.0, 1.0]))
+    assert np.array_equal(kept.atoms, [ATOM, [0.0, 1.0]]) and np.array_equal(kept.weights, [0.25, 1.0])
+    # a full step (gamma = 0) keeps only the new atom
+    full = m.rank1_update(0.0, 2.0, np.array([0.0, 1.0]))
+    assert np.array_equal(full.atoms, [[0.0, 1.0]]) and np.array_equal(full.weights, [2.0])
+    assert full.scale == 0.0 and full.trace == 2.0
 
 
 def test_is_feasible():
-    assert TransformMetric(4.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
-    assert not TransformMetric(2.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
-    assert not TransformMetric(4.0, 1.0, np.array([[1.0, 1.0]]), np.array([1.5])).is_feasible()
+    assert TransformMetric(3, 4.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(3, 2.0, 1.0, np.empty((0, 3)), np.empty(0)).is_feasible()
+    assert not TransformMetric(2, 4.0, 1.0, np.array([[1.0, 1.0]]), np.array([2.5])).is_feasible()
     # the budget check allows tol relative slack
-    assert TransformMetric(2.0, 2.0 * (1 + 1e-12), np.empty((0, 1)), np.empty(0)).is_feasible()
+    assert TransformMetric(1, 2.0, 2.0 * (1 + 1e-12), np.empty((0, 1)), np.empty(0)).is_feasible()
 
 
 def test_initial_metric():
-    m = initial_metric(5, 2.0)
-    assert np.array_equal(m.matrix, np.eye(5) * 0.4)
+    m = initial_metric(5, 2.0, 3)
+    assert m.order == 5 and m.atoms.shape == (0, 3) and m.scale == 0.4
+    assert np.array_equal(lifted(m, np.ones((5, 3))).matrix, np.eye(5) * 0.4)
     assert m.is_feasible()
     with pytest.raises(ValueError):
-        initial_metric(0, 2.0)
+        initial_metric(0, 2.0, 3)
 
 
 def test_objective_explicit_formula():
@@ -212,7 +237,7 @@ def test_pgd_step_stays_feasible():
     rng = np.random.default_rng(8)
     f = random_factors(rng, 4, 3)
     beta = rng.standard_normal(7)
-    H = initial_metric(7, 2.0)
+    H = lifted(initial_metric(7, 2.0, 7), f.lift)
     for eta in (1e-4, 0.1, 3.0, 250.0):
         H = sdp_pgd_step(H, beta, eta, f)
         assert H.is_feasible(1e-10)
@@ -245,7 +270,7 @@ def test_line_search_monotone_objective():
     rng = np.random.default_rng(10)
     f = random_factors(rng, 4, 4)
     beta = rng.standard_normal(8)
-    H = initial_metric(8, 3.0)
+    H = lifted(initial_metric(8, 3.0, 8), f.lift)
     g = sdp_gradient(beta, f)
     prev = sdp_objective(beta, H, f)
     for _ in range(20):
@@ -278,7 +303,7 @@ def test_repeated_steps_reach_closed_form():
         f = random_factors(rng, ns, nt)
         beta = rng.standard_normal(ns + nt)
         budget = float(rng.uniform(0.5, 3.0))
-        H = initial_metric(ns + nt, budget)
+        H = lifted(initial_metric(ns + nt, budget, ns + nt), f.lift)
         target = sdp_objective(beta, sdp_closed_form(beta, budget, f), f)
         g = sdp_gradient(beta, f)
         steps = 0
@@ -297,7 +322,7 @@ def test_optimize_metric_matches_manual_loop():
     rng = np.random.default_rng(13)
     f = random_factors(rng, 3, 4)
     beta = rng.standard_normal(7)
-    H0 = initial_metric(7, 2.5)
+    H0 = lifted(initial_metric(7, 2.5, 7), f.lift)
 
     manual = H0
     g = sdp_gradient(beta, f)
@@ -324,9 +349,10 @@ def test_frank_wolfe_vertex_matches_closed_form():
         f = random_factors(rng, ns, nt)
         beta = rng.standard_normal(n)
         budget = float(rng.uniform(0.5, 3.0))
-        H0 = initial_metric(n, budget) if trial < 3 else random_factored_metric(rng, n, budget)
+        H0 = initial_metric(n, budget, n) if trial < 3 else random_factored_metric(rng, f, budget)
         v = lift_vector(f, beta)
-        vertex = H0.rank1_update(0.0, budget, v / np.linalg.norm(v))
+        vertex = H0.rank1_update(0.0, budget, beta / np.linalg.norm(v))
         ref = sdp_closed_form(beta, budget, f)
-        assert_allclose(vertex.matrix, ref.matrix, rtol=0, atol=1e-12 * max(1.0, budget))
+        assert vertex.atoms.shape == (1, n)
+        assert_allclose(lifted(vertex, f.lift).matrix, ref.matrix, rtol=0, atol=1e-12 * max(1.0, budget))
         assert vertex.trace == pytest.approx(budget, rel=1e-12)

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import hfa.core
 from hfa.core import HfaConfig, hfa_train, prepare_kernels
-from hfa.data import Dataset, SyntheticSpec, generate_synthetic
+from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.linalg import symmetrize
 from hfa.svm import DegenerateProblemError, DualProblem, solve_dual, trusted_problem
 from linear_oracle import build_KH_kernelized, hfa_train_linear, kernels_at_ridge, linear_factors
-from metric_oracle import DenseMetric, psd_project, trace_cap
+from metric_oracle import DenseMetric, gram_root, lifted, psd_project, trace_cap
 
 
 def binary_pair(seed=0, n_s=25, n_t=8, d_s=6, d_t=4):
@@ -55,9 +55,10 @@ def test_metric_stays_feasible_every_iteration():
     model = hfa_train(source, target, cfg, monitor=monitor)
     assert len(seen) == len(model.objective_trace)
     assert [it for it, _, _ in seen] == list(range(len(seen)))
+    lift = gram_root(prepare_kernels(source.X, target.X, cfg).gram)
     for _, metric, obj in seen:
         t = metric.trace
-        eigs = np.linalg.eigvalsh(metric.matrix)
+        eigs = np.linalg.eigvalsh(lifted(metric, lift).matrix)
         assert eigs[0] >= -1e-10 * max(t, 1.0)
         assert t <= cfg.lam * (1.0 + 1e-10)
     assert np.allclose([o for _, _, o in seen], model.objective_trace)
@@ -88,6 +89,16 @@ def test_metric_feasible_along_alternation(problem):
     # kernel handed to the dual solver, unchecked, is finite and exactly symmetric
     source, target, path, cfg, probe = problem
     kernels, steps = [], []
+    # the trainer's F and M, a lift L with L'L = M built here, and the probe
+    # in dual coordinates
+    if path == "explicit":
+        base, lift = linear_factors(source.X.T, target.X.T)
+        gram = base
+    else:
+        pk = prepare_kernels(source.X, target.X, cfg)
+        base, gram, lift = pk.base, pk.gram, gram_root(pk.gram)
+    norm_M = np.linalg.norm(gram, 2)
+    dual = lift.T @ probe
 
     def record(K, y, C):
         kernels.append(np.array(K))
@@ -95,16 +106,23 @@ def test_metric_feasible_along_alternation(problem):
 
     def monitor(it, metric, step):
         steps.append(step)
-        assert metric.scale >= 0 and np.all(metric.weights >= 0)
+        assert metric.scale >= 0 and np.all(metric.weights > 0)
         t = metric.trace
         assert t <= cfg.lam * (1.0 + 1e-12)
-        M = metric.matrix
-        assert np.linalg.eigvalsh(M)[0] >= -1e-10 * t
-        assert t == pytest.approx(np.trace(M), rel=1e-12)
-        # ||H|| <= trace(H) for PSD H sets the scale of both products
-        norm = float(np.linalg.norm(probe))
-        assert abs(metric.energy(probe) - probe @ M @ probe) <= 1e-12 * t * norm**2
-        assert np.max(np.abs(metric.apply(probe) - M @ probe)) <= 1e-12 * t * norm
+        # every atom c is a unit vector L c (c'Mc = 1), which the trace formula
+        # assumes; a quadratic form in dual coordinates rounds at the scale
+        # ||M|| |c|^2, large where c lies mostly in directions M cuts
+        C = metric.atoms
+        rounding = np.maximum(1.0, norm_M * np.einsum("ij,ij->i", C, C))
+        assert np.all(np.abs(np.einsum("ij,ij->i", C @ gram, C) - 1.0) <= 1e-12 * rounding)
+        assert np.linalg.eigvalsh(lifted(metric, lift).matrix)[0] >= -1e-10 * t
+        # L'HL = scale M + (M C')W(C M) is what the metric adds to the working
+        # kernel, and ||L'HL|| <= ||M|| trace(H) sets the scale of both products
+        U = gram @ C.T
+        coupling = metric.scale * gram + (U * metric.weights) @ U.T
+        norm = float(np.linalg.norm(dual))
+        assert abs(metric.energy(dual, gram @ dual) - dual @ coupling @ dual) <= 1e-12 * t * norm_M * norm**2
+        assert np.max(np.abs(gram @ metric.apply(dual, gram @ dual) - coupling @ dual)) <= 1e-12 * t * norm_M * norm
 
     with mock.patch.object(hfa.core, "trusted_problem", record):
         train = hfa_train_linear if path == "explicit" else hfa_train
@@ -132,11 +150,6 @@ def test_metric_feasible_along_alternation(problem):
     if len(trace) < cfg.t_max:
         assert gap <= cfg.conv_tol
         assert abs(trace[-1] - trace[-2]) <= cfg.conv_tol * max(abs(trace[-2]), 1e-12)
-    if path == "explicit":
-        base, lift = linear_factors(source.X.T, target.X.T)
-    else:
-        pk = prepare_kernels(source.X, target.X, cfg)
-        base, lift = pk.base, pk.lift
     bound = trace[-1] * (1.0 - gap)
     y = np.concatenate([source.y, target.y]).astype(float)
     p = lift.shape[0]
@@ -230,7 +243,7 @@ def test_training_is_deterministic():
     a = hfa_train(source, target, cfg)
     b = hfa_train(source, target, cfg)
     assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.metric.matrix, b.metric.matrix)
+    assert all(np.array_equal(getattr(a.metric, k), getattr(b.metric, k)) for k in ("scale", "atoms", "weights"))
     assert a.bias == b.bias
 
 
@@ -255,7 +268,7 @@ def test_shared_kernels_match_per_model_preparation():
     a = hfa_train(source, target, cfg, kernels=pk)
     b = hfa_train(source, target, cfg)
     assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.metric.matrix, b.metric.matrix)
+    assert all(np.array_equal(getattr(a.metric, k), getattr(b.metric, k)) for k in ("scale", "atoms", "weights"))
 
 
 def test_shared_kernels_size_mismatch():
@@ -311,7 +324,7 @@ def test_linear_decision_matches_cross_kernel_expansion():
     source, target = binary_pair(seed=9, n_s=12, n_t=6)
     cfg = HfaConfig(C=1.0, lam=1.5, kernel_family="linear", t_max=20)
     model = hfa_train_linear(source, target, cfg)
-    H = model.metric.matrix
+    H = lifted(model.metric, linear_factors(source.X.T, target.X.T)[1]).matrix
     d_s = source.dim
     rng = np.random.default_rng(0)
     X_new = rng.standard_normal((5, target.dim))
@@ -354,8 +367,25 @@ def test_objective_trace_starts_at_uncoupled_budget_spread():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     n = len(source) + len(target)
-    S = pk.lift
+    S = gram_root(pk.gram)
     K0 = pk.base + (cfg.lam / n) * S @ S
     y = np.concatenate([source.y, target.y]).astype(float)
     ref = solve_dual(DualProblem(K0, y, cfg.C), tol=1e-8)
     assert np.isclose(model.objective_trace[0], ref.objective, rtol=1e-5)
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+def test_learned_atoms_are_unit_and_weighted(family):
+    # every atom c the trainer keeps has lifted norm ||L c||^2 = c'Mc = 1,
+    # so trace = scale * order + sum(weights) is checked rather than
+    # assumed, and weighs above 0 (a full step drops the atoms before it);
+    # the linear Grams (n > d) have cut directions
+    source, pool = generate_synthetic(SyntheticSpec(source_per_class=20))
+    target, _ = sample_protocol(pool, 5, seed=0)
+    cfg = HfaConfig(kernel_family=family)
+    pk = prepare_kernels(source.X, target.X, cfg)
+    for c in range(6):
+        metric = hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=pk).metric
+        C = metric.atoms
+        assert len(C) >= 1 and np.all(metric.weights > 0)
+        assert np.max(np.abs(np.einsum("ij,ij->i", C @ pk.gram, C) - 1.0)) <= 1e-12
