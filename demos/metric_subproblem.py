@@ -23,8 +23,9 @@ import numpy as np
 
 from hfa.core import HfaConfig, prepare_kernels
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
+from hfa.linalg import symmetrize
 from hfa.metric import initial_metric
-from hfa.svm import DualProblem, solve_dual
+from hfa.svm import solve_dual
 
 # class 0 against the rest, 20 source and 4 target rows per class; F is
 # blockdiag(Ks, Kt) and M = L'L for L blockdiag of their ridged square roots
@@ -39,8 +40,9 @@ C, lam = cfg.C, cfg.lam
 
 def solve(H, warm=None):
     U = M @ H.atoms.T
-    K = base + H.scale * M + (U * H.weights) @ U.T
-    return solve_dual(DualProblem(K, y, C), 1e-9, warm_start=warm)
+    # the product (U * w) @ U' need not be exactly symmetric, as solve_dual requires
+    K = symmetrize(base + H.scale * M + (U * H.weights) @ U.T)
+    return solve_dual(K, y, C, 1e-9, warm_start=warm)
 
 
 def slope(H, c, sol):

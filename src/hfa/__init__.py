@@ -34,13 +34,12 @@ from hfa.evaluate import (
 from hfa.linalg import KernelSpec
 from hfa.metric import TransformMetric
 from hfa.model_io import load_model_set, save_model_set
-from hfa.svm import DualProblem, DualSolution, solve_dual
+from hfa.svm import DualSolution, solve_dual
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "DualProblem",
     "DualSolution",
     "ExperimentReport",
     "ExperimentRun",

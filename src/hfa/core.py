@@ -35,10 +35,8 @@ from hfa.linalg import (
     symmetrize,
 )
 from hfa.metric import TransformMetric, initial_metric
-from hfa.svm import DegenerateProblemError, DualSolution, solve_dual, trusted_problem
+from hfa.svm import DegenerateProblemError, DualSolution, solve_dual
 
-# SMO stopping gap for every dual solve in training
-SVM_TOL = 1e-6
 # most halvings of a Frank-Wolfe step (600 random small problems needed 17)
 _MAX_HALVINGS = 60
 # bytes of one n_t x rows float64 cross-kernel block when scoring query
@@ -73,7 +71,7 @@ class HfaConfig:
     falls to conv_tol, so the last objective change is within conv_tol
     too (see _alternate). standardize asks `hfa train` and the experiment
     runner to z-score each domain's features; the trainer itself does not
-    read it. The SMO tolerance (SVM_TOL) and the Gram ridges are fixed.
+    read it. The SMO tolerance (hfa.svm.SVM_TOL) and the Gram ridges are fixed.
     """
 
     C: float = 1.0
@@ -85,14 +83,14 @@ class HfaConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.C < np.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if self.kernel_family not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel family {self.kernel_family!r}")
-        if self.kernel_gamma is not None and not self.kernel_gamma > 0:
-            raise ValueError("kernel_gamma must be positive when given")
+        if self.kernel_gamma is not None and not 0 < self.kernel_gamma < np.inf:
+            raise ValueError("kernel_gamma must be positive and finite when given")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
         if not self.conv_tol > 0:
@@ -211,9 +209,10 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
     secant root of the slope between t = 0 and 1, halved until P does not
     rise, or at most _MAX_HALVINGS times: then the step is t = 0 and the
     loop ends, as the next iteration would repeat this one. With F and M
-    finite and exactly symmetric, each working kernel is too by
-    construction, so it reaches solve_dual unchecked (trusted_problem);
-    only u is checked.
+    finite and exactly symmetric, each working kernel is exactly symmetric
+    by construction (sums and scalings of symmetric arrays, and uu'), and
+    lam*u'u is checked finite, so solve_dual's precondition holds with no
+    n x n scan.
 
     Every solve's alpha also gives L(alpha) = 1'alpha - 1/2 beta'F beta -
     1/2 lam beta'M beta, a lower bound on the saddle value, so
@@ -224,7 +223,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
     lam = cfg.lam
     metric = initial_metric(order, lam, gram.shape[0])
     coupling = (lam / order) * gram
-    sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL)
+    sol = solve_dual(base + coupling, y, cfg.C)
     lower = -np.inf
 
     def slope(s, t, m):
@@ -238,7 +237,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
     def trial(t):
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
-        s = solve_dual(trusted_problem(base + coupling_t, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+        s = solve_dual(base + coupling_t, y, cfg.C, warm_start=sol.alpha)
         return s, coupling_t, slope(s, t, gram @ s.beta)
 
     objective = []
@@ -271,7 +270,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
                     coupling, sol = coupling_t, best
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
-                sol = solve_dual(trusted_problem(base + coupling, y, cfg.C), SVM_TOL, warm_start=sol.alpha)
+                sol = solve_dual(base + coupling, y, cfg.C, warm_start=sol.alpha)
         m = gram @ sol.beta
         norm2 = float(sol.beta @ m)
         if norm2 > 0.0:
@@ -337,26 +336,29 @@ def _row_blocks(n_stored: int, m: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [m]))
 
 
+def _check_shared(models) -> None:
+    """Raise ValueError unless every (class, expansion) pair shares the first
+    one's stored rows (by value) and kernel, as a one-vs-rest set does."""
+    first = models[0][1]
+    for c, e in models:
+        if e.kernel != first.kernel or not np.array_equal(e.X, first.X):
+            raise ValueError(f"class {c}: every model in a set must share the target rows and kernel")
+
+
 def _decision_columns(expansions, X) -> np.ndarray:
     """Decision values of each expansion for rows X, shape (rows, expansions).
 
-    The rows are scored in the blocks of _row_blocks. For each block,
-    expansions that share one stored-rows array (by identity) and kernel,
-    as a loaded or freshly trained one-vs-rest set does, share one
-    cross_gram block K; each column is then K.T @ coef + bias.
+    The expansions share the first one's stored rows and kernel
+    (_check_shared). The rows are scored in the blocks of _row_blocks, with
+    one cross_gram block K each; each column is then K.T @ coef + bias.
     """
-    X = expansions[0].query_rows(X)
-    groups = {}  # (id of stored rows, kernel) -> column indices
-    for j, e in enumerate(expansions):
-        groups.setdefault((id(e.X), e.kernel), []).append(j)
+    first = expansions[0]
+    X = first.query_rows(X)
     scores = np.empty((len(X), len(expansions)))
-    for columns in groups.values():
-        first = expansions[columns[0]]
-        rows = first.query_rows(X)  # checks this group's dimension
-        for start, stop in _row_blocks(len(first.X), len(X)):
-            K = cross_gram(first.kernel, first.X, rows[start:stop])
-            for j in columns:
-                scores[start:stop, j] = K.T @ expansions[j].coef + expansions[j].bias
+    for start, stop in _row_blocks(len(first.X), len(X)):
+        K = cross_gram(first.kernel, first.X, X[start:stop])
+        for j, e in enumerate(expansions):
+            scores[start:stop, j] = K.T @ e.coef + e.bias
     return scores
 
 

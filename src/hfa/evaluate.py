@@ -14,17 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa.core import (
-    SVM_TOL,
     HfaConfig,
     HfaModel,
     KernelExpansion,
+    _check_shared,
     _decision_columns,
     hfa_train,
     prepare_kernels,
 )
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
 from hfa.linalg import gram_matrix
-from hfa.svm import DualProblem, solve_dual
+from hfa.svm import solve_dual
 
 __all__ = [
     "ExperimentReport",
@@ -75,7 +75,8 @@ def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[
 
     The kernel is resolved from the target rows as prepare_kernels
     resolves the target domain's, so on the same rows both experiment
-    arms use the same target kernel.
+    arms use the same target kernel. gram_matrix checks K finite and
+    makes it exactly symmetric, which solve_dual assumes.
     """
     present = target.class_counts()
     if len(present) < 2:
@@ -85,7 +86,7 @@ def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[
     models = []
     for c in present:
         y = np.where(target.y == c, 1.0, -1.0)
-        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
+        sol = solve_dual(K, y, cfg.C)
         models.append((c, KernelExpansion(target.X, spec, sol.beta, sol.bias)))
     return models
 
@@ -95,19 +96,20 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     pairs, an HfaModel being one.
 
     Returns (classes ascending, scores of shape (rows, classes)); the
-    model list must be nonempty. The rows are scored in row blocks sized
-    from a fixed byte budget over the stored rows (n_t), so memory is
-    bounded by one n_t x block cross-kernel, not by the number of query
-    rows. Within a block, expansions that share one stored-rows array and
-    kernel, as a loaded or freshly trained one-vs-rest set does, share one
-    cross_gram; each class's column comes from the loop its
-    decision_function runs, so scores are bit-identical to per-model calls.
+    model list must be nonempty, and every model must share the stored
+    rows and kernel, as a loaded or freshly trained one-vs-rest set does
+    (else ValueError). The rows are scored in row blocks sized from a
+    fixed byte budget over the stored rows (n_t), so memory is bounded by
+    one n_t x block cross-kernel, not by the number of query rows; the
+    classes share one cross_gram per block, and each class's column comes
+    from the loop its decision_function runs, so scores are bit-identical
+    to per-model calls.
     """
     if not models:
         raise ValueError("model list must be nonempty")
-    order = sorted(range(len(models)), key=lambda i: models[i][0])
-    classes = np.array([models[i][0] for i in order])
-    return classes, _decision_columns([models[i][1] for i in order], X)
+    models = sorted(models, key=lambda cm: cm[0])
+    _check_shared(models)
+    return np.array([c for c, _ in models]), _decision_columns([e for _, e in models], X)
 
 
 def accuracy(models, test: Dataset) -> float:

@@ -27,7 +27,7 @@ class KernelSpec:
     """Kernel family plus parameters.
 
     family is "linear" or "rbf"; for rbf the kernel is
-    exp(-gamma * ||a - b||^2) and gamma must be positive.
+    exp(-gamma * ||a - b||^2) and gamma must be positive and finite.
     """
 
     family: str
@@ -36,8 +36,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "rbf" and (self.gamma is None or not self.gamma > 0):
-            raise ValueError("rbf kernel needs gamma > 0")
+        if self.family == "rbf" and (self.gamma is None or not 0 < self.gamma < np.inf):
+            raise ValueError("rbf kernel needs gamma > 0 and finite")
 
 
 def _as_sample_matrix(X) -> np.ndarray:
@@ -64,12 +64,16 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n, n)
-        Symmetric PSD up to round-off; rbf entries lie in (0, 1].
+        Finite and exactly symmetric, as solve_dual requires; PSD up to
+        round-off; rbf entries lie in (0, 1]. A linear kernel on features
+        large enough to overflow (above about 1e154) raises ValueError.
     """
     X = _as_sample_matrix(X)
     if X.shape[0] == 0:
         raise ValueError("empty sample set")
-    return symmetrize(cross_gram(spec, X, X))
+    K = symmetrize(cross_gram(spec, X, X))
+    _check_finite(K)
+    return K
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import KernelExpansion
+from hfa.core import KernelExpansion, _check_shared
 from hfa.linalg import KernelSpec
 
 __all__ = [
@@ -140,10 +140,8 @@ def save_model_set(models, path, metadata: dict | None = None) -> None:
     """
     if not models:
         raise ValueError("a model set needs at least one model")
+    _check_shared(models)
     first = models[0][1]
-    for c, e in models:
-        if e.kernel != first.kernel or not np.array_equal(e.X, first.X):
-            raise ValueError(f"class {c}: every model in a set must share the target rows and kernel")
     record = {
         "format": FORMAT_MODEL_SET,
         "version": VERSION,

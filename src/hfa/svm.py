@@ -9,9 +9,11 @@ with second-order working-set selection (Fan, Chen & Lin, "Working Set
 Selection Using Second Order Information for Training Support Vector
 Machines", JMLR 2005; the rule LIBSVM uses), interleaved with Newton
 steps on the free set (the active-set idea of SimpleSVM, Vishwanathan,
-Smola & Murty, ICML 2003). The kernel matrix is taken as given; callers
-own its construction. DualProblem(...) checks it and makes it exactly
-symmetric; trusted_problem skips both, for a builder that already has.
+Smola & Murty, ICML 2003). solve_dual is the one entry. It checks its
+labels and box bound on every call, but takes K as given: the code that
+builds a kernel makes it finite and exactly symmetric (gram_matrix,
+PrecomputedKernels, the trainer's working kernels), so no solve pays for
+an n x n scan or copy.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.linalg import symmetrize
-
 __all__ = [
-    "DualProblem",
     "DualSolution",
     "DegenerateProblemError",
     "solve_dual",
-    "trusted_problem",
 ]
 
+# SMO stopping gap, the default of solve_dual and of every solve in training
+SVM_TOL = 1e-6
 # curvature floor for the pair step denominator K_ii + K_jj - 2 K_ij
 _CURVATURE_FLOOR = 1e-12
 # relative margin deciding whether an alpha sits at a box bound
@@ -51,48 +51,6 @@ class DegenerateProblemError(ValueError):
 
 
 @dataclass(frozen=True)
-class DualProblem:
-    """Kernel matrix, +-1 labels and box bound for one binary dual."""
-
-    K: np.ndarray
-    y: np.ndarray
-    C: float
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {K.shape}")
-        if y.ndim != 1 or y.size != K.shape[0]:
-            raise ValueError("label vector length must match kernel order")
-        if y.size == 0:
-            raise ValueError("empty problem")
-        if not np.all(np.isfinite(K)):
-            raise ValueError("kernel matrix has non-finite entries")
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError("labels must be +-1")
-        if np.all(y > 0) or np.all(y < 0):
-            raise DegenerateProblemError("labels contain a single class")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        object.__setattr__(self, "K", symmetrize(K))
-        object.__setattr__(self, "y", y)
-
-    @property
-    def size(self) -> int:
-        return self.y.size
-
-
-def trusted_problem(K: np.ndarray, y: np.ndarray, C: float) -> DualProblem:
-    """DualProblem(K, y, C) without its checks and copies, for a builder that
-    made K finite and exactly symmetric (which symmetrize returns bit for
-    bit), y float +-1 of both signs and C > 0: the trainer's working kernels."""
-    problem = object.__new__(DualProblem)
-    problem.__dict__.update(K=K, y=y, C=C)
-    return problem
-
-
-@dataclass(frozen=True)
 class DualSolution:
     """Optimal multipliers with the bias and dual objective value.
 
@@ -107,11 +65,17 @@ class DualSolution:
     iterations: int
 
 
+def _update_budget(n: int) -> int:
+    """Pair updates a solve of order n may make before it gives up."""
+    return 200 * n + 200_000
+
+
 def solve_dual(
-    problem: DualProblem,
-    tol: float = 1e-6,
+    K: np.ndarray,
+    y: np.ndarray,
+    C: float,
+    tol: float = SVM_TOL,
     warm_start: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> DualSolution:
     """Solve the box-constrained dual by SMO with second-order pair selection.
 
@@ -138,29 +102,48 @@ def solve_dual(
 
     Parameters
     ----------
-    problem : DualProblem
+    K : ndarray, shape (n, n)
+        Finite, exactly symmetric kernel matrix. That is not checked here,
+        which would scan K on every solve: the code that builds K checks it.
+    y : ndarray, shape (n,)
+        Labels +-1, both signs present (else DegenerateProblemError).
+    C : float
+        Box bound, positive and finite.
     tol : float
         Stop when the violating-pair gap max_{I_up} G - min_{I_low} G
         drops to tol, with G_i = y_i - (K beta)_i.
     warm_start : ndarray, optional
         Feasible alpha to start from; infeasible entries are clipped to
         the box (the equality constraint must already hold).
-    max_iter : int, optional
-        Guard on pair updates; a solve whose gap still exceeds tol after
-        max_iter updates raises RuntimeError naming tol, the
-        violating-pair gap left, the updates made and n. Newton steps
-        are not counted, here or in DualSolution.iterations.
 
     Returns
     -------
     DualSolution
         alpha within the box to round-off, |y' alpha| <= 1e-8 * n * C,
         and bias from free support vectors when any exist.
+
+    Raises
+    ------
+    RuntimeError
+        When the gap still exceeds tol after 200 n + 200,000 pair updates
+        (_update_budget), naming tol, the violating-pair gap left, the
+        updates made and n. Newton steps are not counted, here or in
+        DualSolution.iterations.
     """
-    K, y, C = problem.K, problem.y, problem.C
-    n = problem.size
-    if max_iter is None:
-        max_iter = 200 * n + 200_000
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"labels must be a nonempty vector, got shape {y.shape}")
+    n = y.size
+    if K.shape != (n, n):
+        raise ValueError(f"kernel matrix must be {n} x {n} to match the labels, got {K.shape}")
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +-1")
+    if np.all(y > 0) or np.all(y < 0):
+        raise DegenerateProblemError("labels contain a single class")
+    if not 0.0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
+    budget = _update_budget(n)
 
     if warm_start is not None:
         alpha = np.clip(np.asarray(warm_start, dtype=float), 0.0, C)
@@ -199,17 +182,16 @@ def solve_dual(
             next_newton = iterations + _free_set_step(K, y, C, tol, alpha, G)
             up, low = _bound_masks(alpha, pos, C)
             continue
-        if iterations == max_iter:
+        if iterations == budget:
             raise RuntimeError(
-                f"SMO stopped after {max_iter} pair updates (the max_iter budget) on n={n} "
+                f"SMO stopped after {budget} pair updates (the update budget) on n={n} "
                 f"with violating-pair gap {gap:.6g}, tol={tol:g}"
             )
         iterations += 1
 
         # second-order choice of j: b_j^2 / a_ij, twice the objective gain
         # of the pair step, largest over I_low entries with G_j < G_i.
-        # Rows of K are read (contiguous); K is exactly symmetric (DualProblem
-        # or the builder of a trusted_problem made it so).
+        # Rows of K are read (contiguous), which needs K exactly symmetric.
         K_i = K[i]
         a = diag + diag[i]
         a -= 2.0 * K_i

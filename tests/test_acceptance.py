@@ -17,7 +17,7 @@ from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
 from hfa.evaluate import run_experiment
 from hfa.metric import initial_metric
-from hfa.svm import DualProblem, solve_dual
+from hfa.svm import solve_dual
 from linear_oracle import (
     augment_source,
     augment_target,
@@ -71,7 +71,7 @@ def test_criterion_01_qp_oracle_equivalence():
     _, oracle = solve_qp_batch(K, y, C)
     worst = 0.0
     for p in range(50):
-        sol = solve_dual(DualProblem(K[p], y[p], float(C[p])), tol=1e-8)
+        sol = solve_dual(K[p], y[p], float(C[p]), tol=1e-8)
         worst = max(worst, abs(sol.objective - oracle[p]))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-6 and elapsed < 10.0,

@@ -104,8 +104,8 @@ def test_train_progress_lines_on_stderr(corpus, tmp_path, capsys, monkeypatch, f
     if forced:
         solve = hfa.core.solve_dual
 
-        def higher(problem, tol, warm_start=None):
-            sol = solve(problem, tol, warm_start=warm_start)
+        def higher(K, y, C, warm_start=None):
+            sol = solve(K, y, C, warm_start=warm_start)
             return sol if warm_start is None else replace(sol, objective=sol.objective + 1e6)
 
         monkeypatch.setattr(hfa.core, "solve_dual", higher)
@@ -317,6 +317,7 @@ def test_config_bad_value_names_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, line", [
     ("train", "hfa.C = -1"),
+    ("train", "hfa.C = inf"),
     ("train", "kernel.family = poly"),
     ("generate", "synthetic.latent_dim = 2"),
     ("train", "synthetic.latent_dim = 2"),
@@ -339,6 +340,9 @@ def test_config_out_of_range_value_names_file_line_and_key(corpus, tmp_path, cap
     ("--C", "-1", "C must be positive"),
     ("--lambda", "0", "lam must be positive"),
     ("--gamma", "-1", "kernel_gamma must be positive"),
+    ("--C", "inf", "C must be positive and finite"),
+    ("--lambda", "inf", "lam must be positive and finite"),
+    ("--gamma", "inf", "kernel_gamma must be positive and finite"),
 ])
 def test_flag_out_of_range_value_names_flag(corpus, tmp_path, capsys, flag, value, message):
     out = tmp_path / "out.json"

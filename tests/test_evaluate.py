@@ -7,7 +7,7 @@ import pytest
 
 import hfa.core
 from hfa import evaluate
-from hfa.core import SVM_TOL, HfaConfig, KernelExpansion, hfa_train, prepare_kernels
+from hfa.core import HfaConfig, KernelExpansion, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.evaluate import (
     ExperimentReport,
@@ -19,7 +19,7 @@ from hfa.evaluate import (
     train_multiclass,
 )
 from hfa.linalg import KernelSpec, cross_gram, gram_matrix
-from hfa.svm import DualProblem, solve_dual
+from hfa.svm import solve_dual
 
 
 def constant_model(score, dim=3):
@@ -64,20 +64,17 @@ def test_decision_matrix_builds_one_kernel_block_per_set(monkeypatch):
         _, scores = decision_matrix(models, X)
         assert len(blocks) == 1  # every class shares target.X and the kernel
         assert np.array_equal(scores, np.column_stack([m.decision_function(X) for _, m in models]))
-    # an expansion over other stored rows gets a block of its own
+    # a set whose models do not share the stored rows is refused before any scoring
     blocks.clear()
-    _, scores = decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], X)
-    assert len(blocks) == 2 and np.array_equal(scores[:, -1], np.full(len(X), 0.5))
+    with pytest.raises(ValueError, match="class 99: every model in a set must share the target rows"):
+        decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], X)
+    assert not blocks
     # a query of 2.5 row blocks: one kernel block per set and row block
     step = hfa.core._row_blocks(len(target), 10**6)[0][1]
     long = np.resize(X, (5 * step // 2, X.shape[1]))
     blocks.clear()
     decision_matrix(hfa_models, long)
     assert [len(b[2]) for b in blocks] == [step, step, len(long) - 2 * step]
-    # over one stored row, the constant model's row blocks hold every query row
-    blocks.clear()
-    decision_matrix(hfa_models + [(99, constant_model(0.5, dim=X.shape[1]))], long)
-    assert len(blocks) == 3 + 1
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.3)], ids=["linear", "rbf"])
@@ -192,6 +189,14 @@ def test_one_vs_rest_models_train_as_they_do_alone():
         assert np.array_equal(model.objective_trace, alone.objective_trace)
 
 
+def test_svm_t_baseline_rejects_overflowing_features():
+    # a linear Gram of finite rows near 1e200 overflows; gram_matrix raises
+    # before any solve
+    target = Dataset("target", np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        svm_t_baseline(target, HfaConfig(kernel_family="linear"))
+
+
 def test_svm_t_matches_direct_dual_solve():
     _, target = tiny_pools(seed=9)
     cfg = HfaConfig()
@@ -203,7 +208,7 @@ def test_svm_t_matches_direct_dual_solve():
     for c, model in models:
         assert isinstance(model, KernelExpansion)
         y = np.where(target.y == c, 1.0, -1.0)
-        sol = solve_dual(DualProblem(K, y, cfg.C), SVM_TOL)
+        sol = solve_dual(K, y, cfg.C)
         from hfa.linalg import cross_gram
         want = cross_gram(spec, target.X, X).T @ sol.beta + sol.bias
         np.testing.assert_allclose(model.decision_function(X), want, atol=1e-10)

@@ -37,6 +37,8 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", gamma=0.0)
     with pytest.raises(ValueError):
         KernelSpec("rbf", gamma=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("rbf", gamma=np.inf)
 
 
 def test_kernel_value_against_formula():
@@ -84,6 +86,10 @@ def test_gram_matrix_errors():
         gram_matrix(KernelSpec("linear"), np.empty((0, 3)))
     with pytest.raises(ValueError):
         gram_matrix(KernelSpec("linear"), [[1.0, 2.0], [1.0]])
+    # finite features above about 1e154 overflow a linear kernel: the Gram is
+    # checked where it is built, since the dual solver does not scan it
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        gram_matrix(KernelSpec("linear"), [[1e200, 1.0], [1.0, -1e200]])
 
 
 def test_cross_gram_matches_pairwise_loop():

@@ -171,13 +171,18 @@ def test_reloaded_set_scores_exactly(tmp_path_factory, drawn):
     assert np.array_equal(decision_matrix(models, query[0])[1], per_model_columns(models, query[0]))
     empty = decision_matrix(models, query[:0])[1]
     assert empty.shape == (0, len(models)) and np.array_equal(empty, per_model_columns(models, query[:0]))
-    # mixed lists: a copy of X_t (equal values, another array), other rows, another kernel
+    # mixed lists: a copy of X_t (equal values, another array) scores as the
+    # set does; other rows or another kernel make it no one-vs-rest set
     X_t, kernel = models[0][1].X, models[0][1].kernel
     variants = [(X_t.copy(), kernel), (rng.standard_normal(X_t.shape), kernel),
                 (X_t, KernelSpec("rbf", 0.3) if kernel.family == "linear" else KernelSpec("linear"))]
-    mixed = [(c, KernelExpansion(*variants[i // 2 % 3], m.coef, m.bias) if i % 2 else m)
-             for i, (c, m) in enumerate(models)]
-    assert np.array_equal(decision_matrix(mixed, query)[1], per_model_columns(mixed, query))
+    for v, variant in enumerate(variants):
+        mixed = [(c, KernelExpansion(*variant, m.coef, m.bias) if i % 2 else m) for i, (c, m) in enumerate(models)]
+        if v == 0:
+            assert np.array_equal(decision_matrix(mixed, query)[1], scores)
+        else:
+            with pytest.raises(ValueError, match="share the target rows and kernel"):
+                decision_matrix(mixed, query)
 
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])
@@ -346,6 +351,15 @@ def test_unknown_kernel_family(tmp_path):
     path = _set_file(tmp_path)
     edit_record(path, lambda r: r["kernel"].update(family="poly"))
     _rejected(path, "'kernel'", "unknown kernel family 'poly'")
+
+
+def test_infinite_kernel_gamma_rejected(tmp_path):
+    # json reads the literal Infinity, and an rbf kernel of infinite gamma
+    # would score NaN or the bare bias
+    path = _set_file(tmp_path)
+    edit_record(path, lambda r: r["kernel"].update(gamma=float("inf")))
+    assert '"gamma": Infinity' in path.read_text(encoding="utf-8")
+    _rejected(path, "'kernel'", "gamma > 0 and finite")
 
 
 def test_file_is_plain_text_with_named_arrays(tmp_path):

@@ -8,30 +8,27 @@ from numpy.testing import assert_allclose
 from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, solve_qp_batch
 
 from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
-from hfa.svm import (
-    DegenerateProblemError,
-    DualProblem,
-    _free_set_step,
-    solve_dual,
-    trusted_problem,
-)
+import hfa.svm
+from hfa.svm import DegenerateProblemError, _free_set_step, solve_dual
 
 
 def test_problem_validation():
+    # the O(n) checks every solve makes; K's values are its builder's to check
     K = np.eye(2)
     y = np.array([1.0, -1.0])
-    with pytest.raises(ValueError):
-        DualProblem(np.ones((2, 3)), y, 1.0)
-    with pytest.raises(ValueError):
-        DualProblem(K, np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        DualProblem(np.array([[1.0, np.inf], [np.inf, 1.0]]), y, 1.0)
-    with pytest.raises(ValueError):
-        DualProblem(K, np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match="must be 2 x 2"):
+        solve_dual(np.ones((2, 3)), y, 1.0)
+    with pytest.raises(ValueError, match="must be 1 x 1"):
+        solve_dual(K, np.array([1.0]), 1.0)
+    with pytest.raises(ValueError, match="nonempty vector"):
+        solve_dual(np.ones((0, 0)), np.ones(0), 1.0)
+    with pytest.raises(ValueError, match=r"\+-1"):
+        solve_dual(K, np.array([1.0, 2.0]), 1.0)
     with pytest.raises(DegenerateProblemError):
-        DualProblem(K, np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        DualProblem(K, y, 0.0)
+        solve_dual(K, np.array([1.0, 1.0]), 1.0)
+    for C in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="C must be positive"):
+            solve_dual(K, y, C)
 
 
 def test_analytic_two_point_problem():
@@ -39,7 +36,7 @@ def test_analytic_two_point_problem():
     # saturates both multipliers at 0.5 with zero bias
     K = np.array([[1.0, -1.0], [-1.0, 1.0]])
     y = np.array([1.0, -1.0])
-    sol = solve_dual(DualProblem(K, y, 1.0))
+    sol = solve_dual(K, y, 1.0)
     assert_allclose(sol.alpha, [0.5, 0.5], atol=1e-9)
     assert sol.bias == pytest.approx(0.0, abs=1e-9)
     assert sol.objective == pytest.approx(0.5, abs=1e-9)
@@ -52,7 +49,7 @@ def test_tiny_C_collapses_box():
     K = A @ A.T
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     C = 1e-9
-    sol = solve_dual(DualProblem(K, y, C))
+    sol = solve_dual(K, y, C)
     assert np.all(sol.alpha <= C + 1e-21)
     assert abs(sol.objective) <= 6 * C * 1.1
 
@@ -67,7 +64,7 @@ def test_solution_invariants():
         if np.all(y > 0) or np.all(y < 0):
             y[0] = -y[0]
         C = float(rng.choice([0.1, 1.0, 10.0]))
-        sol = solve_dual(DualProblem(K, y, C))
+        sol = solve_dual(K, y, C)
         assert np.all(sol.alpha >= -1e-12) and np.all(sol.alpha <= C + 1e-12)
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
         assert np.array_equal(sol.beta, sol.alpha * y)  # exact by construction
@@ -78,7 +75,7 @@ def test_objective_matches_projected_gradient_oracle():
     K, y, C = random_problems(rng, 12, n_max=7)
     _, oracle_obj = solve_qp_batch(K, y, C)
     for p in range(12):
-        sol = solve_dual(DualProblem(K[p], y[p], float(C[p])), tol=1e-9)
+        sol = solve_dual(K[p], y[p], float(C[p]), tol=1e-9)
         assert sol.objective == pytest.approx(float(oracle_obj[p]), abs=1e-7)
 
 
@@ -90,7 +87,7 @@ def test_objective_dominates_random_feasible_points():
         K = A @ A.T
         y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
         C = 1.0
-        sol = solve_dual(DualProblem(K, y, C), tol=1e-8)
+        sol = solve_dual(K, y, C, tol=1e-8)
         raw = rng.uniform(0.0, C, size=(100, n))
         feas = project_box_hyperplane(raw, np.broadcast_to(y, (100, n)), np.full(100, C))
         vals = dual_objectives(np.broadcast_to(K, (100, n, n)), np.broadcast_to(y, (100, n)), feas)
@@ -104,7 +101,7 @@ def test_monotonicity_in_C():
         A = rng.standard_normal((n, n))
         K = A @ A.T
         y = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-        objs = [solve_dual(DualProblem(K, y, C)).objective for C in (0.1, 1.0, 10.0)]
+        objs = [solve_dual(K, y, C).objective for C in (0.1, 1.0, 10.0)]
         assert objs[0] <= objs[1] + 1e-9 and objs[1] <= objs[2] + 1e-9
 
 
@@ -120,7 +117,7 @@ def test_complementary_slackness_on_free_vectors():
         if np.all(y > 0) or np.all(y < 0):
             y[0] = -y[0]
         C = 1.0
-        sol = solve_dual(DualProblem(K, y, C), tol=tol)
+        sol = solve_dual(K, y, C, tol=tol)
         f = K @ sol.beta + sol.bias
         free = (sol.alpha > 1e-8 * C) & (sol.alpha < C - 1e-8 * C)
         if np.any(free):
@@ -137,7 +134,7 @@ def test_bias_inside_admissible_interval():
         if np.all(y > 0) or np.all(y < 0):
             y[0] = -y[0]
         C = float(rng.choice([0.5, 2.0]))
-        sol = solve_dual(DualProblem(K, y, C), tol=1e-8)
+        sol = solve_dual(K, y, C, tol=1e-8)
         G = y - K @ sol.beta
         margin = 1e-8 * C
         lower = ((y > 0) & (sol.alpha <= margin)) | ((y < 0) & (sol.alpha >= C - margin))
@@ -148,37 +145,23 @@ def test_bias_inside_admissible_interval():
         assert lo - slack <= sol.bias <= hi + slack
 
 
-def test_trusted_problem_solves_as_the_checked_problem():
-    # on an exactly symmetric finite K the unchecked construction keeps K
-    # uncopied and solve_dual returns the same bits as on DualProblem
-    X = np.random.default_rng(12).standard_normal((20, 3))
-    K = gram_matrix(KernelSpec("rbf", 0.5), X)
-    y = np.where(X[:, 0] > 0, 1.0, -1.0)
-    trusted = trusted_problem(K, y, 2.0)
-    assert trusted.K is K and trusted.size == 20
-    a, b = solve_dual(DualProblem(K, y, 2.0)), solve_dual(trusted)
-    assert np.array_equal(a.alpha, b.alpha)
-    assert (a.bias, a.objective, a.iterations) == (b.bias, b.objective, b.iterations)
-
-
 def test_warm_start_agrees_with_cold_start():
     rng = np.random.default_rng(7)
     n = 8
     A = rng.standard_normal((n, n + 2))
     K = A @ A.T
     y = np.array([1.0, -1.0] * 4)
-    p = DualProblem(K, y, 1.0)
-    cold = solve_dual(p, tol=1e-8)
-    warm = solve_dual(p, tol=1e-8, warm_start=cold.alpha)
+    cold = solve_dual(K, y, 1.0, tol=1e-8)
+    warm = solve_dual(K, y, 1.0, tol=1e-8, warm_start=cold.alpha)
     assert warm.iterations == 0
     assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
     # a feasible but non-optimal start still reaches the same objective
-    third = solve_dual(p, tol=1e-8, warm_start=np.zeros(n))
+    third = solve_dual(K, y, 1.0, tol=1e-8, warm_start=np.zeros(n))
     assert third.objective == pytest.approx(cold.objective, abs=1e-8)
     with pytest.raises(ValueError):
-        solve_dual(p, warm_start=y * 0.5 + 0.5)  # violates equality constraint
+        solve_dual(K, y, 1.0, warm_start=y * 0.5 + 0.5)  # violates equality constraint
     with pytest.raises(ValueError):
-        solve_dual(p, warm_start=np.zeros(n - 1))
+        solve_dual(K, y, 1.0, warm_start=np.zeros(n - 1))
 
 
 def test_warm_start_after_small_kernel_change_needs_no_pair_update():
@@ -189,18 +172,18 @@ def test_warm_start_after_small_kernel_change_needs_no_pair_update():
     X = rng.standard_normal((n, 3))
     K = gram_matrix(KernelSpec("rbf", median_heuristic_gamma(X)), X)
     y = np.array([1.0, -1.0] * 10)
-    start = solve_dual(DualProblem(K, y, C), tol=1e-12)
+    start = solve_dual(K, y, C, tol=1e-12)
     u = rng.standard_normal(n)
-    moved = DualProblem(K + 1e-3 * np.outer(u, u), y, C)
-    cold = solve_dual(moved, tol=1e-12)
+    moved = K + 1e-3 * np.outer(u, u)
+    cold = solve_dual(moved, y, C, tol=1e-12)
 
     def memberships(alpha):
         return alpha <= 1e-8 * C, alpha >= C - 1e-8 * C
 
     assert all(np.array_equal(a, b) for a, b in zip(memberships(start.alpha), memberships(cold.alpha)))
     assert np.sum(~np.logical_or(*memberships(start.alpha))) >= 2
-    assert _violating_gap(moved.K, y, C, start.alpha) > 100 * tol
-    warm = solve_dual(moved, tol=tol, warm_start=start.alpha)
+    assert _violating_gap(moved, y, C, start.alpha) > 100 * tol
+    warm = solve_dual(moved, y, C, tol=tol, warm_start=start.alpha)
     assert warm.iterations == 0
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
     assert_allclose(warm.alpha, cold.alpha, atol=1e-9)
@@ -221,19 +204,21 @@ def test_newton_step_waits_longer_after_a_large_free_set():
         assert _free_set_step(K, y, 1.0, 1e-6, alpha, G) == wait
 
 
-def test_guard_on_iteration_budget():
+def test_guard_on_iteration_budget(monkeypatch):
     # a solve that reaches tol on its last allowed update succeeds
     K = np.array([[1.0, -1.0], [-1.0, 1.0]])
     y = np.array([1.0, -1.0])
-    sol = solve_dual(DualProblem(K, y, 1.0), tol=1e-12, max_iter=1)
+    monkeypatch.setattr(hfa.svm, "_update_budget", lambda n: 1)
+    sol = solve_dual(K, y, 1.0, tol=1e-12)
     assert sol.iterations == 1
     # the message names the budget, n, tol and the gap left after the last update
     rng = np.random.default_rng(8)
     X = rng.standard_normal((20, 3))
     K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2))
     y = np.array([1.0, -1.0] * 10)
+    monkeypatch.setattr(hfa.svm, "_update_budget", lambda n: 3)
     with pytest.raises(RuntimeError) as info:
-        solve_dual(DualProblem(K, y, 1.0), tol=1e-6, max_iter=3)
+        solve_dual(K, y, 1.0, tol=1e-6)
     message = str(info.value)
     assert "after 3 pair updates" in message and "n=20" in message and "tol=1e-06" in message
     gap = float(re.search(r"violating-pair gap (\S+),", message).group(1))
@@ -278,15 +263,14 @@ def psd_problems_with_warm_start(draw):
 def test_exit_conditions_cold_and_warm(case):
     K, y, C, warm = case
     n, tol = y.size, 1e-6
-    p = DualProblem(K, y, C)
-    cold = solve_dual(p, tol)
-    warm_sol = solve_dual(p, tol, warm_start=warm)
+    cold = solve_dual(K, y, C, tol)
+    warm_sol = solve_dual(K, y, C, tol, warm_start=warm)
     # recomputing G from alpha differs from SMO's running G by round-off only
-    roundoff = 64 * np.finfo(float).eps * n * C * np.abs(p.K).max()
+    roundoff = 64 * np.finfo(float).eps * n * C * np.abs(K).max()
     for sol in (cold, warm_sol):
         assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= C)
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
-        assert _violating_gap(p.K, y, C, sol.alpha) <= tol + roundoff
+        assert _violating_gap(K, y, C, sol.alpha) <= tol + roundoff
     assert warm_sol.objective == pytest.approx(cold.objective, rel=1e-8)
 
 
@@ -318,7 +302,7 @@ def smo_cases(draw, n):
             warm[y > 0] *= neg_sum / pos_sum
         elif neg_sum > 0.0:
             warm[y < 0] *= pos_sum / neg_sum
-    return DualProblem(K, y, C), warm
+    return (K, y, C), warm
 
 
 @st.composite
@@ -333,19 +317,18 @@ def smo_batches(draw):
 @given(smo_batches())
 def test_reaches_qp_optimum_within_default_budget(batch):
     # SMO with its free-set Newton steps meets its exit test inside the
-    # default max_iter budget, and no feasible point the independent QP
+    # default update budget, and no feasible point the independent QP
     # oracle finds beats its objective. The oracle is checked one-sided:
     # on large C it can stop short of the optimum by more than 1e-7.
     tol, objectives = 1e-9, []
-    for problem, warm in batch:
-        K, y, C = problem.K, problem.y, problem.C
+    for (K, y, C), warm in batch:
         n = y.size
-        sol = solve_dual(problem, tol, warm_start=warm, max_iter=None)
+        sol = solve_dual(K, y, C, tol, warm_start=warm)
         roundoff = 64 * np.finfo(float).eps * n * C * np.abs(K).max()
         assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= C)
         assert abs(float(y @ sol.alpha)) <= 1e-8 * n * C
         assert _violating_gap(K, y, C, sol.alpha) <= tol + roundoff
         objectives.append(sol.objective)
-    K, y, C = (np.array(v) for v in zip(*((p.K, p.y, p.C) for p, _ in batch)))
+    K, y, C = (np.array(v) for v in zip(*(problem for problem, _ in batch)))
     _, oracle_obj = solve_qp_batch(K, y, C, max_iter=400)
     assert np.all(np.array(objectives) >= oracle_obj - 1e-7)

@@ -17,8 +17,9 @@ from pair to pair, parent first on the first pair. For
 every end-to-end metric in BENCHMARK.json the file gives each side's
 runs, median and quartiles (`statistics.quantiles(runs, n=4)`), the pairs
 the change won (ties count for neither side), the change of the median
-relative to the parent's, and the parent's spread (Q3 - Q1) over its
-median. Held-out pairs are summarised apart from the others.
+relative to the parent's, the parent's spread (Q3 - Q1) over its
+median, and a verdict against the metric's bound (see `verdict`).
+Held-out pairs are summarised apart from the others.
 
 Standard library only.
 """
@@ -55,7 +56,26 @@ def quartiles(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": list(runs)}
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def verdict(parent: dict, change: dict, sign: float, bound: float) -> str:
+    """'unresolved', 'worse' or 'within_bound' for one metric's quartiles.
+
+    A metric whose parent runs spread (Q3 - Q1) wider than `bound` times
+    their median is unresolved, as these pairs cannot tell a change of that
+    size from noise, unless every change run beats every parent run.
+    Otherwise it is worse when the change's median is worse than the
+    parent's by more than `bound`, relative, and within_bound else. sign is
+    +1 when higher is better, -1 when lower is.
+    """
+    base = abs(parent["median"])
+    beats_every_run = min(sign * x for x in change["runs"]) > max(sign * x for x in parent["runs"])
+    if parent["q3"] - parent["q1"] > bound * base and not beats_every_run:
+        return "unresolved"
+    if sign * (change["median"] - parent["median"]) < -bound * base:
+        return "worse"
+    return "within_bound"
+
+
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """One metric over paired runs: parent[i] and change[i] ran as pair i."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -71,6 +91,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent_iqr_rel": (p["q3"] - p["q1"]) / base if base else None,
         # the change's median beats the parent's by more than the parent's Q3 - Q1
         "clears_parent_iqr": sign * (c["median"] - base) > p["q3"] - p["q1"],
+        "verdict": verdict(p, c, sign, bound),
     }
 
 
@@ -112,7 +133,7 @@ def summarize_pairs(pairs: list[dict], metrics: list[dict]) -> dict:
         m["name"]: dict(
             {"unit": m["unit"], "better": m["better"], "bound": m["bound"]},
             **summarize([p["parent"]["metrics"][m["name"]] for p in pairs],
-                        [p["change"]["metrics"][m["name"]] for p in pairs], m["better"]),
+                        [p["change"]["metrics"][m["name"]] for p in pairs], m["better"], m["bound"]),
         )
         for m in metrics
     }
