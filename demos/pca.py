@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa import Dataset
-from hfa.linalg import sym_eigen, symmetrize
+from hfa.linalg import symmetrize
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def pca_fit_transform(dataset: Dataset, energy: float) -> tuple[Dataset, PcaBasi
     mean = dataset.X.mean(axis=0)
     Xc = dataset.X - mean
     cov = symmetrize(Xc.T @ Xc / (n - 1))
-    w, V = sym_eigen(cov)
+    w, V = np.linalg.eigh(cov)
+    w, V = w[::-1], V[:, ::-1]  # descending
     cutoff = (w[0] if w[0] > 0 else 0.0) * 1e-12
     w = np.where(w > cutoff, w, 0.0)
     total = float(w.sum())

@@ -28,7 +28,7 @@ from hfa.data import (
     load_sparse,
     save_dense_csv,
     standardize_apply,
-    standardize_fit,
+    standardize_pair,
 )
 from hfa.evaluate import decision_matrix, render_report, run_experiment, train_multiclass
 from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
@@ -211,10 +211,7 @@ def cmd_train(cfg: CliConfig) -> None:
     target = _load_dataset(_require_path(cfg.target, "--target"))
     metadata = {}
     if cfg.hfa.standardize:
-        mean_s, scale_s = standardize_fit(source.X)
-        source = Dataset(source.domain, standardize_apply(source.X, mean_s, scale_s), source.y)
-        mean_t, scale_t = standardize_fit(target.X)
-        target = Dataset(target.domain, standardize_apply(target.X, mean_t, scale_t), target.y)
+        source, target, mean_t, scale_t = standardize_pair(source, target)
         metadata["standardize"] = {"target_mean": mean_t.tolist(), "target_scale": scale_t.tolist()}
     models = train_multiclass(source, target, cfg.hfa, monitor=_progress)
     out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")

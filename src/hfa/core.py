@@ -31,7 +31,6 @@ from hfa.linalg import (
     default_ridge,
     gram_matrix,
     median_heuristic_gamma,
-    sym_eigen,
     symmetrize,
 )
 from hfa.metric import TransformMetric, initial_metric
@@ -112,22 +111,30 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sqrt_factors(K: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ridged Gram M = L'L of a Gram matrix's square root L, and its coef map Q.
+def _sqrt_factors(Ks: np.ndarray, Kt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ridged Grams Ms, Mt = L'L of each domain's Gram square root L,
+    and the target's coef map Q, from one eigendecomposition per Gram.
 
-    With K = V diag(w) V', L = V diag(sqrt(w + ridge)) V' lifts dual
-    coefficients into the metric space, so M = V diag(w + ridge) V' and
-    Q = V diag((w + ridge) / w) V'. Eigendirections below 1e-12 of the
+    With K = V diag(w) V' and r = default_ridge(K), L = V diag(sqrt(w + r)) V'
+    lifts dual coefficients into the metric space, so M = V diag(w + r) V'
+    and Q = V diag((w + r) / w) V'. Eigendirections below 1e-12 of the
     largest eigenvalue are zeroed in both, which makes Q @ K == M hold to
     round-off; the predictor relies on that identity to reproduce
-    training-kernel decision values exactly. Both are exactly symmetric.
+    training-kernel decision values exactly. All three are exactly
+    symmetric. eigh reads Ks and Kt unchecked: gram_matrix returns them
+    finite and exactly symmetric. Nothing reads a source Q, so none is built.
     """
-    w, V = sym_eigen(K)
-    wmax = w[0] if w.size and w[0] > 0 else 0.0
-    keep = w > 1e-12 * wmax
-    safe_w = np.where(keep, w, 1.0)
-    ridged = np.where(keep, safe_w + ridge, 0.0)
-    return symmetrize((V * ridged) @ V.T), symmetrize((V * (ridged / safe_w)) @ V.T)
+    grams = []
+    for K in (Ks, Kt):
+        w, V = np.linalg.eigh(K)
+        # descending, which fixes the order in which the products below sum
+        w, V = w[::-1], V[:, ::-1]
+        keep = w > 1e-12 * (w[0] if w.size and w[0] > 0 else 0.0)
+        safe_w = np.where(keep, w, 1.0)
+        ridged = np.where(keep, safe_w + default_ridge(K), 0.0)
+        grams.append(symmetrize((V * ridged) @ V.T))
+    # V, ridged and safe_w are the target's after the loop
+    return grams[0], grams[1], symmetrize((V * (ridged / safe_w)) @ V.T)
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ class PrecomputedKernels:
     gram is M = L'L = blockdiag(Ms, Mt) for the lift L = blockdiag of
     their ridged square roots, which maps dual coefficients into the
     metric space (v = L beta); the trainer reads the metric through M
-    alone. coef_map is the target block's Q of _sqrt_factors, with
+    alone. coef_map is the target's Q of _sqrt_factors, with
     coef_map @ Kt == Mt up to round-off. base and gram must be finite and
     exactly symmetric (checked here), as the trainer builds its working
     kernels from them unchecked.
@@ -156,13 +163,24 @@ class PrecomputedKernels:
                 raise ValueError(f"kernel {name} must be finite and exactly symmetric")
 
 
+def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec, np.ndarray]:
+    """The kernel resolved for one domain's training rows, and their Gram.
+    Features large enough to overflow the kernel (above about 1e154) fail
+    with one ValueError that names the domain and a remedy."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            spec = cfg.kernel_spec_for(X)
+            return spec, gram_matrix(spec, X)
+    except FloatingPointError:
+        raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: "
+                         "rescale them or set data.standardize = true") from None
+
+
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
-    """Resolve kernels and factor each Gram of a training pair once, ridged by default_ridge."""
-    spec_t = cfg.kernel_spec_for(target_X)
-    Ks = gram_matrix(cfg.kernel_spec_for(source_X), source_X)
-    Kt = gram_matrix(spec_t, target_X)
-    ms, _ = _sqrt_factors(Ks, default_ridge(Ks))
-    mt, coef_map = _sqrt_factors(Kt, default_ridge(Kt))
+    """Resolve kernels and factor each Gram of a training pair once (_sqrt_factors)."""
+    _, Ks = _domain_gram(cfg, source_X, "source")
+    spec_t, Kt = _domain_gram(cfg, target_X, "target")
+    ms, mt, coef_map = _sqrt_factors(Ks, Kt)
     return PrecomputedKernels(
         kernel_target=spec_t, base=_block_diag(Ks, Kt), gram=_block_diag(ms, mt), coef_map=coef_map,
     )

@@ -26,6 +26,7 @@ __all__ = [
     "generate_synthetic",
     "standardize_fit",
     "standardize_apply",
+    "standardize_pair",
 ]
 
 
@@ -394,3 +395,12 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize_apply(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (np.asarray(X, dtype=float) - mean) / scale
+
+
+def standardize_pair(source: Dataset, target: Dataset) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
+    """Each domain z-scored with its own standardize_fit; returns both, then
+    the target's mean and scale, which map further target rows."""
+    mean_s, scale_s = standardize_fit(source.X)
+    mean_t, scale_t = standardize_fit(target.X)
+    source = Dataset(source.domain, standardize_apply(source.X, mean_s, scale_s), source.y)
+    return source, Dataset(target.domain, standardize_apply(target.X, mean_t, scale_t), target.y), mean_t, scale_t

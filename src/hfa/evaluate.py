@@ -22,7 +22,7 @@ from hfa.core import (
     hfa_train,
     prepare_kernels,
 )
-from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_fit
+from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_pair
 from hfa.linalg import gram_matrix
 from hfa.svm import solve_dual
 
@@ -226,10 +226,7 @@ def run_experiment(
         train_t, test_t = sample_protocol(target, per_class_target, seed)
         train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
         if cfg.standardize:
-            mean_s, scale_s = standardize_fit(train_s.X)
-            train_s = Dataset(train_s.domain, standardize_apply(train_s.X, mean_s, scale_s), train_s.y)
-            mean_t, scale_t = standardize_fit(train_t.X)
-            train_t = Dataset(train_t.domain, standardize_apply(train_t.X, mean_t, scale_t), train_t.y)
+            train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
             test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
         acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor), test_t))
         acc_t.append(accuracy(svm_t_baseline(train_t, cfg), test_t))

@@ -1,8 +1,8 @@
-"""Kernel Gram blocks and symmetric-matrix primitives.
+"""Kernel Gram blocks, the Gram ridge and symmetrization.
 
-Everything here works on dense float64 arrays. Functions that return a
-symmetric matrix symmetrize it as (M + M') / 2 before returning, so
-downstream eigendecompositions never see asymmetric round-off.
+Everything here works on dense float64 arrays. gram_matrix symmetrizes
+its Gram as (M + M') / 2 and checks it finite before returning, so the
+trainer can factor it with np.linalg.eigh directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "cross_gram",
     "median_heuristic_gamma",
     "symmetrize",
-    "sym_eigen",
     "default_ridge",
 ]
 
@@ -149,29 +148,6 @@ def _check_square(M: np.ndarray) -> None:
 def _check_finite(M: np.ndarray) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-
-
-def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    M : array_like, square
-        Symmetrized internally before factoring.
-
-    Returns
-    -------
-    w : ndarray
-        Eigenvalues in descending order.
-    V : ndarray
-        Orthonormal eigenvectors as columns, aligned with w, so that
-        M ~= V @ diag(w) @ V.T.
-    """
-    M = np.asarray(M, dtype=float)
-    _check_square(M)
-    _check_finite(M)
-    w, V = np.linalg.eigh(symmetrize(M))
-    return w[::-1], V[:, ::-1]
 
 
 def default_ridge(M) -> float:

@@ -226,25 +226,20 @@ def solve_dual(
         bias = float(G[free].mean())
     else:
         # every alpha at a bound: the KKT conditions only bracket the bias,
-        # take the midpoint of the admissible interval
+        # take the midpoint of the admissible interval. Both sets are
+        # nonempty for n < 1e6: an empty lower set needs every positive
+        # alpha at C and every negative one at 0, so |y'alpha| >=
+        # C (n_pos - 1e-8 n), but y'alpha keeps its start value (at most
+        # 1e-6 n C) up to round-off; likewise for upper with n_neg
         at_0 = alpha <= free_margin
         at_C = alpha >= C - free_margin
         lower = (pos & at_0) | (~pos & at_C)
         upper = (pos & at_C) | (~pos & at_0)
-        lo = float(G[lower].max()) if np.any(lower) else -np.inf
-        hi = float(G[upper].min()) if np.any(upper) else np.inf
-        if np.isfinite(lo) and np.isfinite(hi):
-            bias = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            bias = lo
-        elif np.isfinite(hi):
-            bias = hi
-        else:
-            bias = 0.0
+        bias = 0.5 * (float(G[lower].max()) + float(G[upper].min()))
 
     # K beta = y - G, so the objective needs no second product with K
     objective = float(alpha.sum() - 0.5 * (beta @ (y - G)))
-    return DualSolution(alpha=alpha, beta=beta, bias=float(bias), objective=objective, iterations=iterations)
+    return DualSolution(alpha=alpha, beta=beta, bias=bias, objective=objective, iterations=iterations)
 
 
 def _bound_masks(alpha: np.ndarray, pos: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.linalg import KernelSpec, sym_eigen, symmetrize
+from hfa.linalg import KernelSpec, _check_finite, _check_square, symmetrize
 from hfa.metric import TransformMetric
 
 
@@ -58,6 +58,29 @@ class DenseMetric:
             return False
         w = np.linalg.eigvalsh(self.matrix)
         return bool(w.min() >= -tol * max(t, 1.0) if w.size else True)
+
+
+def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix.
+
+    Parameters
+    ----------
+    M : array_like, square
+        Symmetrized internally before factoring.
+
+    Returns
+    -------
+    w : ndarray
+        Eigenvalues in descending order.
+    V : ndarray
+        Orthonormal eigenvectors as columns, aligned with w, so that
+        M ~= V @ diag(w) @ V.T.
+    """
+    M = np.asarray(M, dtype=float)
+    _check_square(M)
+    _check_finite(M)
+    w, V = np.linalg.eigh(symmetrize(M))
+    return w[::-1], V[:, ::-1]
 
 
 def gram_root(M: np.ndarray) -> np.ndarray:

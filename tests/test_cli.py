@@ -136,6 +136,39 @@ def test_train_missing_input_fails(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command, kernel, domain, rows", [
+    ("train", "linear", "target", 1),
+    ("train", "linear", "source", 1),
+    ("experiment", "linear", "target", None),
+    ("train", "rbf", "target", 2),
+])
+def test_overflowing_features_fail_naming_domain_and_remedy(corpus, tmp_path, command, kernel, domain, rows):
+    """Features near 1e200 overflow the kernel. The command prints one error
+    line naming the domain and a remedy, no numpy RuntimeWarning, and exits
+    1; a fresh interpreter shows the stderr a user sees, with numpy's
+    warnings printed rather than raised."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    data = load_dense_csv(corpus / f"{domain}.csv")
+    X = data.X.copy()
+    X[:rows, 0] = 1e200  # rows None: the whole column, so every experiment split has it
+    paths = {d: corpus / f"{d}.csv" for d in ("source", "target")}
+    paths[domain] = tmp_path / f"{domain}.csv"
+    save_dense_csv(Dataset(data.domain, X, data.y), paths[domain])
+    argv = [command, "--kernel", kernel, "--source", str(paths["source"]), "--target", str(paths["target"]),
+            "--out", str(tmp_path / "out"), "--trials", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hfa.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {domain} features overflow the {kernel} kernel: "
+                           "rescale them or set data.standardize = true\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_consistent_with_loaded_models(corpus, tmp_path):
     out = tmp_path / "preds.csv"
     code = main(["predict", "--model", str(corpus / "model.json"),

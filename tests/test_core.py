@@ -1,12 +1,14 @@
 """Augmentation maps, working-kernel builders and kernel preparation."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import hfa.core
 from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _sqrt_factors
-from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma
+from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma, symmetrize
 from hfa.metric import TransformMetric
 from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
 from metric_oracle import DenseMetric, gram_root, lifted, unit_atoms
@@ -117,8 +119,7 @@ def grams_and_roots(rng, n_s, n_t, gamma=0.7):
     spec = KernelSpec("rbf", gamma)
     Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
     Ks, Kt = gram_matrix(spec, Xs), gram_matrix(spec, Xt)
-    ms, _ = _sqrt_factors(Ks, default_ridge(Ks))
-    mt, coef_map = _sqrt_factors(Kt, default_ridge(Kt))
+    ms, mt, coef_map = _sqrt_factors(Ks, Kt)
     return Ks, Kt, ms, mt, PrecomputedKernels(spec, _block_diag(Ks, Kt), _block_diag(ms, mt), coef_map)
 
 
@@ -160,13 +161,23 @@ def test_factor_helpers_compose_the_same_kernel():
 # ---------------------------------------------------------------- sqrt factors
 
 
+def sqrt_factors(K, ridge=None):
+    """M and Q of _sqrt_factors for one Gram K, passed as both domains; a
+    given ridge replaces default_ridge."""
+    rule = default_ridge if ridge is None else (lambda _: ridge)
+    with mock.patch.object(hfa.core, "default_ridge", rule):
+        ms, mt, Q = _sqrt_factors(K, K)
+    assert np.array_equal(ms, mt)
+    return mt, Q
+
+
 def test_sqrt_factor_squares_to_ridged_gram():
     # M = L'L is K + ridge * I where no direction is cut
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 8))
     K = X @ X.T  # full rank almost surely
     ridge = 1e-6
-    M, Q = _sqrt_factors(K, ridge)
+    M, Q = sqrt_factors(K, ridge)
     assert np.allclose(M, K + ridge * np.eye(8), rtol=1e-10, atol=1e-10)
     assert np.allclose(Q @ K, M, rtol=1e-10, atol=1e-10)
 
@@ -185,7 +196,7 @@ def test_inverse_factor_pairs_with_sqrt_on_singular_gram():
     duplicate = np.vstack([X, X[0]])
     wide = rng.standard_normal((12, 5))
     for K in (duplicate @ duplicate.T, gram_matrix(KernelSpec("linear"), wide)):
-        M, Q = _sqrt_factors(K, default_ridge(K))
+        M, Q = sqrt_factors(K)
         P = cut_directions(K)
         assert P.shape[1] == len(K) - np.linalg.matrix_rank(K) > 0
         scale = np.max(np.abs(M))
@@ -195,7 +206,7 @@ def test_inverse_factor_pairs_with_sqrt_on_singular_gram():
 
 def test_sqrt_factor_zeroes_null_directions():
     K = np.diag([4.0, 1.0, 0.0])
-    M, Q = _sqrt_factors(K, 1e-10)
+    M, Q = sqrt_factors(K, 1e-10)
     assert M[2, 2] == 0.0 and Q[2, 2] == 0.0
     assert np.isclose(M[0, 0], 4.0 + 1e-10, rtol=1e-15) and np.isclose(Q[0, 0], (4.0 + 1e-10) / 4.0, rtol=1e-15)
 
@@ -205,7 +216,7 @@ def test_ridged_gram_is_exactly_symmetric():
     for n in (5, 40, 131):
         X = rng.standard_normal((n, 3))
         K = gram_matrix(KernelSpec("rbf", 0.5), X)
-        M, Q = _sqrt_factors(K, default_ridge(K))
+        M, Q = sqrt_factors(K)
         assert np.array_equal(M, M.T) and np.array_equal(Q, Q.T)
 
 
@@ -259,6 +270,38 @@ def test_prepare_kernels_contract():
     assert np.max(np.abs(pk.coef_map @ Kt - gram[6:, 6:])) <= 1e-9
     root = gram_root(gram)
     assert np.max(np.abs(root @ root - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def reference_factors(K):
+    """M and Q of a Gram K, built here from np.linalg.eigh of symmetrize(K),
+    with eigenvalues descending and the 1e-12 cut."""
+    w, V = np.linalg.eigh(symmetrize(K))
+    w, V = w[::-1], V[:, ::-1]
+    keep = w > 1e-12 * max(w[0], 0.0)
+    safe_w = np.where(keep, w, 1.0)
+    ridged = np.where(keep, safe_w + default_ridge(K), 0.0)
+    return symmetrize((V * ridged) @ V.T), symmetrize((V * (ridged / safe_w)) @ V.T), keep
+
+
+@pytest.mark.parametrize("family, n_s, n_t", [("rbf", 9, 7), ("linear", 14, 11)])
+def test_prepare_kernels_bit_equal_to_eigh_reference(family, n_s, n_t):
+    # one eigendecomposition per domain, straight on the checked Gram, gives
+    # every bit that factoring a symmetrized copy gives; the linear pair has
+    # n > d, so its cut acts in both domains
+    rng = np.random.default_rng(12)
+    Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
+    cfg = HfaConfig(kernel_family=family)
+    eigh = np.linalg.eigh
+    with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy:
+        pk = prepare_kernels(Xs, Xt, cfg)
+    assert spy.call_count == 2
+    Ks, Kt = gram_matrix(cfg.kernel_spec_for(Xs), Xs), gram_matrix(cfg.kernel_spec_for(Xt), Xt)
+    ms, _, keep_s = reference_factors(Ks)
+    mt, coef_map, keep_t = reference_factors(Kt)
+    assert (family == "linear") == (not keep_s.all()) == (not keep_t.all())
+    assert np.array_equal(pk.base, _block_diag(Ks, Kt))
+    assert np.array_equal(pk.gram, _block_diag(ms, mt))
+    assert np.array_equal(pk.coef_map, coef_map)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -18,6 +18,7 @@ from hfa.data import (
     save_dense_csv,
     standardize_apply,
     standardize_fit,
+    standardize_pair,
 )
 from hfa.data import _load_dense_csv_lines  # the per-line fallback, the oracle here
 from pca import pca_fit_transform  # demos/pca.py
@@ -550,3 +551,16 @@ def test_standardize_constant_feature_maps_to_zero():
     assert scale[0] == 1.0
     Z = standardize_apply(X, mean, scale)
     assert np.allclose(Z[:, 0], 0.0)
+
+
+def test_standardize_pair_scales_each_domain_by_its_own_fit():
+    rng = np.random.default_rng(18)
+    source = Dataset("s", rng.standard_normal((9, 3)) * 4.0 + 1.0, np.arange(9) % 2)
+    target = Dataset("t", rng.standard_normal((5, 2)) * [0.5, 30.0], np.arange(5) % 2)
+    zs, zt, mean_t, scale_t = standardize_pair(source, target)
+    assert np.array_equal(zs.X, standardize_apply(source.X, *standardize_fit(source.X)))
+    assert np.array_equal(zt.X, standardize_apply(target.X, mean_t, scale_t))
+    for fitted, want in zip((mean_t, scale_t), standardize_fit(target.X)):
+        assert np.array_equal(fitted, want)
+    assert (zs.domain, zt.domain) == ("s", "t")
+    assert np.array_equal(zs.y, source.y) and np.array_equal(zt.y, target.y)

@@ -10,10 +10,9 @@ from hfa.linalg import (
     default_ridge,
     gram_matrix,
     median_heuristic_gamma,
-    sym_eigen,
     symmetrize,
 )
-from metric_oracle import frobenius_inner, kernel_value, psd_project, trace_cap
+from metric_oracle import frobenius_inner, kernel_value, psd_project, sym_eigen, trace_cap
 
 
 def random_sym(rng, n, scale=1.0):
