@@ -209,12 +209,13 @@ def cmd_generate(cfg: CliConfig) -> None:
 def cmd_train(cfg: CliConfig) -> None:
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
+    out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")
     metadata = {}
     if cfg.hfa.standardize:
         source, target, mean_t, scale_t = standardize_pair(source, target)
         metadata["standardize"] = {"target_mean": mean_t.tolist(), "target_scale": scale_t.tolist()}
+        _target_standardization(metadata, out, target.dim)  # fail now on what predict would refuse
     models = train_multiclass(source, target, cfg.hfa, monitor=_progress)
-    out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")
     _atomic(out, lambda tmp: save_model_set(models, tmp, metadata))
     for c, model in models:
         trace = model.objective_trace

@@ -95,13 +95,6 @@ class HfaConfig:
         if not self.conv_tol > 0:
             raise ValueError("conv_tol must be positive")
 
-    def kernel_spec_for(self, X: np.ndarray) -> KernelSpec:
-        """Resolve the kernel for one domain's training rows."""
-        if self.kernel_family == "linear":
-            return KernelSpec("linear")
-        gamma = self.kernel_gamma if self.kernel_gamma is not None else median_heuristic_gamma(X)
-        return KernelSpec("rbf", gamma)
-
 
 def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[0]
@@ -111,30 +104,26 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sqrt_factors(Ks: np.ndarray, Kt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ridged Grams Ms, Mt = L'L of each domain's Gram square root L,
-    and the target's coef map Q, from one eigendecomposition per Gram.
+def _sqrt_factors(K: np.ndarray, target: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ridged Gram M = L'L of a domain's Gram square root L, and for
+    the target domain its coef map Q, from one eigendecomposition of K.
 
     With K = V diag(w) V' and r = default_ridge(K), L = V diag(sqrt(w + r)) V'
     lifts dual coefficients into the metric space, so M = V diag(w + r) V'
     and Q = V diag((w + r) / w) V'. Eigendirections below 1e-12 of the
     largest eigenvalue are zeroed in both, which makes Q @ K == M hold to
     round-off; the predictor relies on that identity to reproduce
-    training-kernel decision values exactly. All three are exactly
-    symmetric. eigh reads Ks and Kt unchecked: gram_matrix returns them
-    finite and exactly symmetric. Nothing reads a source Q, so none is built.
+    training-kernel decision values exactly. Both are exactly symmetric.
+    eigh reads K unchecked: gram_matrix returns it finite and exactly
+    symmetric. Nothing reads a source Q, so none is built (None).
     """
-    grams = []
-    for K in (Ks, Kt):
-        w, V = np.linalg.eigh(K)
-        # descending, which fixes the order in which the products below sum
-        w, V = w[::-1], V[:, ::-1]
-        keep = w > 1e-12 * (w[0] if w.size and w[0] > 0 else 0.0)
-        safe_w = np.where(keep, w, 1.0)
-        ridged = np.where(keep, safe_w + default_ridge(K), 0.0)
-        grams.append(symmetrize((V * ridged) @ V.T))
-    # V, ridged and safe_w are the target's after the loop
-    return grams[0], grams[1], symmetrize((V * (ridged / safe_w)) @ V.T)
+    w, V = np.linalg.eigh(K)
+    # descending, which fixes the order in which the products below sum
+    w, V = w[::-1], V[:, ::-1]
+    keep = w > 1e-12 * (w[0] if w.size and w[0] > 0 else 0.0)
+    safe_w = np.where(keep, w, 1.0)
+    ridged = np.where(keep, safe_w + default_ridge(K), 0.0)
+    return symmetrize((V * ridged) @ V.T), symmetrize((V * (ridged / safe_w)) @ V.T) if target else None
 
 
 @dataclass(frozen=True)
@@ -163,27 +152,35 @@ class PrecomputedKernels:
                 raise ValueError(f"kernel {name} must be finite and exactly symmetric")
 
 
-def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec, np.ndarray]:
-    """The kernel resolved for one domain's training rows, and their Gram.
-    Features large enough to overflow the kernel (above about 1e154) fail
-    with one ValueError that names the domain and a remedy."""
+def _factor_domain(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple:
+    """Everything read from one domain's training rows, as (kernel, Gram K,
+    M, Q) with Q None for the source: the kernel is resolved from the rows
+    (the rbf bandwidth is cfg.kernel_gamma, else the median rule on X) and
+    K is factored once (_sqrt_factors). Features large enough to overflow
+    the kernel (above about 1e154) fail with one ValueError that names the
+    domain ("source" or "target") and a remedy."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            spec = cfg.kernel_spec_for(X)
-            return spec, gram_matrix(spec, X)
+            if cfg.kernel_family == "linear":
+                spec = KernelSpec("linear")
+            else:
+                spec = KernelSpec("rbf", median_heuristic_gamma(X) if cfg.kernel_gamma is None else cfg.kernel_gamma)
+            K = gram_matrix(spec, X)
     except FloatingPointError:
         raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: "
                          "rescale them or set data.standardize = true") from None
+    return (spec, K, *_sqrt_factors(K, target=domain == "target"))
+
+
+def _pair_kernels(source, target) -> PrecomputedKernels:
+    """The block-diagonal factors of a training pair from its domains' _factor_domain."""
+    (_, Ks, Ms, _), (spec_t, Kt, Mt, Q) = source, target
+    return PrecomputedKernels(spec_t, _block_diag(Ks, Kt), _block_diag(Ms, Mt), Q)
 
 
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
-    """Resolve kernels and factor each Gram of a training pair once (_sqrt_factors)."""
-    _, Ks = _domain_gram(cfg, source_X, "source")
-    spec_t, Kt = _domain_gram(cfg, target_X, "target")
-    ms, mt, coef_map = _sqrt_factors(Ks, Kt)
-    return PrecomputedKernels(
-        kernel_target=spec_t, base=_block_diag(Ks, Kt), gram=_block_diag(ms, mt), coef_map=coef_map,
-    )
+    """Factor each domain of a training pair once (_factor_domain) and join them."""
+    return _pair_kernels(_factor_domain(cfg, source_X, "source"), _factor_domain(cfg, target_X, "target"))
 
 
 def _validate_binary_pair(source: Dataset, target: Dataset) -> None:

@@ -387,8 +387,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and scale from training rows; zero-variance scales become 1."""
     X = np.asarray(X, dtype=float)
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    # std squares deviations, so it overflows above about 1e154: such columns are measured
+    # in units of their largest |x|, the others keep their bits; an overflowing mean stays non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale = X.mean(axis=0), X.std(axis=0)
+    big = np.isinf(scale)
+    if big.any():
+        peak = np.max(np.abs(X[:, big]), axis=0)
+        scale[big] = (X[:, big] / peak).std(axis=0) * peak
     scale = np.where(scale < 1e-12, 1.0, scale)
     return mean, scale
 

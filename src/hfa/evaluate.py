@@ -17,13 +17,15 @@ from hfa.core import (
     HfaConfig,
     HfaModel,
     KernelExpansion,
+    PrecomputedKernels,
     _check_shared,
     _decision_columns,
+    _factor_domain,
+    _pair_kernels,
     hfa_train,
     prepare_kernels,
 )
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_pair
-from hfa.linalg import gram_matrix
 from hfa.svm import solve_dual
 
 __all__ = [
@@ -38,11 +40,10 @@ __all__ = [
 ]
 
 
-def train_multiclass(
-    source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig(), monitor=None
-) -> list[tuple[int, HfaModel]]:
+def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig(), monitor=None,
+                     kernels: PrecomputedKernels | None = None) -> list[tuple[int, HfaModel]]:
     """Train one binary model per class on the full source+target data,
-    sharing one Gram factorization (prepare_kernels) across the classes.
+    sharing one Gram factorization across the classes.
 
     Parameters
     ----------
@@ -52,6 +53,8 @@ def train_multiclass(
     cfg : HfaConfig
     monitor : callable, optional
         hfa_train's monitor, for every class in turn.
+    kernels : PrecomputedKernels, optional
+        As hfa_train takes them; prepare_kernels builds them when not given.
 
     Returns
     -------
@@ -62,27 +65,23 @@ def train_multiclass(
     if len(present) < 2:
         raise ValueError("target training data must contain at least 2 classes")
     classes = sorted(source.class_counts().keys() | present.keys())
-    kernels = prepare_kernels(source.X, target.X, cfg)
+    if kernels is None:
+        kernels = prepare_kernels(source.X, target.X, cfg)
     return [
         (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels, monitor=monitor))
         for c in classes
     ]
 
 
-def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig()) -> list[tuple[int, KernelExpansion]]:
+def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig(), factors=None) -> list[tuple[int, KernelExpansion]]:
     """One-vs-rest SVMs on the target Gram matrix only, one per target
-    class in ascending order, as kernel expansions with coef = beta.
-
-    The kernel is resolved from the target rows as prepare_kernels
-    resolves the target domain's, so on the same rows both experiment
-    arms use the same target kernel. gram_matrix checks K finite and
-    makes it exactly symmetric, which solve_dual assumes.
-    """
+    class in ascending order, as kernel expansions with coef = beta, over
+    the kernel and Gram of factors, this target's hfa.core._factor_domain
+    (built here when not given; run_experiment shares it with hfa's arm)."""
     present = target.class_counts()
     if len(present) < 2:
         raise ValueError("target training data must contain at least 2 classes")
-    spec = cfg.kernel_spec_for(target.X)
-    K = gram_matrix(spec, target.X)
+    spec, K, *_ = _factor_domain(cfg, target.X, "target") if factors is None else factors
     models = []
     for c in present:
         y = np.where(target.y == c, 1.0, -1.0)
@@ -192,9 +191,11 @@ def run_experiment(
 
     Trial t draws its target train/test partition (and source training
     subset when per_class_source is given) with seed base_seed+t; both
-    arms see byte-identical partitions and resolve the same target kernel
-    from them. monitor is passed to train_multiclass in every trial.
-    Infeasible protocols fail before any training starts.
+    arms see byte-identical partitions and read one target kernel and Gram
+    (hfa.core._factor_domain); without per_class_source every trial trains
+    on the same source rows, which are factored once per experiment. monitor
+    is passed to train_multiclass in every trial. Infeasible protocols fail
+    before any training starts.
 
     Returns
     -------
@@ -222,14 +223,19 @@ def run_experiment(
     }
     seeds = tuple(base_seed + t for t in range(trials))
     acc_h, acc_t = [], []
+    factors_s = None
     for seed in seeds:
         train_t, test_t = sample_protocol(target, per_class_target, seed)
         train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
         if cfg.standardize:
             train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
             test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
-        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor), test_t))
-        acc_t.append(accuracy(svm_t_baseline(train_t, cfg), test_t))
+        if factors_s is None or per_class_source is not None:
+            factors_s = _factor_domain(cfg, train_s.X, "source")
+        factors_t = _factor_domain(cfg, train_t.X, "target")
+        kernels = _pair_kernels(factors_s, factors_t)
+        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor, kernels=kernels), test_t))
+        acc_t.append(accuracy(svm_t_baseline(train_t, cfg, factors_t), test_t))
     return ExperimentRun(
         hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),
         svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, dict(echo, method="svm_t")),

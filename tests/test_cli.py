@@ -136,6 +136,19 @@ def test_train_missing_input_fails(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def run_child(argv):
+    """`python -m hfa.cli argv` in a fresh interpreter, so numpy's warnings
+    print to stderr as a user sees them rather than being raised."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "hfa.cli", *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command, kernel, domain, rows", [
     ("train", "linear", "target", 1),
     ("train", "linear", "source", 1),
@@ -145,13 +158,7 @@ def test_train_missing_input_fails(tmp_path, capsys):
 def test_overflowing_features_fail_naming_domain_and_remedy(corpus, tmp_path, command, kernel, domain, rows):
     """Features near 1e200 overflow the kernel. The command prints one error
     line naming the domain and a remedy, no numpy RuntimeWarning, and exits
-    1; a fresh interpreter shows the stderr a user sees, with numpy's
-    warnings printed rather than raised."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+    1 (run_child shows the stderr a user sees)."""
     data = load_dense_csv(corpus / f"{domain}.csv")
     X = data.X.copy()
     X[:rows, 0] = 1e200  # rows None: the whole column, so every experiment split has it
@@ -160,13 +167,39 @@ def test_overflowing_features_fail_naming_domain_and_remedy(corpus, tmp_path, co
     save_dense_csv(Dataset(data.domain, X, data.y), paths[domain])
     argv = [command, "--kernel", kernel, "--source", str(paths["source"]), "--target", str(paths["target"]),
             "--out", str(tmp_path / "out"), "--trials", "1"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "hfa.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_child(argv)
     assert proc.returncode == 1
     assert proc.stderr == (f"error: {domain} features overflow the {kernel} kernel: "
                            "rescale them or set data.standardize = true\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, value, trains", [(1, 1e200, True), (None, 1e308, False)])
+def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, rows, value, trains):
+    """Every model `hfa train` writes, `hfa predict` loads. One target row at
+    1e200 in feature 0 standardizes to a finite scale with no numpy
+    RuntimeWarning, and predict scores every row finitely; a whole column at
+    1e308 overflows its mean, and train prints one error line, with no
+    RuntimeWarning, and writes no file."""
+    data = load_dense_csv(corpus / "target.csv")
+    X = data.X.copy()
+    X[:rows, 0] = value
+    target, model, config = tmp_path / "target.csv", tmp_path / "model.json", tmp_path / "std.cfg"
+    save_dense_csv(Dataset(data.domain, X, data.y), target)
+    config.write_text("data.standardize = true\n", encoding="utf-8")
+    train = run_child(["train", "--config", config, "--kernel", "linear", "--source", corpus / "source.csv",
+                       "--target", target, "--out", model])
+    if not trains:
+        assert train.returncode == 1
+        assert re.fullmatch(r"error: [^\n]*\n", train.stderr)
+        assert not model.exists()
+        return
+    assert train.returncode == 0, train.stderr
+    assert all(line.startswith("outer ") for line in train.stderr.splitlines())
+    predict = run_child(["predict", "--model", model, "--target", target, "--out", tmp_path / "p.csv"])
+    assert predict.returncode == 0, predict.stderr
+    scores = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)[:, 2:]
+    assert scores.shape == (len(data), 2) and np.all(np.isfinite(scores))
 
 
 def test_predict_consistent_with_loaded_models(corpus, tmp_path):

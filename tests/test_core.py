@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hfa.core
-from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _sqrt_factors
+from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _factor_domain, _sqrt_factors
 from hfa.linalg import KernelSpec, default_ridge, gram_matrix, median_heuristic_gamma, symmetrize
 from hfa.metric import TransformMetric
 from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
@@ -119,7 +119,7 @@ def grams_and_roots(rng, n_s, n_t, gamma=0.7):
     spec = KernelSpec("rbf", gamma)
     Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
     Ks, Kt = gram_matrix(spec, Xs), gram_matrix(spec, Xt)
-    ms, mt, coef_map = _sqrt_factors(Ks, Kt)
+    (ms, _), (mt, coef_map) = _sqrt_factors(Ks, target=False), _sqrt_factors(Kt, target=True)
     return Ks, Kt, ms, mt, PrecomputedKernels(spec, _block_diag(Ks, Kt), _block_diag(ms, mt), coef_map)
 
 
@@ -162,12 +162,14 @@ def test_factor_helpers_compose_the_same_kernel():
 
 
 def sqrt_factors(K, ridge=None):
-    """M and Q of _sqrt_factors for one Gram K, passed as both domains; a
-    given ridge replaces default_ridge."""
+    """M and Q of _sqrt_factors for one Gram K as the target's, checking that
+    as the source's it gives the same M and no Q; a given ridge replaces
+    default_ridge."""
     rule = default_ridge if ridge is None else (lambda _: ridge)
     with mock.patch.object(hfa.core, "default_ridge", rule):
-        ms, mt, Q = _sqrt_factors(K, K)
-    assert np.array_equal(ms, mt)
+        ms, none = _sqrt_factors(K, target=False)
+        mt, Q = _sqrt_factors(K, target=True)
+    assert np.array_equal(ms, mt) and none is None
     return mt, Q
 
 
@@ -239,11 +241,13 @@ def test_config_validation():
 def test_kernel_spec_resolution():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((10, 3))
-    assert HfaConfig(kernel_family="linear").kernel_spec_for(X).family == "linear"
-    spec = HfaConfig(kernel_family="rbf", kernel_gamma=2.5).kernel_spec_for(X)
-    assert spec.gamma == 2.5
-    auto = HfaConfig(kernel_family="rbf").kernel_spec_for(X)
-    assert auto.gamma == median_heuristic_gamma(X)
+
+    def spec(cfg):
+        return _factor_domain(cfg, X, "target")[0]
+
+    assert spec(HfaConfig(kernel_family="linear")).family == "linear"
+    assert spec(HfaConfig(kernel_family="rbf", kernel_gamma=2.5)).gamma == 2.5
+    assert spec(HfaConfig(kernel_family="rbf")).gamma == median_heuristic_gamma(X)
 
 
 def test_prepare_kernels_contract():
@@ -253,7 +257,7 @@ def test_prepare_kernels_contract():
     pk = prepare_kernels(Xs, Xt, cfg)
     base, gram = pk.base, pk.gram
     assert base.shape == gram.shape == (10, 10) and pk.coef_map.shape == (4, 4)
-    spec_s, spec_t = cfg.kernel_spec_for(Xs), cfg.kernel_spec_for(Xt)
+    spec_s, spec_t = _factor_domain(cfg, Xs, "source")[0], _factor_domain(cfg, Xt, "target")[0]
     assert pk.kernel_target == spec_t and spec_s.family == "rbf"
     # different domains resolve different bandwidths
     assert spec_s.gamma != spec_t.gamma
@@ -295,7 +299,8 @@ def test_prepare_kernels_bit_equal_to_eigh_reference(family, n_s, n_t):
     with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy:
         pk = prepare_kernels(Xs, Xt, cfg)
     assert spy.call_count == 2
-    Ks, Kt = gram_matrix(cfg.kernel_spec_for(Xs), Xs), gram_matrix(cfg.kernel_spec_for(Xt), Xt)
+    Ks = gram_matrix(_factor_domain(cfg, Xs, "source")[0], Xs)
+    Kt = gram_matrix(_factor_domain(cfg, Xt, "target")[0], Xt)
     ms, _, keep_s = reference_factors(Ks)
     mt, coef_map, keep_t = reference_factors(Kt)
     assert (family == "linear") == (not keep_s.all()) == (not keep_t.all())

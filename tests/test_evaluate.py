@@ -7,8 +7,15 @@ import pytest
 
 import hfa.core
 from hfa import evaluate
-from hfa.core import HfaConfig, KernelExpansion, hfa_train, prepare_kernels
-from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
+from hfa.core import HfaConfig, KernelExpansion, _factor_domain, hfa_train, prepare_kernels
+from hfa.data import (
+    Dataset,
+    SyntheticSpec,
+    generate_synthetic,
+    sample_protocol,
+    standardize_apply,
+    standardize_pair,
+)
 from hfa.evaluate import (
     ExperimentReport,
     accuracy,
@@ -190,10 +197,10 @@ def test_one_vs_rest_models_train_as_they_do_alone():
 
 
 def test_svm_t_baseline_rejects_overflowing_features():
-    # a linear Gram of finite rows near 1e200 overflows; gram_matrix raises
-    # before any solve
+    # a linear Gram of finite rows near 1e200 overflows; the target domain's
+    # factoring names it before any solve
     target = Dataset("target", np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^target features overflow the linear kernel: .*data.standardize = true$"):
         svm_t_baseline(target, HfaConfig(kernel_family="linear"))
 
 
@@ -201,7 +208,7 @@ def test_svm_t_matches_direct_dual_solve():
     _, target = tiny_pools(seed=9)
     cfg = HfaConfig()
     models = svm_t_baseline(target, cfg)
-    spec = cfg.kernel_spec_for(target.X)
+    spec = _factor_domain(cfg, target.X, "target")[0]
     K = gram_matrix(spec, target.X)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, target.dim))
@@ -311,3 +318,29 @@ def test_shared_kernel_between_arms():
     assert kernels == {prepare_kernels(source.X, train_t.X, cfg).kernel_target}
     assert accuracy(hfa_models, test_t) == run.hfa.accuracies[0]
     assert accuracy(base, test_t) == run.svm_t.accuracies[0]
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("per_class_source, source_calls", [(None, 1), (5, 3)])
+def test_run_experiment_factors_each_domain_once(monkeypatch, per_class_source, source_calls, standardize):
+    # each trial builds and factors its target Gram once, for both arms; a
+    # source that every trial trains on whole is factored once per experiment
+    source, target = tiny_pools(seed=4)
+    cfg = HfaConfig(t_max=4, standardize=standardize)
+    factored, grams = [], []
+    sqrt_factors, gram_matrix_ = hfa.core._sqrt_factors, hfa.core.gram_matrix
+    monkeypatch.setattr(hfa.core, "_sqrt_factors", lambda K, target: factored.append(target) or sqrt_factors(K, target))
+    monkeypatch.setattr(hfa.core, "gram_matrix", lambda spec, X: grams.append(len(X)) or gram_matrix_(spec, X))
+    run = run_experiment(source, target, cfg, per_class_target=3, trials=3, base_seed=0,
+                         per_class_source=per_class_source)
+    assert (factored.count(False), factored.count(True)) == (source_calls, 3)
+    assert len(grams) == source_calls + 3
+    # the shared factors score as freshly built ones in every trial
+    for t, seed in enumerate(run.hfa.seeds):
+        train_t, test_t = sample_protocol(target, 3, seed)
+        train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
+        if standardize:
+            train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
+            test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
+        assert accuracy(train_multiclass(train_s, train_t, cfg), test_t) == run.hfa.accuracies[t]
+        assert accuracy(svm_t_baseline(train_t, cfg), test_t) == run.svm_t.accuracies[t]
