@@ -28,12 +28,11 @@ from hfa.metric import initial_metric
 from hfa.svm import solve_dual
 
 # class 0 against the rest, 20 source and 4 target rows per class; F is
-# blockdiag(Ks, Kt) and M = L'L for L blockdiag of their ridged square roots
+# blockdiag(Ks, Kt), and so is M = L'L for L blockdiag of their square roots
 source, pool = generate_synthetic(SyntheticSpec(num_classes=4, source_per_class=20))
 target, _ = sample_protocol(pool, 4, seed=0)
 cfg = HfaConfig()
-pk = prepare_kernels(source.X, target.X, cfg)
-base, M = pk.base, pk.gram
+base = M = prepare_kernels(source.X, target.X, cfg).base
 y = np.concatenate([source.binary_view(0).y, target.binary_view(0).y]).astype(float)
 C, lam = cfg.C, cfg.lam
 

@@ -8,9 +8,10 @@ Frank-Wolfe steps toward a rank-1 vertex, re-solving the dual (warm
 started) at each trial step, and stops on a certified saddle gap;
 prediction needs target kernel values only.
 
-The one shipped training path is kernelized: its metric has order
-n_s+n_t over per-domain Gram square roots L, and the trainer reads it
-only through dual vectors and M = L'L, with no L formed (hfa.metric).
+The one shipped training path is kernelized as in the paper: its metric
+has order n_s+n_t over the per-domain Gram square roots L = K^(1/2), and
+the trainer reads it only through dual vectors and M = L'L, which is the
+Gram K itself, with no L formed (hfa.metric).
 The paper's explicit path, with a metric of order d_s+d_t over raw
 features, lives next to the tests as an oracle (tests/linear_oracle.py)
 and runs the same outer loop; the optimal objectives of the two agree
@@ -25,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa.data import Dataset
-from hfa.linalg import (
-    KernelSpec,
-    cross_gram,
-    default_ridge,
-    gram_matrix,
-    median_heuristic_gamma,
-    symmetrize,
-)
+from hfa.linalg import KernelSpec, cross_gram, gram_matrix, median_heuristic_gamma
 from hfa.metric import TransformMetric, initial_metric
 from hfa.svm import DegenerateProblemError, DualSolution, solve_dual
 
@@ -70,7 +64,7 @@ class HfaConfig:
     falls to conv_tol, so the last objective change is within conv_tol
     too (see _alternate). standardize asks `hfa train` and the experiment
     runner to z-score each domain's features; the trainer itself does not
-    read it. The SMO tolerance (hfa.svm.SVM_TOL) and the Gram ridges are fixed.
+    read it. The SMO tolerance (hfa.svm.SVM_TOL) is fixed.
     """
 
     C: float = 1.0
@@ -104,83 +98,53 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sqrt_factors(K: np.ndarray, target: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ridged Gram M = L'L of a domain's Gram square root L, and for
-    the target domain its coef map Q, from one eigendecomposition of K.
-
-    With K = V diag(w) V' and r = default_ridge(K), L = V diag(sqrt(w + r)) V'
-    lifts dual coefficients into the metric space, so M = V diag(w + r) V'
-    and Q = V diag((w + r) / w) V'. Eigendirections below 1e-12 of the
-    largest eigenvalue are zeroed in both, which makes Q @ K == M hold to
-    round-off; the predictor relies on that identity to reproduce
-    training-kernel decision values exactly. Both are exactly symmetric.
-    eigh reads K unchecked: gram_matrix returns it finite and exactly
-    symmetric. Nothing reads a source Q, so none is built (None).
-    """
-    w, V = np.linalg.eigh(K)
-    # descending, which fixes the order in which the products below sum
-    w, V = w[::-1], V[:, ::-1]
-    keep = w > 1e-12 * (w[0] if w.size and w[0] > 0 else 0.0)
-    safe_w = np.where(keep, w, 1.0)
-    ridged = np.where(keep, safe_w + default_ridge(K), 0.0)
-    return symmetrize((V * ridged) @ V.T), symmetrize((V * (ridged / safe_w)) @ V.T) if target else None
-
-
 @dataclass(frozen=True)
 class PrecomputedKernels:
-    """Gram factors shared by all models on one training set.
+    """The Grams shared by all models on one training set.
 
-    base is blockdiag(Ks, Kt), the working kernel at a zero metric, and
-    gram is M = L'L = blockdiag(Ms, Mt) for the lift L = blockdiag of
-    their ridged square roots, which maps dual coefficients into the
-    metric space (v = L beta); the trainer reads the metric through M
-    alone. coef_map is the target's Q of _sqrt_factors, with
-    coef_map @ Kt == Mt up to round-off. base and gram must be finite and
-    exactly symmetric (checked here), as the trainer builds its working
-    kernels from them unchecked.
+    base is blockdiag(Ks, Kt): the working kernel at a zero metric, and
+    also M = L'L for the lift L = blockdiag(Ks^(1/2), Kt^(1/2)) that maps
+    dual coefficients into the metric space (v = L beta); the trainer
+    reads the metric through M alone. base must be finite and exactly
+    symmetric (checked here), as the trainer builds its working kernels
+    from it unchecked.
     """
 
     kernel_target: KernelSpec
     base: np.ndarray
-    gram: np.ndarray
-    coef_map: np.ndarray
 
     def __post_init__(self):
-        for name in ("base", "gram"):
-            a = getattr(self, name)
-            if not (np.all(np.isfinite(a)) and np.array_equal(a, a.T)):
-                raise ValueError(f"kernel {name} must be finite and exactly symmetric")
+        if not (np.all(np.isfinite(self.base)) and np.array_equal(self.base, self.base.T)):
+            raise ValueError("kernel base must be finite and exactly symmetric")
 
 
-def _factor_domain(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple:
-    """Everything read from one domain's training rows, as (kernel, Gram K,
-    M, Q) with Q None for the source: the kernel is resolved from the rows
-    (the rbf bandwidth is cfg.kernel_gamma, else the median rule on X) and
-    K is factored once (_sqrt_factors). Features large enough to overflow
-    the kernel (above about 1e154) fail with one ValueError that names the
-    domain ("source" or "target") and a remedy."""
+def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec, np.ndarray]:
+    """One domain's kernel, resolved from its training rows (the rbf
+    bandwidth is cfg.kernel_gamma, else the median rule on X), and its Gram
+    K. Features large enough to overflow the kernel (above about 1e154)
+    fail with one ValueError that names the domain ("source" or "target")
+    and a remedy."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             if cfg.kernel_family == "linear":
                 spec = KernelSpec("linear")
             else:
                 spec = KernelSpec("rbf", median_heuristic_gamma(X) if cfg.kernel_gamma is None else cfg.kernel_gamma)
-            K = gram_matrix(spec, X)
+            return spec, gram_matrix(spec, X)
     except FloatingPointError:
         raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: "
                          "rescale them or set data.standardize = true") from None
-    return (spec, K, *_sqrt_factors(K, target=domain == "target"))
 
 
 def _pair_kernels(source, target) -> PrecomputedKernels:
-    """The block-diagonal factors of a training pair from its domains' _factor_domain."""
-    (_, Ks, Ms, _), (spec_t, Kt, Mt, Q) = source, target
-    return PrecomputedKernels(spec_t, _block_diag(Ks, Kt), _block_diag(Ms, Mt), Q)
+    """The block-diagonal Gram of a training pair from its domains' _domain_gram."""
+    (_, Ks), (spec_t, Kt) = source, target
+    return PrecomputedKernels(spec_t, _block_diag(Ks, Kt))
 
 
 def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
-    """Factor each domain of a training pair once (_factor_domain) and join them."""
-    return _pair_kernels(_factor_domain(cfg, source_X, "source"), _factor_domain(cfg, target_X, "target"))
+    """Build each domain's Gram once (_domain_gram) and join them."""
+    return _pair_kernels(_domain_gram(cfg, source_X, "source"), _domain_gram(cfg, target_X, "target"))
 
 
 def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
@@ -203,14 +167,16 @@ class OuterStep(DualSolution):
     halved: tuple[float, ...]
 
 
-def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, monitor=None):
-    """Run the alternation; returns (metric, final solution, gram @ its beta, objective trace, saddle gap).
+def _alternate(base: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, monitor=None):
+    """Run the alternation; returns (metric, final solution, base @ its beta, objective trace, saddle gap).
 
-    base is F and gram is M = L'L for the lift L (order x n) of dual
-    coefficients into the metric space, v = L beta; both paths share this
-    loop (the explicit oracle passes its own F, M and order). L is never
-    formed: every lifted vector the loop needs is L times a dual vector,
-    so h'v = c'M beta, ||v||^2 = beta'M beta and L'h = M c for h = L c.
+    base is F, the working kernel at a zero metric, and also M = L'L for
+    the lift L (order x n) of dual coefficients into the metric space,
+    v = L beta: L = blockdiag(Ks^(1/2), Kt^(1/2)) on the kernelized path,
+    and blockdiag(Xs, Xt) of order d_s + d_t on the explicit oracle's,
+    which shares this loop. L is never formed: every lifted vector the
+    loop needs is L times a dual vector, so h'v = c'M beta,
+    ||v||^2 = beta'M beta and L'h = M c for h = L c.
 
     P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
     fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
@@ -223,7 +189,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
     when that slope is not positive there, else the lower of t = 1 and the
     secant root of the slope between t = 0 and 1, halved until P does not
     rise, or at most _MAX_HALVINGS times: then the step is t = 0 and the
-    loop ends, as the next iteration would repeat this one. With F and M
+    loop ends, as the next iteration would repeat this one. With base
     finite and exactly symmetric, each working kernel is exactly symmetric
     by construction (sums and scalings of symmetric arrays, and uu'), and
     lam*u'u is checked finite, so solve_dual's precondition holds with no
@@ -236,8 +202,8 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
     P by conv_tol too, or after cfg.t_max solves are accepted.
     """
     lam = cfg.lam
-    metric = initial_metric(order, lam, gram.shape[0])
-    coupling = (lam / order) * gram
+    metric = initial_metric(order, lam, base.shape[0])
+    coupling = (lam / order) * base
     sol = solve_dual(base + coupling, y, cfg.C)
     lower = -np.inf
 
@@ -253,7 +219,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
         # solve at K(t), warm started from the accepted alpha
         coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
         s = solve_dual(base + coupling_t, y, cfg.C, warm_start=sol.alpha)
-        return s, coupling_t, slope(s, t, gram @ s.beta)
+        return s, coupling_t, slope(s, t, base @ s.beta)
 
     objective = []
     reached = False
@@ -264,7 +230,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
                 break
             reached = gap <= cfg.conv_tol
             if slope_0 < 0.0:
-                u = gram @ c
+                u = base @ c
                 if not np.isfinite(lam * float(u @ u)):
                     raise ValueError(f"outer {tau}: the step direction is not finite")
                 t = 1.0
@@ -286,7 +252,7 @@ def _alternate(base: np.ndarray, gram: np.ndarray, order: int, y: np.ndarray, cf
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
                 sol = solve_dual(base + coupling, y, cfg.C, warm_start=sol.alpha)
-        m = gram @ sol.beta
+        m = base @ sol.beta
         norm2 = float(sol.beta @ m)
         if norm2 > 0.0:
             c = sol.beta / np.sqrt(norm2)
@@ -305,8 +271,8 @@ class KernelExpansion:
     """Deployed predictor f(x) = k(X, x)' coef + bias over stored target rows X.
 
     Both experiment arms predict in this form: the cross-domain model
-    (HfaModel) with coef = Q_t g_t + beta_t (L g = H v, see hfa_train), the target-only SVM
-    with coef = beta. It is all that a saved model keeps.
+    (HfaModel) with coef = g_t + beta_t (L g = H v, see hfa_train), the
+    target-only SVM with coef = beta. It is all that a saved model keeps.
     """
 
     X: np.ndarray
@@ -407,7 +373,7 @@ def hfa_train(
         Binary training sets; both label signs must appear in the union.
     cfg : HfaConfig
     kernels : PrecomputedKernels, optional
-        Shared Gram factorization when training several relabelings of
+        Shared Grams when training several relabelings of
         the same samples (one-vs-rest); must match the sample counts.
     monitor : callable, optional
         monitor(iteration, metric, step), called once per outer iteration
@@ -421,15 +387,17 @@ def hfa_train(
     HfaModel
     """
     _validate_binary_pair(source, target)
+    n_s = len(source)
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
-    elif kernels.base.shape[0] != len(source) + len(target) or kernels.coef_map.shape[0] != len(target):
+    elif kernels.base.shape[0] != n_s + len(target) or kernels.base[n_s:, :n_s].any():
+        # base couples no source row to a target row, so a nonzero block there
+        # means the kernels split the same total count at another row
         raise ValueError("precomputed kernels do not match the training sample counts")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, m, trace, gap = _alternate(kernels.base, kernels.gram, len(y), y, cfg, monitor)
-    # H v = L g, and the target rows of L'L g are Mt g_t = Kt Q_t g_t
-    n_s = len(source)
-    coef = kernels.coef_map @ metric.apply(sol.beta, m)[n_s:] + sol.beta[n_s:]
+    metric, sol, m, trace, gap = _alternate(kernels.base, len(y), y, cfg, monitor)
+    # H v = L g, and the target rows of L'L g are Kt g_t
+    coef = metric.apply(sol.beta, m)[n_s:] + sol.beta[n_s:]
     return HfaModel(
         X=target.X, kernel=kernels.kernel_target, coef=coef, bias=sol.bias,
         metric=metric, beta=sol.beta, objective_trace=trace, saddle_gap=gap,

@@ -405,8 +405,17 @@ def standardize_apply(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.
 
 def standardize_pair(source: Dataset, target: Dataset) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
     """Each domain z-scored with its own standardize_fit; returns both, then
-    the target's mean and scale, which map further target rows."""
-    mean_s, scale_s = standardize_fit(source.X)
-    mean_t, scale_t = standardize_fit(target.X)
-    source = Dataset(source.domain, standardize_apply(source.X, mean_s, scale_s), source.y)
-    return source, Dataset(target.domain, standardize_apply(target.X, mean_t, scale_t), target.y), mean_t, scale_t
+    the target's mean and scale, which map further target rows. A feature
+    that does not standardize to finite values (its mean overflows, say)
+    fails with one ValueError naming its domain and index."""
+    fitted = []
+    for domain, data in (("source", source), ("target", target)):
+        mean, scale = standardize_fit(data.X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = standardize_apply(data.X, mean, scale)
+        finite = np.isfinite(Z).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"{domain} feature {int(np.argmin(finite))} overflows standardization: rescale it")
+        fitted.append((Z, mean, scale))
+    (Zs, _, _), (Zt, mean_t, scale_t) = fitted
+    return Dataset(source.domain, Zs, source.y), Dataset(target.domain, Zt, target.y), mean_t, scale_t

@@ -20,7 +20,7 @@ from hfa.core import (
     PrecomputedKernels,
     _check_shared,
     _decision_columns,
-    _factor_domain,
+    _domain_gram,
     _pair_kernels,
     hfa_train,
     prepare_kernels,
@@ -43,7 +43,7 @@ __all__ = [
 def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig(), monitor=None,
                      kernels: PrecomputedKernels | None = None) -> list[tuple[int, HfaModel]]:
     """Train one binary model per class on the full source+target data,
-    sharing one Gram factorization across the classes.
+    sharing one pair of Grams across the classes.
 
     Parameters
     ----------
@@ -73,15 +73,16 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
     ]
 
 
-def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig(), factors=None) -> list[tuple[int, KernelExpansion]]:
+def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig(),
+                   target_gram=None) -> list[tuple[int, KernelExpansion]]:
     """One-vs-rest SVMs on the target Gram matrix only, one per target
     class in ascending order, as kernel expansions with coef = beta, over
-    the kernel and Gram of factors, this target's hfa.core._factor_domain
+    the (kernel, Gram) pair target_gram, this target's hfa.core._domain_gram
     (built here when not given; run_experiment shares it with hfa's arm)."""
     present = target.class_counts()
     if len(present) < 2:
         raise ValueError("target training data must contain at least 2 classes")
-    spec, K, *_ = _factor_domain(cfg, target.X, "target") if factors is None else factors
+    spec, K = _domain_gram(cfg, target.X, "target") if target_gram is None else target_gram
     models = []
     for c in present:
         y = np.where(target.y == c, 1.0, -1.0)
@@ -192,8 +193,8 @@ def run_experiment(
     Trial t draws its target train/test partition (and source training
     subset when per_class_source is given) with seed base_seed+t; both
     arms see byte-identical partitions and read one target kernel and Gram
-    (hfa.core._factor_domain); without per_class_source every trial trains
-    on the same source rows, which are factored once per experiment. monitor
+    (hfa.core._domain_gram); without per_class_source every trial trains
+    on the same source rows, whose Gram is built once per experiment. monitor
     is passed to train_multiclass in every trial. Infeasible protocols fail
     before any training starts.
 
@@ -214,28 +215,31 @@ def run_experiment(
     echo = {
         "hfa.C": cfg.C,
         "hfa.lambda": cfg.lam,
+        "hfa.t_max": cfg.t_max,
+        "hfa.conv_tol": cfg.conv_tol,
         "kernel.family": cfg.kernel_family,
         "kernel.gamma": cfg.kernel_gamma,
         "protocol.per_class_target": per_class_target,
         "protocol.trials": trials,
         "protocol.base_seed": base_seed,
         "protocol.per_class_source": per_class_source,
+        "data.standardize": cfg.standardize,
     }
     seeds = tuple(base_seed + t for t in range(trials))
     acc_h, acc_t = [], []
-    factors_s = None
+    gram_s = None
     for seed in seeds:
         train_t, test_t = sample_protocol(target, per_class_target, seed)
         train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
         if cfg.standardize:
             train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
             test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
-        if factors_s is None or per_class_source is not None:
-            factors_s = _factor_domain(cfg, train_s.X, "source")
-        factors_t = _factor_domain(cfg, train_t.X, "target")
-        kernels = _pair_kernels(factors_s, factors_t)
+        if gram_s is None or per_class_source is not None:
+            gram_s = _domain_gram(cfg, train_s.X, "source")
+        gram_t = _domain_gram(cfg, train_t.X, "target")
+        kernels = _pair_kernels(gram_s, gram_t)
         acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor, kernels=kernels), test_t))
-        acc_t.append(accuracy(svm_t_baseline(train_t, cfg, factors_t), test_t))
+        acc_t.append(accuracy(svm_t_baseline(train_t, cfg, gram_t), test_t))
     return ExperimentRun(
         hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),
         svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, dict(echo, method="svm_t")),

@@ -1,8 +1,8 @@
-"""Kernel Gram blocks, the Gram ridge and symmetrization.
+"""Kernel Gram blocks and symmetrization.
 
 Everything here works on dense float64 arrays. gram_matrix symmetrizes
 its Gram as (M + M') / 2 and checks it finite before returning, so the
-trainer can factor it with np.linalg.eigh directly.
+trainer builds its working kernels from it with no further check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "cross_gram",
     "median_heuristic_gamma",
     "symmetrize",
-    "default_ridge",
 ]
 
 
@@ -148,14 +147,3 @@ def _check_square(M: np.ndarray) -> None:
 def _check_finite(M: np.ndarray) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-
-
-def default_ridge(M) -> float:
-    """Scale-aware ridge 1e-8 * trace(M) / order, floored at 1e-12."""
-    M = np.asarray(M, dtype=float)
-    _check_square(M)
-    n = M.shape[0]
-    if n == 0:
-        return 1e-12
-    return max(1e-8 * float(np.trace(M)) / n, 1e-12)
-

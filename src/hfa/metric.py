@@ -16,10 +16,11 @@ so H is always
     H = scale * I + sum_k weights[k] * h_k h_k',    ||h_k|| = 1.
 
 Every h_k is L times a dual vector, h_k = L c_k, so TransformMetric keeps
-the atoms c_k and reads H only through M = L'L (the gram of
-hfa.core.PrecomputedKernels): h_k'v = c_k'M beta, ||v||^2 = beta'M beta
-and L'h_k = M c_k; L is never formed. The dense matrix route of the subproblem is the reference
-in tests/metric_oracle.py.
+the atoms c_k and reads H only through M = L'L: h_k'v = c_k'M beta,
+||v||^2 = beta'M beta and L'h_k = M c_k; L is never formed. On the
+kernelized path L is the Gram square root K^(1/2), so M is the Gram K
+itself (the base of hfa.core.PrecomputedKernels). The dense matrix
+route of the subproblem is the reference in tests/metric_oracle.py.
 """
 
 from __future__ import annotations

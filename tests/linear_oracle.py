@@ -4,26 +4,25 @@ The paper derives HFA on explicit augmented features: a source vector x
 becomes [P x ; x ; 0] and a target vector [Q x ; 0 ; x], and the learned
 metric H = [P, Q]'[P, Q] has order d_s + d_t over raw features. The
 library trains only the kernelized form, whose metric has order n_s + n_t
-over per-domain Gram square roots. This module keeps the explicit form
+over the per-domain Gram square roots K^(1/2). This module keeps the explicit form
 for cross-checking at small scale: the augmentation maps, the working
 kernel of the explicit path from a dense metric matrix and of the
 kernelized path from a factored one, and a trainer that runs the
 library's own Frank-Wolfe loop (hfa.core._alternate) on the explicit
-factors. The loop reads the metric through M = L'L only, and on the
-explicit path L = blockdiag(Xs, Xt) makes M = blockdiag(Xs'Xs, Xt'Xt),
-the path's own base. With a linear kernel and no more samples than feature
-dimensions the two paths reach the same optimal objective, to round-off
-when the kernelized path's Gram roots carry a tiny fixed ridge
-(kernels_at_ridge).
+factors. The loop reads the metric through M = L'L only, which on both
+paths is the path's own base: L = blockdiag(Xs, Xt) makes
+M = blockdiag(Xs'Xs, Xt'Xt) here, and L = K^(1/2) makes M = K on the
+kernelized path. With a linear kernel and no more samples than feature
+dimensions the two paths reach the same optimal objective, with nothing
+patched into either.
 """
 
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
 
 import hfa.core
-from hfa.core import HfaConfig, PrecomputedKernels, _block_diag, _validate_binary_pair, prepare_kernels
+from hfa.core import HfaConfig, PrecomputedKernels, _block_diag, _validate_binary_pair
 from hfa.data import Dataset
 from hfa.linalg import symmetrize
 from hfa.metric import TransformMetric
@@ -78,21 +77,14 @@ def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric) -> np.ndarray:
 
 def build_KH_kernelized(kernels: PrecomputedKernels, metric: TransformMetric) -> np.ndarray:
     """Working kernel of the kernelized path for a factored metric, from the
-    base and gram M = L'L of prepare_kernels: base + L'HL = base + scale * M
-    + (M C')W(C M), with C the metric's atoms and W its weights."""
-    M = kernels.gram
+    base of prepare_kernels, which is also M = L'L: base + L'HL =
+    base + scale * M + (M C')W(C M), with C the metric's atoms and W its
+    weights."""
+    M = kernels.base
     if metric.order != M.shape[0]:
         raise ValueError(f"metric order {metric.order} != n_s + n_t = {M.shape[0]}")
     U = M @ metric.atoms.T
-    return symmetrize(kernels.base + metric.scale * M + (U * metric.weights) @ U.T)
-
-
-def kernels_at_ridge(source_X, target_X, cfg: HfaConfig, ridge: float) -> PrecomputedKernels:
-    """prepare_kernels with one fixed ridge for both Gram square roots in
-    place of default_ridge, which scales with each Gram's trace; patching
-    the ridge rule keeps the factoring itself the library's own."""
-    with mock.patch.object(hfa.core, "default_ridge", lambda K: ridge):
-        return prepare_kernels(source_X, target_X, cfg)
+    return symmetrize(M + metric.scale * M + (U * metric.weights) @ U.T)
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ def hfa_train_linear(
     _validate_binary_pair(source, target)
     base, lift = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, _, trace, gap = hfa.core._alternate(base, base, lift.shape[0], y, cfg, monitor)
+    metric, sol, _, trace, gap = hfa.core._alternate(base, lift.shape[0], y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

@@ -17,7 +17,7 @@ The functions read a metric through .matrix, .budget, .trace and .order
 only (DenseMetric; `lifted` turns a factored hfa.metric.TransformMetric
 into one). They read the subproblem through .base (n x n) and .lift
 (order x n) only, as a types.SimpleNamespace holds them; for the
-kernelized path, lift = gram_root(PrecomputedKernels.gram).
+kernelized path, lift = gram_root(PrecomputedKernels.base).
 """
 
 from dataclasses import dataclass

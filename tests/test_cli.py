@@ -1,11 +1,17 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hfa.core
 from hfa.cli import CliConfig, build_parser, main, resolve_config
@@ -191,7 +197,7 @@ def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, row
                        "--target", target, "--out", model])
     if not trains:
         assert train.returncode == 1
-        assert re.fullmatch(r"error: [^\n]*\n", train.stderr)
+        assert train.stderr == "error: target feature 0 overflows standardization: rescale it\n"
         assert not model.exists()
         return
     assert train.returncode == 0, train.stderr
@@ -200,6 +206,59 @@ def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, row
     assert predict.returncode == 0, predict.stderr
     scores = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)[:, 2:]
     assert scores.shape == (len(data), 2) and np.all(np.isfinite(scores))
+
+
+# feature values: ordinary ones, any finite double, and the magnitudes
+# that overflow a kernel (1e200) or a column's mean (1e308)
+FEATURES = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308),
+                     st.sampled_from([1e200, -1e200, 1e308, -1e308]))
+
+
+@st.composite
+def csv_domain(draw, domain):
+    """A two-class domain with 2-6 rows per class and 1-3 features, some
+    of them constant columns."""
+    counts = [draw(st.integers(2, 6)) for _ in range(2)]
+    d = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(FEATURES, min_size=d, max_size=d),
+                               min_size=sum(counts), max_size=sum(counts))))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = X[0, constant]
+    return Dataset(domain, X, np.repeat([0, 1], counts))
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main(argv) in process, as the `hfa` command runs it: its exit code and
+    stderr, with numpy warnings printed to stderr as they would be, not raised."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+@settings(max_examples=40, deadline=None)
+@given(csv_domain("source"), csv_domain("target"), st.booleans(), st.sampled_from(["linear", "rbf"]))
+def test_every_model_train_writes_predict_loads(source, target, standardize, kernel):
+    # either train fails with exactly one error line and writes no file, or
+    # predict loads what train wrote and scores every target row finitely
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dense_csv(source, tmp / "source.csv")
+        save_dense_csv(target, tmp / "target.csv")
+        (tmp / "run.cfg").write_text(f"data.standardize = {str(standardize).lower()}\n", encoding="utf-8")
+        code, err = run_main(["train", "--config", tmp / "run.cfg", "--kernel", kernel, "--source",
+                              tmp / "source.csv", "--target", tmp / "target.csv", "--out", tmp / "model.json"])
+        if code != 0:
+            assert code == 1 and [line.startswith("error: ") for line in err.splitlines()].count(True) == 1, err
+            assert not (tmp / "model.json").exists()
+            return
+        code, err = run_main(["predict", "--model", tmp / "model.json", "--target", tmp / "target.csv",
+                              "--out", tmp / "p.csv"])
+        assert code == 0, err
+        scores = np.loadtxt(tmp / "p.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2:]
+        assert scores.shape == (len(target), 2) and np.all(np.isfinite(scores))
 
 
 def test_predict_consistent_with_loaded_models(corpus, tmp_path):

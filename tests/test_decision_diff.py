@@ -45,3 +45,15 @@ def test_compare_keeps_both_sides():
     assert (s["stored_atoms_parent"], s["stored_atoms_change"]) == ([1, 2], [1, 1])
     text = decision_diff.render("fixed", s)
     assert "max |df| / max |f| 5.00e-01" in text and "(differ)" in text
+    assert "predicted-class changes 0 of 2 rows" in text
+
+
+def test_class_changes_count_rows_whose_argmax_moves():
+    # three rows, three classes: only row 1 moves its argmax (column 0 to 2);
+    # row 2's scores move but its argmax does not
+    parent = [[0.1, -1.0, -2.0], [0.5, 0.0, 0.4], [-1.0, 2.0, 0.0]]
+    change = [[0.1, -1.0, -2.0], [0.5, 0.0, 0.6], [-1.0, 1.5, 0.5]]
+    assert decision_diff.class_changes(parent, change) == 1
+    assert decision_diff.class_changes(parent, parent) == 0
+    s = decision_diff.compare(record(parent, [5.0, 4.0]), record(change, [5.0, 4.0]))
+    assert "predicted-class changes 1 of 3 rows" in decision_diff.render("fixed", s)

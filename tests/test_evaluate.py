@@ -7,7 +7,7 @@ import pytest
 
 import hfa.core
 from hfa import evaluate
-from hfa.core import HfaConfig, KernelExpansion, _factor_domain, hfa_train, prepare_kernels
+from hfa.core import HfaConfig, KernelExpansion, _domain_gram, hfa_train, prepare_kernels
 from hfa.data import (
     Dataset,
     SyntheticSpec,
@@ -208,7 +208,7 @@ def test_svm_t_matches_direct_dual_solve():
     _, target = tiny_pools(seed=9)
     cfg = HfaConfig()
     models = svm_t_baseline(target, cfg)
-    spec = _factor_domain(cfg, target.X, "target")[0]
+    spec = _domain_gram(cfg, target.X, "target")[0]
     K = gram_matrix(spec, target.X)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, target.dim))
@@ -305,6 +305,17 @@ def test_run_experiment_standardize_path():
     assert np.array_equal(run1.hfa.accuracies, run2.hfa.accuracies)
 
 
+def test_report_echoes_every_setting_that_moves_its_numbers():
+    # standardize, t_max and conv_tol change the accuracies, so each report's
+    # config block names them by their config-file keys
+    source, target = tiny_pools(seed=4)
+    cfg = HfaConfig(t_max=3, conv_tol=1e-4, standardize=True)
+    run = run_experiment(source, target, cfg, per_class_target=3, trials=1, base_seed=2)
+    for report in (run.hfa, run.svm_t):
+        lines = set(render_report(report).splitlines())
+        assert {"data.standardize = True", "hfa.t_max = 3", "hfa.conv_tol = 0.0001"} <= lines
+
+
 def test_shared_kernel_between_arms():
     # each arm resolves its target kernel from the same training rows, so
     # both expand over the same kernel; reproduce one trial by hand
@@ -323,18 +334,16 @@ def test_shared_kernel_between_arms():
 @pytest.mark.parametrize("standardize", [False, True])
 @pytest.mark.parametrize("per_class_source, source_calls", [(None, 1), (5, 3)])
 def test_run_experiment_factors_each_domain_once(monkeypatch, per_class_source, source_calls, standardize):
-    # each trial builds and factors its target Gram once, for both arms; a
-    # source that every trial trains on whole is factored once per experiment
+    # each trial builds its target Gram once, for both arms; a source that
+    # every trial trains on whole has its Gram built once per experiment
     source, target = tiny_pools(seed=4)
     cfg = HfaConfig(t_max=4, standardize=standardize)
-    factored, grams = [], []
-    sqrt_factors, gram_matrix_ = hfa.core._sqrt_factors, hfa.core.gram_matrix
-    monkeypatch.setattr(hfa.core, "_sqrt_factors", lambda K, target: factored.append(target) or sqrt_factors(K, target))
-    monkeypatch.setattr(hfa.core, "gram_matrix", lambda spec, X: grams.append(len(X)) or gram_matrix_(spec, X))
+    rows, gram_matrix_ = [], hfa.core.gram_matrix
+    monkeypatch.setattr(hfa.core, "gram_matrix", lambda spec, X: rows.append(len(X)) or gram_matrix_(spec, X))
     run = run_experiment(source, target, cfg, per_class_target=3, trials=3, base_seed=0,
                          per_class_source=per_class_source)
-    assert (factored.count(False), factored.count(True)) == (source_calls, 3)
-    assert len(grams) == source_calls + 3
+    # 3 target rows per class over 3 classes; the source has 5 or 12 per class
+    assert (len(rows) - rows.count(9), rows.count(9)) == (source_calls, 3)
     # the shared factors score as freshly built ones in every trial
     for t, seed in enumerate(run.hfa.seeds):
         train_t, test_t = sample_protocol(target, 3, seed)

@@ -7,7 +7,6 @@ from hfa.linalg import (
     KernelSpec,
     _median,
     cross_gram,
-    default_ridge,
     gram_matrix,
     median_heuristic_gamma,
     symmetrize,
@@ -229,11 +228,6 @@ def test_trace_cap():
     assert np.array_equal(trace_cap(M, 7.0), M)
     with pytest.raises(ValueError):
         trace_cap(M, 0.0)
-
-
-def test_default_ridge():
-    assert default_ridge(np.eye(4) * 2.0) == pytest.approx(2e-8, rel=1e-12)
-    assert default_ridge(np.zeros((3, 3))) == 1e-12
 
 
 def test_frobenius_inner_matches_loop():

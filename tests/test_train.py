@@ -13,7 +13,7 @@ from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.linalg import symmetrize
 from hfa.svm import DegenerateProblemError, solve_dual
-from linear_oracle import build_KH_kernelized, hfa_train_linear, kernels_at_ridge, linear_factors
+from linear_oracle import build_KH_kernelized, hfa_train_linear, linear_factors
 from metric_oracle import DenseMetric, gram_root, lifted, psd_project, trace_cap
 
 
@@ -56,7 +56,7 @@ def test_metric_stays_feasible_every_iteration():
     model = hfa_train(source, target, cfg, monitor=monitor)
     assert len(seen) == len(model.objective_trace)
     assert [it for it, _, _ in seen] == list(range(len(seen)))
-    lift = gram_root(prepare_kernels(source.X, target.X, cfg).gram)
+    lift = gram_root(prepare_kernels(source.X, target.X, cfg).base)
     for _, metric, obj in seen:
         t = metric.trace
         eigs = np.linalg.eigvalsh(lifted(metric, lift).matrix)
@@ -91,15 +91,14 @@ def test_metric_feasible_along_alternation(problem):
     # exactly symmetric
     source, target, path, cfg, probe = problem
     kernels, steps = [], []
-    # the trainer's F and M, a lift L with L'L = M built here, and the probe
-    # in dual coordinates
+    # the trainer's F, which is also M, a lift L with L'L = M built here, and
+    # the probe in dual coordinates
     if path == "explicit":
         base, lift = linear_factors(source.X.T, target.X.T)
-        gram = base
     else:
-        pk = prepare_kernels(source.X, target.X, cfg)
-        base, gram, lift = pk.base, pk.gram, gram_root(pk.gram)
-    norm_M = np.linalg.norm(gram, 2)
+        base = prepare_kernels(source.X, target.X, cfg).base
+        lift = gram_root(base)
+    norm_M = np.linalg.norm(base, 2)
     dual = lift.T @ probe
 
     def record(K, *args, **kwargs):
@@ -116,15 +115,15 @@ def test_metric_feasible_along_alternation(problem):
         # ||M|| |c|^2, large where c lies mostly in directions M cuts
         C = metric.atoms
         rounding = np.maximum(1.0, norm_M * np.einsum("ij,ij->i", C, C))
-        assert np.all(np.abs(np.einsum("ij,ij->i", C @ gram, C) - 1.0) <= 1e-12 * rounding)
+        assert np.all(np.abs(np.einsum("ij,ij->i", C @ base, C) - 1.0) <= 1e-12 * rounding)
         assert np.linalg.eigvalsh(lifted(metric, lift).matrix)[0] >= -1e-10 * t
         # L'HL = scale M + (M C')W(C M) is what the metric adds to the working
         # kernel, and ||L'HL|| <= ||M|| trace(H) sets the scale of both products
-        U = gram @ C.T
-        coupling = metric.scale * gram + (U * metric.weights) @ U.T
+        U = base @ C.T
+        coupling = metric.scale * base + (U * metric.weights) @ U.T
         norm = float(np.linalg.norm(dual))
-        assert abs(metric.energy(dual, gram @ dual) - dual @ coupling @ dual) <= 1e-12 * t * norm_M * norm**2
-        assert np.max(np.abs(gram @ metric.apply(dual, gram @ dual) - coupling @ dual)) <= 1e-12 * t * norm_M * norm
+        assert abs(metric.energy(dual, base @ dual) - dual @ coupling @ dual) <= 1e-12 * t * norm_M * norm**2
+        assert np.max(np.abs(base @ metric.apply(dual, base @ dual) - coupling @ dual)) <= 1e-12 * t * norm_M * norm
 
     with mock.patch.object(hfa.core, "solve_dual", record):
         train = hfa_train_linear if path == "explicit" else hfa_train
@@ -279,6 +278,10 @@ def test_shared_kernels_size_mismatch():
     pk = prepare_kernels(source.X[:-1], target.X, cfg)
     with pytest.raises(ValueError, match="sample counts"):
         hfa_train(source, target, cfg, kernels=pk)
+    # the same total count, split one row earlier
+    pk = prepare_kernels(source.X[:-1], np.vstack([target.X, target.X[:1]]), cfg)
+    with pytest.raises(ValueError, match="sample counts"):
+        hfa_train(source, target, cfg, kernels=pk)
 
 
 def test_label_validation():
@@ -316,7 +319,7 @@ def test_linear_and_kernelized_objectives_agree():
         if abs(int(np.sum(source.y)) + int(np.sum(target.y))) == n_s + n_t:
             continue
         cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear", t_max=400, conv_tol=1e-11)
-        kern = hfa_train(source, target, cfg, kernels=kernels_at_ridge(source.X, target.X, cfg, 1e-12))
+        kern = hfa_train(source, target, cfg, kernels=prepare_kernels(source.X, target.X, cfg))
         lin = hfa_train_linear(source, target, cfg)
         a, b = kern.objective_trace[-1], lin.objective_trace[-1]
         assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
@@ -369,7 +372,7 @@ def test_objective_trace_starts_at_uncoupled_budget_spread():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     n = len(source) + len(target)
-    S = gram_root(pk.gram)
+    S = gram_root(pk.base)
     K0 = symmetrize(pk.base + (cfg.lam / n) * S @ S)
     y = np.concatenate([source.y, target.y]).astype(float)
     ref = solve_dual(K0, y, cfg.C, tol=1e-8)
@@ -390,4 +393,4 @@ def test_learned_atoms_are_unit_and_weighted(family):
         metric = hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=pk).metric
         C = metric.atoms
         assert len(C) >= 1 and np.all(metric.weights > 0)
-        assert np.max(np.abs(np.einsum("ij,ij->i", C @ pk.gram, C) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.einsum("ij,ij->i", C @ pk.base, C) - 1.0)) <= 1e-12

@@ -11,9 +11,10 @@ trains the configurations of CONFIGS in one child process, with
 `PYTHONPATH` set to that side's `src` and BLAS at 1 thread, and scores the
 first 200 rows of the target pool. Per configuration the script prints
 the largest change in decision values relative to the parent's largest
-|f|, the largest relative change of the final objective, and per class
-on each side the outer iterations, the certified saddle gap, the live
-atoms (metric weights above 0) and the stored atoms.
+|f|, the largest relative change of the final objective, how many scored
+rows change their predicted (argmax) class, and per class on each side
+the outer iterations, the certified saddle gap, the live atoms (metric
+weights above 0) and the stored atoms.
 
 Standard library plus numpy.
 """
@@ -86,10 +87,18 @@ def max_objective_change(parent, change) -> float:
     return float(np.max(np.abs(change - parent) / np.abs(parent)))
 
 
+def class_changes(parent, change) -> int:
+    """How many rows have a different argmax column on the two sides."""
+    parent, change = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
+    return int(np.sum(np.argmax(parent, axis=1) != np.argmax(change, axis=1)))
+
+
 def compare(parent: dict, change: dict) -> dict:
     """One configuration's records from both sides, summarised."""
     return {
         "decision_rel": relative_change(parent["scores"], change["scores"]),
+        "class_changes": class_changes(parent["scores"], change["scores"]),
+        "rows": len(parent["scores"]),
         "objective_rel": max_objective_change(parent["objective"], change["objective"]),
         "same_iterations": parent["iterations"] == change["iterations"],
         **{f"{key}_{side}": record[key] for key in ("iterations", "gaps", "live_atoms", "stored_atoms")
@@ -114,6 +123,7 @@ def render(name: str, summary: dict) -> str:
         f"{name}:",
         f"  max |df| / max |f| {summary['decision_rel']:.2e}, "
         f"final objective max rel diff {summary['objective_rel']:.2e}",
+        f"  predicted-class changes {summary['class_changes']} of {summary['rows']} rows",
         f"  outer iterations parent {summary['iterations_parent']} change {summary['iterations_change']}"
         + ("" if summary["same_iterations"] else "  (differ)"),
         f"  certified gaps parent {gaps['parent']}",
