@@ -123,7 +123,7 @@ def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec
     bandwidth is cfg.kernel_gamma, else the median rule on X), and its Gram
     K. Features large enough to overflow the kernel (above about 1e154)
     fail with one ValueError that names the domain ("source" or "target")
-    and a remedy."""
+    and a remedy: standardizing, unless cfg.standardize already asks for it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             if cfg.kernel_family == "linear":
@@ -132,8 +132,8 @@ def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec
                 spec = KernelSpec("rbf", median_heuristic_gamma(X) if cfg.kernel_gamma is None else cfg.kernel_gamma)
             return spec, gram_matrix(spec, X)
     except FloatingPointError:
-        raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: "
-                         "rescale them or set data.standardize = true") from None
+        remedy = "rescale them" if cfg.standardize else "rescale them or set data.standardize = true"
+        raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: {remedy}") from None
 
 
 def _pair_kernels(source, target) -> PrecomputedKernels:

@@ -9,6 +9,7 @@ optional leading "#dim N" line.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,17 +108,23 @@ def _dense_header(path, reader) -> int:
 _PLAIN_BYTES = b"0123456789+-.eE,\t \r\n"
 
 
+# rows per numpy call of load_dense_csv: a block of lines and its parsed
+# rows stay small beside X
+_BLOCK_ROWS = 256
+
+
 def load_dense_csv(path) -> Dataset:
     """Read a dense CSV dataset; see module docstring for the format.
 
     The accepted files, their values and every error are those of the
     per-line parser, _load_dense_csv_lines; parsing is numpy-first. After
     the header check, a body made only of plain number bytes, with no
-    line longer than csv's field limit, is parsed by one numpy call.
-    Any other body, any file numpy rejects, and any file numpy reads but
-    the per-line parser would not (numpy skips blank lines, so its row
-    count differs from the line count, and reads negative labels) are
-    parsed line by line. X is C-contiguous.
+    line longer than csv's field limit, is parsed by numpy in blocks of
+    _BLOCK_ROWS lines into one C-contiguous X, sized from the line count.
+    Any other body, any file numpy rejects or warns on, and any file numpy
+    reads but the per-line parser would not (numpy skips blank lines, so
+    its row count differs from the line count, and reads negative labels)
+    are parsed line by line.
     """
     path = Path(path)
     try:
@@ -129,20 +136,27 @@ def load_dense_csv(path) -> Dataset:
     lines = _plain_body_lines(path)
     if lines is None:
         return _load_dense_csv_lines(path)
-    if lines == 0:
-        # numpy warns on a file without data rows
-        return Dataset(path.stem, np.empty((0, dim)), np.array([], dtype=np.int64))
+    X, y = np.empty((lines, dim)), np.empty(lines, dtype=np.int64)
+    row, stop = [("y", np.int64), ("X", np.float64, (dim,))], 0
     try:
-        # an open file, because given a path numpy imports its compressed-file openers
         with warnings.catch_warnings(), open(path, encoding="utf-8") as fh:
             warnings.simplefilter("error")
-            body = np.loadtxt(fh, delimiter=",", skiprows=1, comments=None,
-                              dtype=[("y", np.int64), ("X", np.float64, (dim,))], ndmin=1)
+            next(fh)  # the header
+            for start in range(0, lines, _BLOCK_ROWS):
+                block = list(itertools.islice(fh, _BLOCK_ROWS))
+                body = np.loadtxt(block, delimiter=",", comments=None, dtype=row, ndmin=1)
+                stop = start + body.shape[0]
+                if body.shape[0] != len(block) or stop > lines:
+                    return _load_dense_csv_lines(path)
+                X[start:stop], y[start:stop] = body["X"], body["y"]
+                del block, body  # before the next block is read
+            if stop != lines or next(fh, None) is not None:
+                return _load_dense_csv_lines(path)
     except (ValueError, Warning):
         return _load_dense_csv_lines(path)
-    if body.shape[0] != lines or body["y"].min() < 0:
+    if lines and y.min() < 0:
         return _load_dense_csv_lines(path)
-    return Dataset(path.stem, np.ascontiguousarray(body["X"]), body["y"])
+    return Dataset(path.stem, X, y)
 
 
 def _plain_body_lines(path) -> int | None:
@@ -385,7 +399,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and scale from training rows; zero-variance scales become 1."""
+    """Per-feature mean and scale from training rows. A constant column
+    (max == min) gets its value as mean and scale 1, so it maps to 0 in every
+    row; any other scale below 1e-12 becomes 1."""
     X = np.asarray(X, dtype=float)
     # std squares deviations, so it overflows above about 1e154: such columns are measured
     # in units of their largest |x|, the others keep their bits; an overflowing mean stays non-finite
@@ -396,6 +412,12 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         peak = np.max(np.abs(X[:, big]), axis=0)
         scale[big] = (X[:, big] / peak).std(axis=0) * peak
     scale = np.where(scale < 1e-12, 1.0, scale)
+    # the mean of a constant column is off by its rounding error, which the
+    # absolute floor above can keep or even blow up
+    if X.shape[0]:
+        constant = X.max(axis=0) == X.min(axis=0)
+        mean[constant] = X[0, constant]
+        scale[constant] = 1.0
     return mean, scale
 
 

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import hfa.core
 from hfa.cli import CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig
-from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, save_dense_csv
+from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, sample_protocol, save_dense_csv
 from hfa.evaluate import decision_matrix, train_multiclass
 from hfa.model_io import load_model_set
 
@@ -180,16 +181,34 @@ def test_overflowing_features_fail_naming_domain_and_remedy(corpus, tmp_path, co
     assert not (tmp_path / "out").exists()
 
 
+def test_rbf_train_runs_no_eigendecomposition(tmp_path):
+    # at the benchmark's train-72 shape (8 source and 4 target rows per
+    # class, rbf) every free-set Newton step solves through its Cholesky
+    # factor: `hfa train` never calls the symmetric eigensolver
+    source, pool = generate_synthetic(SyntheticSpec(source_per_class=8))
+    target = sample_protocol(pool, 4, seed=0)[0]
+    save_dense_csv(source, tmp_path / "source.csv")
+    save_dense_csv(target, tmp_path / "target.csv")
+    with mock.patch.object(np.linalg, "eigh", side_effect=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.cholesky) as cholesky:
+        code, err = run_main(["train", "--source", tmp_path / "source.csv", "--target", tmp_path / "target.csv",
+                              "--out", tmp_path / "model.json"])
+    assert code == 0, err
+    assert eigh.call_count == 0 and cholesky.call_count > 0
+
+
 @pytest.mark.parametrize("rows, value, trains", [(1, 1e200, True), (None, 1e308, False)])
 def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, rows, value, trains):
     """Every model `hfa train` writes, `hfa predict` loads. One target row at
     1e200 in feature 0 standardizes to a finite scale with no numpy
     RuntimeWarning, and predict scores every row finitely; a whole column at
-    1e308 overflows its mean, and train prints one error line, with no
-    RuntimeWarning, and writes no file."""
+    1e308, with its first row at 1.5e308, overflows its mean, and train
+    prints one error line, with no RuntimeWarning, and writes no file."""
     data = load_dense_csv(corpus / "target.csv")
     X = data.X.copy()
     X[:rows, 0] = value
+    if rows is None:
+        X[0, 0] = 1.5 * value  # not constant: a constant column standardizes to 0
     target, model, config = tmp_path / "target.csv", tmp_path / "model.json", tmp_path / "std.cfg"
     save_dense_csv(Dataset(data.domain, X, data.y), target)
     config.write_text("data.standardize = true\n", encoding="utf-8")
@@ -206,6 +225,24 @@ def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, row
     assert predict.returncode == 0, predict.stderr
     scores = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)[:, 2:]
     assert scores.shape == (len(data), 2) and np.all(np.isfinite(scores))
+
+
+def test_standardized_constant_column_trains(corpus, tmp_path):
+    # a constant target column of 1e200 standardizes to 0 in every row, so
+    # the linear kernel does not overflow; its mean is the value itself
+    data = load_dense_csv(corpus / "target.csv")
+    X = data.X.copy()
+    X[:, 0] = 1e200
+    target, model, config = tmp_path / "target.csv", tmp_path / "model.json", tmp_path / "std.cfg"
+    save_dense_csv(Dataset(data.domain, X, data.y), target)
+    config.write_text("data.standardize = true\n", encoding="utf-8")
+    code, err = run_main(["train", "--config", config, "--kernel", "linear", "--source", corpus / "source.csv",
+                          "--target", target, "--out", model])
+    assert code == 0, err
+    params = load_model_set(model).metadata["standardize"]
+    assert (params["target_mean"][0], params["target_scale"][0]) == (1e200, 1.0)
+    code, err = run_main(["predict", "--model", model, "--target", target, "--out", tmp_path / "p.csv"])
+    assert code == 0, err
 
 
 # feature values: ordinary ones, any finite double, and the magnitudes

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,12 +207,33 @@ def test_dense_csv_agrees_with_per_line_parser(tmp_path_factory, text):
         "label,f0\n",  # header only
         "label,f0,f1",  # header only, no final newline
         "label,f0,f1\r\n",  # header only, CRLF
+        "label,f0\n" + "1,2\n" * 300 + "\n3,4\n",  # a blank line in the second block of rows
+        "label,f0\n" + "1,2\n" * 300 + "-1,4\n",  # a negative label in the second block
+        "label,f0\n" + "1,2\n" * 512,  # two whole blocks
     ],
 )
 def test_dense_csv_where_numpy_and_per_line_parser_differ(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     _assert_parsers_agree(path)
+
+
+def test_dense_csv_load_holds_one_copy_of_the_rows(tmp_path):
+    # numpy parses the body in row blocks straight into X: the load's traced
+    # peak stays well under two copies of the rows (numpy's (label, row)
+    # records and X at once came to 2.2 X.nbytes)
+    rng = np.random.default_rng(24)
+    data = Dataset("query", rng.standard_normal((6000, 20)), rng.integers(0, 6, 6000))
+    path = tmp_path / "query.csv"
+    save_dense_csv(data, path)
+    tracemalloc.start()
+    try:
+        loaded = load_dense_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.X, data.X) and np.array_equal(loaded.y, data.y)
+    assert peak <= 1.5 * loaded.X.nbytes
 
 
 # ---------------------------------------------------------------- sparse
@@ -551,6 +573,21 @@ def test_standardize_constant_feature_maps_to_zero():
     assert scale[0] == 1.0
     Z = standardize_apply(X, mean, scale)
     assert np.allclose(Z[:, 0], 0.0)
+
+
+@pytest.mark.parametrize("value", [123456.789, -0.1, 1e200, 1e308])
+def test_standardize_constant_column_is_exactly_zero(value):
+    # the mean of 11 copies of 123456.789 rounds 1.5e-11 off the value, and
+    # the old absolute 1e-12 floor on the scale kept that error: every row
+    # read -1. The other column keeps the bits of the plain fit.
+    rng = np.random.default_rng(23)
+    other = rng.standard_normal(11) * 7.0 + 2.0
+    X = np.column_stack([np.full(11, value), other])
+    mean, scale = standardize_fit(X)
+    assert (mean[0], scale[0]) == (value, 1.0)
+    assert np.array_equal(standardize_apply(X, mean, scale)[:, 0], np.zeros(11))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (mean[1], scale[1]) == (X.mean(axis=0)[1], X.std(axis=0)[1])
 
 
 def test_standardize_pair_scales_each_domain_by_its_own_fit():

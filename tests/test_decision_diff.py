@@ -14,9 +14,9 @@ decision_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(decision_diff)
 
 
-def record(scores, objective, iterations=(3, 4), gaps=(1e-9, 2e-8), live=(1, 2), stored=(1, 2)):
+def record(scores, objective, iterations=(3, 4), gaps=(1e-9, 2e-8), live=(1, 2), stored=(1, 2), train_s=0.5):
     return {"scores": scores, "objective": list(objective), "iterations": list(iterations),
-            "gaps": list(gaps), "live_atoms": list(live), "stored_atoms": list(stored)}
+            "gaps": list(gaps), "live_atoms": list(live), "stored_atoms": list(stored), "train_s": train_s}
 
 
 def test_relative_change_of_fixed_scores():
@@ -37,7 +37,8 @@ def test_max_objective_change_is_per_class():
 
 def test_compare_keeps_both_sides():
     parent = record(np.ones((2, 2)).tolist(), [5.0, 4.0])
-    change = record(np.full((2, 2), 1.5).tolist(), [5.0, 4.0], iterations=(3, 5), live=(1, 1), stored=(1, 1))
+    change = record(np.full((2, 2), 1.5).tolist(), [5.0, 4.0], iterations=(3, 5), live=(1, 1), stored=(1, 1),
+                    train_s=0.25)
     s = decision_diff.compare(parent, change)
     assert s["decision_rel"] == 0.5 and s["objective_rel"] == 0.0
     assert s["same_iterations"] is False
@@ -46,6 +47,9 @@ def test_compare_keeps_both_sides():
     text = decision_diff.render("fixed", s)
     assert "max |df| / max |f| 5.00e-01" in text and "(differ)" in text
     assert "predicted-class changes 0 of 2 rows" in text
+    # each side's training seconds, as its worker timed them
+    assert (s["train_s_parent"], s["train_s_change"]) == (0.5, 0.25)
+    assert "training seconds parent 0.500 change 0.250" in text
 
 
 def test_class_changes_count_rows_whose_argmax_moves():

@@ -204,6 +204,12 @@ def test_svm_t_baseline_rejects_overflowing_features():
         svm_t_baseline(target, HfaConfig(kernel_family="linear"))
 
 
+def test_overflow_remedy_leaves_out_standardizing_when_it_is_set():
+    target = Dataset("target", np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
+    with pytest.raises(ValueError, match="^target features overflow the linear kernel: rescale them$"):
+        svm_t_baseline(target, HfaConfig(kernel_family="linear", standardize=True))
+
+
 def test_svm_t_matches_direct_dual_solve():
     _, target = tiny_pools(seed=9)
     cfg = HfaConfig()

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, 
 
 from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
 import hfa.svm
-from hfa.svm import DegenerateProblemError, _free_set_step, solve_dual
+from hfa.svm import DegenerateProblemError, _free_set_step, _newton_direction, solve_dual
 
 
 def test_problem_validation():
@@ -190,18 +191,73 @@ def test_warm_start_after_small_kernel_change_needs_no_pair_update():
 
 
 def test_newton_step_waits_longer_after_a_large_free_set():
-    # an eigh on m free alphas costs about m^3 / (10 n) pair updates, so the
-    # next step waits that long when it is more than the usual 10
+    # a step through the Cholesky factor on m free alphas costs about
+    # m^3 / (100 n) pair updates, so the next step waits that long when it is
+    # more than the usual 10
     rng = np.random.default_rng(10)
     n = 60
     X = rng.standard_normal((n, 3))
     K = gram_matrix(KernelSpec("rbf", median_heuristic_gamma(X)), X)
     y = np.array([1.0, -1.0] * 30)
-    for free, wait in ((4, 10), (60, 60**3 // (10 * 60))):
+    for free, wait in ((4, 10), (60, 60**3 // (100 * 60))):
         alpha = np.zeros(n)
         alpha[:free] = 0.5
         G = y - K @ (alpha * y)
         assert _free_set_step(K, y, 1.0, 1e-6, alpha, G) == wait
+
+
+def _failing_cholesky(K):
+    raise np.linalg.LinAlgError("forced")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cholesky_step_equals_min_norm_step_on_positive_definite_blocks(seed, monkeypatch):
+    # on a positive definite free block the two solves of the bordered
+    # system give one step, to the round-off of the block's condition
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    X = rng.standard_normal((m, 4))
+    K_FF = gram_matrix(KernelSpec("rbf", median_heuristic_gamma(X)), X) if seed % 2 else X @ X.T + np.eye(m)
+    G_F = rng.standard_normal(m)
+    with mock.patch.object(np.linalg, "eigh", side_effect=np.linalg.eigh) as eigh:
+        factored = _newton_direction(K_FF, G_F, 1e-6)
+    assert eigh.call_count == 0 and factored[1:] == (1.0, True)
+    monkeypatch.setattr(np.linalg, "cholesky", _failing_cholesky)
+    min_norm = _newton_direction(K_FF, G_F, 1e-6)
+    assert min_norm[1:] == (1.0, False)
+    scale = float(np.abs(min_norm[0]).max())
+    assert np.max(np.abs(factored[0] - min_norm[0])) <= 100 * np.finfo(float).eps * np.linalg.cond(K_FF) * scale
+    # both solve the bordered system: K_FF delta = G_F - rho, 1'delta = 0
+    delta = factored[0]
+    residual = G_F - K_FF @ delta
+    assert np.ptp(residual) <= 1e-9 * np.abs(G_F).max() and abs(delta.sum()) <= 1e-9 * scale
+
+
+def test_singular_block_takes_min_norm_step_along_zero_curvature_ray():
+    # a linear kernel on 8 points of 2 features: every free block of more
+    # than 2 alphas is singular, so the step falls back to the
+    # eigendecomposition, and the part of G_F in the null space of the
+    # bordered matrix is a ray that runs to the box
+    rng = np.random.default_rng(11)
+    n, C = 8, 1.0
+    X = rng.standard_normal((n, 2))
+    K = gram_matrix(KernelSpec("linear"), X)
+    y = np.array([1.0, -1.0] * 4)
+    alpha = np.full(n, 0.5)
+    G = y - K @ (alpha * y)
+    delta, s_max, factored = _newton_direction(K, G, 1e-6)
+    assert (s_max, factored) == (np.inf, False)
+    assert np.max(np.abs(K @ delta)) <= 1e-12 * np.abs(K).max() * np.abs(delta).max()
+    assert abs(delta.sum()) <= 1e-12 * np.abs(delta).max() and G @ delta > 0
+    before = float(alpha.sum() - 0.5 * (alpha * y) @ K @ (alpha * y))
+    with mock.patch.object(np.linalg, "eigh", side_effect=np.linalg.eigh) as eigh:
+        _free_set_step(K, y, C, 1e-6, alpha, G)
+    assert eigh.call_count == 1
+    # the ray is cut only by the box: an alpha lands on a bound, the objective rises
+    assert np.any((alpha <= 1e-12) | (alpha >= C - 1e-12)) and np.all((alpha >= 0.0) & (alpha <= C))
+    after = float(alpha.sum() - 0.5 * (alpha * y) @ K @ (alpha * y))
+    assert after > before
+    assert np.allclose(G, y - K @ (alpha * y), atol=1e-12)
 
 
 def test_guard_on_iteration_budget(monkeypatch):

@@ -12,9 +12,10 @@ trains the configurations of CONFIGS in one child process, with
 first 200 rows of the target pool. Per configuration the script prints
 the largest change in decision values relative to the parent's largest
 |f|, the largest relative change of the final objective, how many scored
-rows change their predicted (argmax) class, and per class on each side
-the outer iterations, the certified saddle gap, the live atoms (metric
-weights above 0) and the stored atoms.
+rows change their predicted (argmax) class, each side's training
+seconds (train_multiclass, timed in its worker), and per class on each
+side the outer iterations, the certified saddle gap, the live atoms
+(metric weights above 0) and the stored atoms.
 
 Standard library plus numpy.
 """
@@ -48,7 +49,7 @@ CONFIGS = {
 # the child process: reads CONFIGS as JSON on stdin and writes one JSON
 # record per configuration; it uses only names both sides define
 WORKER = """
-import json, sys
+import json, sys, time
 import numpy as np
 from hfa.core import HfaConfig
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
@@ -58,10 +59,13 @@ out = {}
 for name, (per_source, per_target, kwargs) in json.load(sys.stdin).items():
     source, pool = generate_synthetic(SyntheticSpec(source_per_class=per_source))
     target = pool if per_target is None else sample_protocol(pool, per_target, seed=0)[0]
+    start = time.perf_counter()
     models = train_multiclass(source, target, HfaConfig(**kwargs))
+    seconds = time.perf_counter() - start
     _, scores = decision_matrix(models, pool.X[:%d])
     out[name] = {
         "scores": scores.tolist(),
+        "train_s": seconds,
         "objective": [float(m.objective_trace[-1]) for _, m in models],
         "iterations": [len(m.objective_trace) for _, m in models],
         "gaps": [float(m.saddle_gap) for _, m in models],
@@ -101,7 +105,7 @@ def compare(parent: dict, change: dict) -> dict:
         "rows": len(parent["scores"]),
         "objective_rel": max_objective_change(parent["objective"], change["objective"]),
         "same_iterations": parent["iterations"] == change["iterations"],
-        **{f"{key}_{side}": record[key] for key in ("iterations", "gaps", "live_atoms", "stored_atoms")
+        **{f"{key}_{side}": record[key] for key in ("train_s", "iterations", "gaps", "live_atoms", "stored_atoms")
            for side, record in (("parent", parent), ("change", change))},
     }
 
@@ -124,6 +128,7 @@ def render(name: str, summary: dict) -> str:
         f"  max |df| / max |f| {summary['decision_rel']:.2e}, "
         f"final objective max rel diff {summary['objective_rel']:.2e}",
         f"  predicted-class changes {summary['class_changes']} of {summary['rows']} rows",
+        f"  training seconds parent {summary['train_s_parent']:.3f} change {summary['train_s_change']:.3f}",
         f"  outer iterations parent {summary['iterations_parent']} change {summary['iterations_change']}"
         + ("" if summary["same_iterations"] else "  (differ)"),
         f"  certified gaps parent {gaps['parent']}",
