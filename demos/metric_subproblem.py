@@ -28,11 +28,13 @@ from hfa.metric import initial_metric
 from hfa.svm import solve_dual
 
 # class 0 against the rest, 20 source and 4 target rows per class; F is
-# blockdiag(Ks, Kt), and so is M = L'L for L blockdiag of their square roots
+# blockdiag(Ks, Kt) of the two domain Grams, and so is M = L'L for L
+# blockdiag of their square roots
 source, pool = generate_synthetic(SyntheticSpec(num_classes=4, source_per_class=20))
 target, _ = sample_protocol(pool, 4, seed=0)
 cfg = HfaConfig()
-base = M = prepare_kernels(source.X, target.X, cfg).base
+(_, Ks), (_, Kt) = prepare_kernels(source.X, target.X, cfg)
+base = M = np.block([[Ks, np.zeros((len(Ks), len(Kt)))], [np.zeros((len(Kt), len(Ks))), Kt]])
 y = np.concatenate([source.binary_view(0).y, target.binary_view(0).y]).astype(float)
 C, lam = cfg.C, cfg.lam
 

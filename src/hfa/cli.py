@@ -168,14 +168,16 @@ def _atomic(path, writer) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _load_dataset(path) -> Dataset:
-    """Dense CSV for .csv files, the sparse text format otherwise."""
+def _load_dataset(path, training: bool = True) -> Dataset:
+    """Dense CSV for .csv files, the sparse text format otherwise. A training
+    file needs a data row; a query file for predict may have none."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file {path} does not exist")
-    if path.suffix.lower() == ".csv":
-        return load_dense_csv(path)
-    return load_sparse(path)
+    data = load_dense_csv(path) if path.suffix.lower() == ".csv" else load_sparse(path)
+    if training and len(data) == 0:
+        raise ValueError(f"dataset file {path} has no data rows")
+    return data
 
 
 def _require_path(value, flag: str) -> str:
@@ -219,8 +221,10 @@ def cmd_train(cfg: CliConfig) -> None:
     _atomic(out, lambda tmp: save_model_set(models, tmp, metadata))
     for c, model in models:
         trace = model.objective_trace
+        # the gap never rises: only a class that ran out of iterations or halvings ends above conv_tol
+        above = f" (above hfa.conv_tol = {cfg.hfa.conv_tol})" if model.saddle_gap > cfg.hfa.conv_tol else ""
         print(f"class {c}: final objective {float(trace[-1])!r} after {len(trace)} iterations, "
-              f"certified gap {model.saddle_gap:.3e}")
+              f"certified gap {model.saddle_gap:.3e}{above}")
     print(f"wrote {out}: {len(models)} models")
 
 
@@ -251,7 +255,7 @@ def _write_predictions(path, classes: np.ndarray, scores: np.ndarray) -> None:
 def cmd_predict(cfg: CliConfig) -> None:
     model_path = _require_path(cfg.model, "--model")
     model_set = load_model_set(model_path)
-    test = _load_dataset(_require_path(cfg.target, "--target"))
+    test = _load_dataset(_require_path(cfg.target, "--target"), training=False)
     d_t = model_set.models[0][1].dim
     if len(test) and test.dim != d_t:
         raise ValueError(f"test features have dimension {test.dim}, model expects target dimension {d_t}")

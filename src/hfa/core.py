@@ -2,7 +2,7 @@
 
 The model couples a labeled source domain (dim d_s) and a sparsely
 labeled target domain (dim d_t) by implicitly embedding both into a
-shared augmented space. Only the PSD coupling metric is learned: the
+shared augmented space. Only the PSD metric is learned: the
 trainer minimizes the SVM dual value over the trace-bounded metrics by
 Frank-Wolfe steps toward a rank-1 vertex, re-solving the dual (warm
 started) at each trial step, and stops on a certified saddle gap;
@@ -11,7 +11,8 @@ prediction needs target kernel values only.
 The one shipped training path is kernelized as in the paper: its metric
 has order n_s+n_t over the per-domain Gram square roots L = K^(1/2), and
 the trainer reads it only through dual vectors and M = L'L, which is the
-Gram K itself, with no L formed (hfa.metric).
+block-diagonal of the two domain Grams, read one block at a time, with no
+L formed (hfa.metric).
 The paper's explicit path, with a metric of order d_s+d_t over raw
 features, lives next to the tests as an oracle (tests/linear_oracle.py)
 and runs the same outer loop; the optimal objectives of the two agree
@@ -47,7 +48,6 @@ __all__ = [
     "HfaModel",
     "KernelExpansion",
     "OuterStep",
-    "PrecomputedKernels",
     "prepare_kernels",
     "hfa_train",
 ]
@@ -90,34 +90,6 @@ class HfaConfig:
             raise ValueError("conv_tol must be positive")
 
 
-def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    out = np.zeros((n + B.shape[0], A.shape[1] + B.shape[1]))
-    out[:n, : A.shape[1]] = A
-    out[n:, A.shape[1]:] = B
-    return out
-
-
-@dataclass(frozen=True)
-class PrecomputedKernels:
-    """The Grams shared by all models on one training set.
-
-    base is blockdiag(Ks, Kt): the working kernel at a zero metric, and
-    also M = L'L for the lift L = blockdiag(Ks^(1/2), Kt^(1/2)) that maps
-    dual coefficients into the metric space (v = L beta); the trainer
-    reads the metric through M alone. base must be finite and exactly
-    symmetric (checked here), as the trainer builds its working kernels
-    from it unchecked.
-    """
-
-    kernel_target: KernelSpec
-    base: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.base)) and np.array_equal(self.base, self.base.T)):
-            raise ValueError("kernel base must be finite and exactly symmetric")
-
-
 def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec, np.ndarray]:
     """One domain's kernel, resolved from its training rows (the rbf
     bandwidth is cfg.kernel_gamma, else the median rule on X), and its Gram
@@ -136,15 +108,10 @@ def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec
         raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: {remedy}") from None
 
 
-def _pair_kernels(source, target) -> PrecomputedKernels:
-    """The block-diagonal Gram of a training pair from its domains' _domain_gram."""
-    (_, Ks), (spec_t, Kt) = source, target
-    return PrecomputedKernels(spec_t, _block_diag(Ks, Kt))
-
-
-def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig) -> PrecomputedKernels:
-    """Build each domain's Gram once (_domain_gram) and join them."""
-    return _pair_kernels(_domain_gram(cfg, source_X, "source"), _domain_gram(cfg, target_X, "target"))
+def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig):
+    """((spec_s, Ks), (spec_t, Kt)): each domain's kernel and Gram from _domain_gram,
+    which every model on the same rows shares; nothing joins them (see _alternate)."""
+    return _domain_gram(cfg, source_X, "source"), _domain_gram(cfg, target_X, "target")
 
 
 def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
@@ -167,33 +134,35 @@ class OuterStep(DualSolution):
     halved: tuple[float, ...]
 
 
-def _alternate(base: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, monitor=None):
-    """Run the alternation; returns (metric, final solution, base @ its beta, objective trace, saddle gap).
+def _alternate(Ks: np.ndarray, Kt: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, monitor=None):
+    """Run the alternation; returns (metric, final solution, M @ its beta, objective trace, saddle gap).
 
-    base is F, the working kernel at a zero metric, and also M = L'L for
-    the lift L (order x n) of dual coefficients into the metric space,
-    v = L beta: L = blockdiag(Ks^(1/2), Kt^(1/2)) on the kernelized path,
-    and blockdiag(Xs, Xt) of order d_s + d_t on the explicit oracle's,
-    which shares this loop. L is never formed: every lifted vector the
-    loop needs is L times a dual vector, so h'v = c'M beta,
-    ||v||^2 = beta'M beta and L'h = M c for h = L c.
+    Ks and Kt are the two domains' Grams, and F = blockdiag(Ks, Kt) is the
+    working kernel at a zero metric. F is also M = L'L for the lift L
+    (order x n) of dual coefficients into the metric space, v = L beta:
+    L = blockdiag(Ks^(1/2), Kt^(1/2)) on the kernelized path, and
+    blockdiag(Xs, Xt) of order d_s + d_t on the explicit oracle's, which
+    shares this loop. Neither F nor L is formed: M x is (Ks x_s, Kt x_t),
+    and every lifted vector the loop needs is L times a dual vector, so
+    h'v = c'M beta, ||v||^2 = beta'M beta and L'h = M c for h = L c.
 
     P(H) = max_alpha 1'alpha - 1/2 beta'(F + L'HL)beta is convex in H, and at
     fixed beta its linear minimizer over {H PSD, trace(H) <= lam} is the
     rank-1 vertex lam*hh', h = v/||v|| = L c with c = beta/sqrt(beta'M beta).
     Each outer iteration is one Frank-Wolfe step H <- (1-t)H + t*lam*hh'
-    (Jaggi, ICML 2013), so the working kernel is K(t) = F + (1-t)*coupling
-    + t*lam*uu' with u = L'h = Mc, from coupling = L'HL = (lam/order)*M at
-    the start metric. By Danskin's theorem dP/dt = -1/2 (lam (u'beta_t)^2 -
-    beta_t' coupling beta_t) at the dual solution for K(t); t = 1 is taken
-    when that slope is not positive there, else the lower of t = 1 and the
-    secant root of the slope between t = 0 and 1, halved until P does not
-    rise, or at most _MAX_HALVINGS times: then the step is t = 0 and the
-    loop ends, as the next iteration would repeat this one. With base
-    finite and exactly symmetric, each working kernel is exactly symmetric
-    by construction (sums and scalings of symmetric arrays, and uu'), and
-    lam*u'u is checked finite, so solve_dual's precondition holds with no
-    n x n scan.
+    (Jaggi, ICML 2013). The working kernel K = F + L'HL is affine in H, so
+    it takes the same step, K(t) = (1-t)K + tV toward the vertex kernel
+    V = F + lam*uu' with u = L'h = Mc, from K = (1 + lam/order)F at the start
+    metric (lam/order)I; the loop keeps K itself. By Danskin's theorem
+    dP/dt = -1/2 (lam (u'beta_t)^2 - v_t'H v_t) at the dual solution for
+    K(t); t = 1 is taken when that slope is not positive there, else the
+    lower of t = 1 and the secant root of the slope between t = 0 and 1,
+    halved until P does not rise, or at most _MAX_HALVINGS times: then the
+    step is t = 0 and the loop ends, as the next iteration would repeat
+    this one. With Ks and Kt finite and exactly symmetric, each working
+    kernel is exactly symmetric by construction (scalings and sums of
+    symmetric arrays, and uu'), and lam*u'u is checked finite, so
+    solve_dual's precondition holds with no n x n scan.
 
     Every solve's alpha also gives L(alpha) = 1'alpha - 1/2 beta'F beta -
     1/2 lam beta'M beta, a lower bound on the saddle value, so
@@ -201,10 +170,22 @@ def _alternate(base: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, moni
     after it reaches cfg.conv_tol, which bounds that last step's change of
     P by conv_tol too, or after cfg.t_max solves are accepted.
     """
-    lam = cfg.lam
-    metric = initial_metric(order, lam, base.shape[0])
-    coupling = (lam / order) * base
-    sol = solve_dual(base + coupling, y, cfg.C)
+    lam, n_s = cfg.lam, len(Ks)
+    metric = initial_metric(order, lam, len(y))
+
+    def gram(x):
+        # M x, one domain block at a time
+        return np.concatenate([Ks @ x[:n_s], Kt @ x[n_s:]])
+
+    def vertex(u):
+        # F + lam*uu'
+        V = lam * np.outer(u, u)
+        V[:n_s, :n_s] += Ks
+        V[n_s:, n_s:] += Kt
+        return V
+
+    K = (1.0 + lam / order) * vertex(np.zeros(len(y)))
+    sol = solve_dual(K, y, cfg.C)
     lower = -np.inf
 
     def slope(s, t, m):
@@ -217,9 +198,9 @@ def _alternate(base: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, moni
 
     def trial(t):
         # solve at K(t), warm started from the accepted alpha
-        coupling_t = (1.0 - t) * coupling + (t * lam) * np.outer(u, u)
-        s = solve_dual(base + coupling_t, y, cfg.C, warm_start=sol.alpha)
-        return s, coupling_t, slope(s, t, base @ s.beta)
+        K_t = V if t == 1.0 else (1.0 - t) * K + t * V
+        s = solve_dual(K_t, y, cfg.C, warm_start=sol.alpha)
+        return s, K_t, slope(s, t, gram(s.beta))
 
     objective = []
     reached = False
@@ -230,29 +211,31 @@ def _alternate(base: np.ndarray, order: int, y: np.ndarray, cfg: HfaConfig, moni
                 break
             reached = gap <= cfg.conv_tol
             if slope_0 < 0.0:
-                u = base @ c
+                u = gram(c)
                 if not np.isfinite(lam * float(u @ u)):
                     raise ValueError(f"outer {tau}: the step direction is not finite")
+                V = vertex(u)
                 t = 1.0
-                best, coupling_t, slope_1 = trial(t)
+                best, K_best, slope_1 = trial(t)
                 if slope_1 > 0.0:
                     t_root = slope_0 / (slope_0 - slope_1)
                     step = trial(t_root)
                     if step[0].objective < best.objective:
-                        t, (best, coupling_t, _) = t_root, step
+                        t, (best, K_best, _) = t_root, step
+                    del step  # its kernel, unless taken, would outlive this step
                 while best.objective > sol.objective and len(halved) < _MAX_HALVINGS:
                     t *= 0.5
                     halved.append(t)
-                    best, coupling_t, _ = trial(t)
+                    best, K_best, _ = trial(t)
                 if best.objective > sol.objective:
                     reached = True  # t = 0: the next iteration would repeat this one
                 else:
                     metric = metric.rank1_update(1.0 - t, t * lam, c)
-                    coupling, sol = coupling_t, best
+                    K, sol = K_best, best
             else:
                 # H already minimizes at this beta (gap 0): the step is t = 0
-                sol = solve_dual(base + coupling, y, cfg.C, warm_start=sol.alpha)
-        m = base @ sol.beta
+                sol = solve_dual(K, y, cfg.C, warm_start=sol.alpha)
+        m = gram(sol.beta)
         norm2 = float(sol.beta @ m)
         if norm2 > 0.0:
             c = sol.beta / np.sqrt(norm2)
@@ -362,7 +345,7 @@ def hfa_train(
     source: Dataset,
     target: Dataset,
     cfg: HfaConfig = HfaConfig(),
-    kernels: PrecomputedKernels | None = None,
+    kernels=None,
     monitor=None,
 ) -> HfaModel:
     """Train the kernelized model on +-1 labeled source/target data.
@@ -372,9 +355,11 @@ def hfa_train(
     source, target : Dataset
         Binary training sets; both label signs must appear in the union.
     cfg : HfaConfig
-    kernels : PrecomputedKernels, optional
-        Shared Grams when training several relabelings of
-        the same samples (one-vs-rest); must match the sample counts.
+    kernels : ((KernelSpec, ndarray), (KernelSpec, ndarray)), optional
+        prepare_kernels's pair, shared by several relabelings of the same
+        samples (one-vs-rest). Each Gram must have its domain's sample count
+        as its order and be finite and exactly symmetric (both checked here),
+        as the trainer builds its working kernels from them unchecked.
     monitor : callable, optional
         monitor(iteration, metric, step), called once per outer iteration
         including the initial solve, after its step. step is an OuterStep:
@@ -387,18 +372,20 @@ def hfa_train(
     HfaModel
     """
     _validate_binary_pair(source, target)
-    n_s = len(source)
+    n_s, n_t = len(source), len(target)
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
-    elif kernels.base.shape[0] != n_s + len(target) or kernels.base[n_s:, :n_s].any():
-        # base couples no source row to a target row, so a nonzero block there
-        # means the kernels split the same total count at another row
+    (_, Ks), (spec_t, Kt) = kernels
+    if Ks.shape != (n_s, n_s) or Kt.shape != (n_t, n_t):
         raise ValueError("precomputed kernels do not match the training sample counts")
+    for domain, K in (("source", Ks), ("target", Kt)):
+        if not (np.all(np.isfinite(K)) and np.array_equal(K, K.T)):
+            raise ValueError(f"the {domain} Gram must be finite and exactly symmetric")
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, m, trace, gap = _alternate(kernels.base, len(y), y, cfg, monitor)
+    metric, sol, m, trace, gap = _alternate(Ks, Kt, len(y), y, cfg, monitor)
     # H v = L g, and the target rows of L'L g are Kt g_t
     coef = metric.apply(sol.beta, m)[n_s:] + sol.beta[n_s:]
     return HfaModel(
-        X=target.X, kernel=kernels.kernel_target, coef=coef, bias=sol.bias,
+        X=target.X, kernel=spec_t, coef=coef, bias=sol.bias,
         metric=metric, beta=sol.beta, objective_trace=trace, saddle_gap=gap,
     )

@@ -17,11 +17,9 @@ from hfa.core import (
     HfaConfig,
     HfaModel,
     KernelExpansion,
-    PrecomputedKernels,
     _check_shared,
     _decision_columns,
     _domain_gram,
-    _pair_kernels,
     hfa_train,
     prepare_kernels,
 )
@@ -41,7 +39,7 @@ __all__ = [
 
 
 def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfig(), monitor=None,
-                     kernels: PrecomputedKernels | None = None) -> list[tuple[int, HfaModel]]:
+                     kernels=None) -> list[tuple[int, HfaModel]]:
     """Train one binary model per class on the full source+target data,
     sharing one pair of Grams across the classes.
 
@@ -53,8 +51,9 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
     cfg : HfaConfig
     monitor : callable, optional
         hfa_train's monitor, for every class in turn.
-    kernels : PrecomputedKernels, optional
-        As hfa_train takes them; prepare_kernels builds them when not given.
+    kernels : ((KernelSpec, ndarray), (KernelSpec, ndarray)), optional
+        The pair of (kernel, Gram) that prepare_kernels returns, as
+        hfa_train takes it; built here when not given.
 
     Returns
     -------
@@ -237,8 +236,8 @@ def run_experiment(
         if gram_s is None or per_class_source is not None:
             gram_s = _domain_gram(cfg, train_s.X, "source")
         gram_t = _domain_gram(cfg, train_t.X, "target")
-        kernels = _pair_kernels(gram_s, gram_t)
-        acc_h.append(accuracy(train_multiclass(train_s, train_t, cfg, monitor=monitor, kernels=kernels), test_t))
+        models = train_multiclass(train_s, train_t, cfg, monitor=monitor, kernels=(gram_s, gram_t))
+        acc_h.append(accuracy(models, test_t))
         acc_t.append(accuracy(svm_t_baseline(train_t, cfg, gram_t), test_t))
     return ExperimentRun(
         hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),

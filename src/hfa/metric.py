@@ -18,9 +18,12 @@ so H is always
 Every h_k is L times a dual vector, h_k = L c_k, so TransformMetric keeps
 the atoms c_k and reads H only through M = L'L: h_k'v = c_k'M beta,
 ||v||^2 = beta'M beta and L'h_k = M c_k; L is never formed. On the
-kernelized path L is the Gram square root K^(1/2), so M is the Gram K
-itself (the base of hfa.core.PrecomputedKernels). The dense matrix
-route of the subproblem is the reference in tests/metric_oracle.py.
+kernelized path L = blockdiag(Ks^(1/2), Kt^(1/2)), so M is
+F = blockdiag(Ks, Kt), read one domain block at a time. The metric adds
+L'HL = scale * F + (F C')W(C F) to the working kernel (C the atoms, W the
+weights), a sum the trainer never forms: it steps the kernel itself, which
+is affine in H. The dense matrix route of the subproblem is the reference
+in tests/metric_oracle.py.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ kernel of the explicit path from a dense metric matrix and of the
 kernelized path from a factored one, and a trainer that runs the
 library's own Frank-Wolfe loop (hfa.core._alternate) on the explicit
 factors. The loop reads the metric through M = L'L only, which on both
-paths is the path's own base: L = blockdiag(Xs, Xt) makes
-M = blockdiag(Xs'Xs, Xt'Xt) here, and L = K^(1/2) makes M = K on the
-kernelized path. With a linear kernel and no more samples than feature
-dimensions the two paths reach the same optimal objective, with nothing
-patched into either.
+paths is the block-diagonal F of the path's two domain Grams:
+L = blockdiag(Xs, Xt) makes M = blockdiag(Xs'Xs, Xt'Xt) here, and
+L = K^(1/2) makes M = blockdiag(Ks, Kt) on the kernelized path. With a
+linear kernel and no more samples than feature dimensions the two paths
+reach the same optimal objective, with nothing patched into either.
 """
 
 from dataclasses import dataclass
@@ -22,10 +22,24 @@ from dataclasses import dataclass
 import numpy as np
 
 import hfa.core
-from hfa.core import HfaConfig, PrecomputedKernels, _block_diag, _validate_binary_pair
+from hfa.core import HfaConfig, _validate_binary_pair
 from hfa.data import Dataset
 from hfa.linalg import symmetrize
 from hfa.metric import TransformMetric
+
+
+def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    n = A.shape[0]
+    out = np.zeros((n + B.shape[0], A.shape[1] + B.shape[1]))
+    out[:n, : A.shape[1]] = A
+    out[n:, A.shape[1]:] = B
+    return out
+
+
+def block_gram(kernels) -> np.ndarray:
+    """F = blockdiag(Ks, Kt) from prepare_kernels's ((spec_s, Ks), (spec_t, Kt))."""
+    (_, Ks), (_, Kt) = kernels
+    return _block_diag(Ks, Kt)
 
 
 def augment_source(x, P, target_dim: int) -> np.ndarray:
@@ -50,15 +64,22 @@ def augment_target(x, Q, source_dim: int) -> np.ndarray:
     return np.concatenate([Q @ x, np.zeros(source_dim), x])
 
 
-def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(base, lift) of the explicit path for column-sample matrices Xs
-    (d_s x n_s) and Xt (d_t x n_t): base = blockdiag(Xs'Xs, Xt'Xt) and
-    lift = blockdiag(Xs, Xt), of order d_s + d_t."""
+def linear_grams(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit path's domain Grams (Xs'Xs, Xt'Xt) for column-sample
+    matrices Xs (d_s x n_s) and Xt (d_t x n_t), each exactly symmetric."""
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
     if Xs.ndim != 2 or Xt.ndim != 2:
         raise ValueError("sample matrices must be 2-D with samples as columns")
-    return _block_diag(symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt)), _block_diag(Xs, Xt)
+    return symmetrize(Xs.T @ Xs), symmetrize(Xt.T @ Xt)
+
+
+def linear_factors(Xs: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, lift) of the explicit path for column-sample matrices Xs
+    (d_s x n_s) and Xt (d_t x n_t): base = blockdiag(Xs'Xs, Xt'Xt) and
+    lift = blockdiag(Xs, Xt), of order d_s + d_t."""
+    Gs, Gt = linear_grams(Xs, Xt)
+    return _block_diag(Gs, Gt), _block_diag(np.asarray(Xs, dtype=float), np.asarray(Xt, dtype=float))
 
 
 def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric) -> np.ndarray:
@@ -75,12 +96,12 @@ def build_KH_linear(Xs: np.ndarray, Xt: np.ndarray, metric) -> np.ndarray:
     return symmetrize(base + lift.T @ (metric.matrix @ lift))
 
 
-def build_KH_kernelized(kernels: PrecomputedKernels, metric: TransformMetric) -> np.ndarray:
-    """Working kernel of the kernelized path for a factored metric, from the
-    base of prepare_kernels, which is also M = L'L: base + L'HL =
-    base + scale * M + (M C')W(C M), with C the metric's atoms and W its
-    weights."""
-    M = kernels.base
+def build_KH_kernelized(kernels, metric: TransformMetric) -> np.ndarray:
+    """Working kernel of the kernelized path for a factored metric, from
+    prepare_kernels's two Grams: F = blockdiag(Ks, Kt) is also M = L'L, so
+    F + L'HL = F + scale * M + (M C')W(C M), with C the metric's atoms and
+    W its weights."""
+    M = block_gram(kernels)
     if metric.order != M.shape[0]:
         raise ValueError(f"metric order {metric.order} != n_s + n_t = {M.shape[0]}")
     U = M @ metric.atoms.T
@@ -139,9 +160,9 @@ def hfa_train_linear(
     """Train the explicit path directly on raw features (linear kernel),
     through the library's own outer loop."""
     _validate_binary_pair(source, target)
-    base, lift = linear_factors(source.X.T, target.X.T)
     y = np.concatenate([source.y, target.y]).astype(float)
-    metric, sol, _, trace, gap = hfa.core._alternate(base, lift.shape[0], y, cfg, monitor)
+    Gs, Gt = linear_grams(source.X.T, target.X.T)
+    metric, sol, _, trace, gap = hfa.core._alternate(Gs, Gt, source.dim + target.dim, y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

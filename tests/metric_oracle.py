@@ -17,7 +17,8 @@ The functions read a metric through .matrix, .budget, .trace and .order
 only (DenseMetric; `lifted` turns a factored hfa.metric.TransformMetric
 into one). They read the subproblem through .base (n x n) and .lift
 (order x n) only, as a types.SimpleNamespace holds them; for the
-kernelized path, lift = gram_root(PrecomputedKernels.base).
+kernelized path, base = blockdiag(Ks, Kt) of prepare_kernels's two Grams
+(linear_oracle.block_gram) and lift = gram_root(base).
 """
 
 from dataclasses import dataclass

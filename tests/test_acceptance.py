@@ -21,6 +21,7 @@ from hfa.svm import solve_dual
 from linear_oracle import (
     augment_source,
     augment_target,
+    block_gram,
     build_KH_kernelized,
     build_KH_linear,
     hfa_train_linear,
@@ -186,7 +187,7 @@ def test_criterion_06_feasibility_invariants():
     ]
     for k, cfg in enumerate(configs):
         source, target = random_binary_pair(rng, 10 + k, 5 + k, 6, 5)
-        lift = gram_root(prepare_kernels(source.X, target.X, cfg).base)
+        lift = gram_root(block_gram(prepare_kernels(source.X, target.X, cfg)))
 
         def monitor(tau, metric, sol, lam=cfg.lam, lift=lift):
             w = np.linalg.eigvalsh(lifted(metric, lift).matrix)

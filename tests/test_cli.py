@@ -88,6 +88,28 @@ def test_train_reports_objective_and_writes_models(corpus, capsys, tmp_path):
     assert all(g <= HfaConfig().conv_tol for g in gaps)
 
 
+def test_train_marks_classes_that_end_above_conv_tol(tmp_path, capsys):
+    # at the train-72 shape with hfa.t_max = 6 some classes stop at t_max
+    # with their gap above conv_tol and some below it; a class's summary
+    # line carries the marker exactly when its gap is above conv_tol, and a
+    # class that converged before t_max carries none
+    source, pool = generate_synthetic(SyntheticSpec(source_per_class=8))
+    save_dense_csv(source, tmp_path / "source.csv")
+    save_dense_csv(sample_protocol(pool, 4, seed=0)[0], tmp_path / "target.csv")
+    (tmp_path / "run.cfg").write_text("hfa.t_max = 6\n", encoding="utf-8")
+    code = main(["train", "--config", str(tmp_path / "run.cfg"), "--source", str(tmp_path / "source.csv"),
+                 "--target", str(tmp_path / "target.csv"), "--out", str(tmp_path / "m.json")])
+    assert code == 0
+    summary = r"^class \d+: .* after (\d+) iterations, certified gap (\S+)( \(above hfa\.conv_tol = 1e-05\))?$"
+    lines = re.findall(summary, capsys.readouterr().out, re.M)
+    assert len(lines) == 6
+    marked = [bool(marker) for _, _, marker in lines]
+    assert marked == [float(gap) > HfaConfig().conv_tol for _, gap, _ in lines]
+    assert any(marked) and not all(marked)
+    converged = [bool(marker) for n, _, marker in lines if int(n) < 6]
+    assert converged and not any(converged)
+
+
 def _expected_progress(source, target, cfg):
     """The stderr lines of `hfa train`, built from the trainer's monitor
     with the pinned formats."""
@@ -360,6 +382,26 @@ def test_predict_rejects_bad_standardize_metadata(corpus, tmp_path, capsys, para
     err = capsys.readouterr().err
     assert str(model) in err and fragment in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("command", ["train", "experiment"])
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_header_only_training_file_fails_naming_it(corpus, tmp_path, domain, command, standardize):
+    """A source or target file with a header and no data rows fails before
+    any standardizing: one error line that names the file, no numpy
+    RuntimeWarning, exit 1 and no output (predict still takes such a file,
+    see below)."""
+    paths = {d: corpus / f"{d}.csv" for d in ("source", "target")}
+    paths[domain] = tmp_path / f"{domain}.csv"
+    header = (corpus / f"{domain}.csv").read_text(encoding="utf-8").splitlines()[0]
+    paths[domain].write_text(header + "\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(f"data.standardize = {str(standardize).lower()}\n", encoding="utf-8")
+    code, err = run_main([command, "--config", tmp_path / "run.cfg", "--source", paths["source"],
+                          "--target", paths["target"], "--out", tmp_path / "out", "--trials", "1"])
+    assert code == 1
+    assert err == f"error: dataset file {paths[domain]} has no data rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_empty_test_file(corpus, tmp_path):

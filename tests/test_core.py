@@ -1,18 +1,25 @@
 """Augmentation maps, working-kernel builders and kernel preparation."""
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import hfa.core
-from hfa.core import HfaConfig, PrecomputedKernels, prepare_kernels, _block_diag, _domain_gram
+from hfa.core import HfaConfig, hfa_train, prepare_kernels, _domain_gram
 from hfa.data import Dataset
 from hfa.evaluate import svm_t_baseline
 from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
 from hfa.metric import TransformMetric
-from linear_oracle import augment_source, augment_target, build_KH_kernelized, build_KH_linear, linear_factors
+from linear_oracle import (
+    _block_diag,
+    augment_source,
+    augment_target,
+    block_gram,
+    build_KH_kernelized,
+    build_KH_linear,
+    linear_factors,
+)
 from metric_oracle import DenseMetric, gram_root, lifted, unit_atoms
 
 
@@ -110,11 +117,11 @@ def test_build_KH_linear_order_mismatch():
 
 
 def grams(rng, n_s, n_t, gamma=0.7):
-    """Two rbf Grams and the PrecomputedKernels built from them."""
+    """Two rbf Grams and the ((spec, Ks), (spec, Kt)) pair that prepare_kernels would return."""
     spec = KernelSpec("rbf", gamma)
     Xs, Xt = rng.standard_normal((n_s, 3)), rng.standard_normal((n_t, 4))
     Ks, Kt = gram_matrix(spec, Xs), gram_matrix(spec, Xt)
-    return Ks, Kt, PrecomputedKernels(spec, _block_diag(Ks, Kt))
+    return Ks, Kt, ((spec, Ks), (spec, Kt))
 
 
 def test_build_KH_kernelized_oracle():
@@ -146,7 +153,7 @@ def test_build_KH_kernelized_shape_errors():
 def test_factor_helpers_compose_the_same_kernel():
     rng = np.random.default_rng(6)
     *_, pk = grams(rng, 3, 3)
-    assert pk.base.shape == (6, 6)
+    assert block_gram(pk).shape == (6, 6)
     Xs, Xt = rng.standard_normal((3, 2)), rng.standard_normal((4, 5))
     base, lift = linear_factors(Xs.T, Xt.T)
     assert base.shape == (7, 7) and lift.shape == (2 + 5, 7)
@@ -185,10 +192,10 @@ def test_prepare_kernels_contract():
     Xs, Xt = rng.standard_normal((6, 3)), rng.standard_normal((4, 5))
     cfg = HfaConfig(kernel_family="rbf")
     pk = prepare_kernels(Xs, Xt, cfg)
-    base = pk.base
+    base = block_gram(pk)
     assert base.shape == (10, 10)
     spec_s, spec_t = _domain_gram(cfg, Xs, "source")[0], _domain_gram(cfg, Xt, "target")[0]
-    assert pk.kernel_target == spec_t and spec_s.family == "rbf"
+    assert pk[1][0] == spec_t and spec_s.family == "rbf"
     # different domains resolve different bandwidths
     assert spec_s.gamma != spec_t.gamma
     # the diagonal blocks are the Grams, bit for bit; the domains do not couple
@@ -220,21 +227,33 @@ def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
     assert grams_built.call_count == 1
 
 
+def train_on(kernels):
+    """hfa_train on a 4-row source and 3-row target pair handed these kernels;
+    both refuse before anything reads the rows."""
+    source = Dataset("source", np.zeros((4, 3)), np.array([1, -1, 1, -1]))
+    target = Dataset("target", np.zeros((3, 4)), np.array([1, -1, 1]))
+    return hfa_train(source, target, HfaConfig(), kernels=kernels)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["base"])
-def test_non_finite_kernel_factors_fail_fast(name, value):
-    # the trainer builds working kernels from base unchecked, so
-    # PrecomputedKernels refuses a non-finite one
-    *_, pk = grams(np.random.default_rng(4), 4, 3)
-    bad = getattr(pk, name).copy()
-    bad[1, 5] = bad[5, 1] = value
-    with pytest.raises(ValueError, match=f"kernel {name} must be finite"):
-        dataclasses.replace(pk, **{name: bad})
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_non_finite_domain_gram_fails_fast(domain, value):
+    # the trainer builds working kernels from the two Grams unchecked, so
+    # hfa_train refuses a non-finite one
+    Ks, Kt, _ = grams(np.random.default_rng(4), 4, 3)
+    bad = (Ks if domain == "source" else Kt).copy()
+    bad[1, 2] = bad[2, 1] = value
+    kernels = ((None, bad), (None, Kt)) if domain == "source" else ((None, Ks), (None, bad))
+    with pytest.raises(ValueError, match=f"the {domain} Gram must be finite and exactly symmetric"):
+        train_on(kernels)
 
 
-def test_asymmetric_kernel_base_fails_fast():
-    *_, pk = grams(np.random.default_rng(5), 4, 3)
-    bad = pk.base.copy()
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_asymmetric_domain_gram_fails_fast(domain):
+    Ks, Kt, _ = grams(np.random.default_rng(5), 4, 3)
+    bad = (Ks if domain == "source" else Kt).copy()
     bad[0, 1] = np.nextafter(bad[0, 1], np.inf)
-    with pytest.raises(ValueError, match="kernel base must be finite and exactly symmetric"):
-        dataclasses.replace(pk, base=bad)
+    kernels = ((None, bad), (None, Kt)) if domain == "source" else ((None, Ks), (None, bad))
+    with pytest.raises(ValueError, match=f"the {domain} Gram must be finite and exactly symmetric"):
+        train_on(kernels)
+

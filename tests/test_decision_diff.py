@@ -14,9 +14,11 @@ decision_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(decision_diff)
 
 
-def record(scores, objective, iterations=(3, 4), gaps=(1e-9, 2e-8), live=(1, 2), stored=(1, 2), train_s=0.5):
+def record(scores, objective, iterations=(3, 4), gaps=(1e-9, 2e-8), live=(1, 2), stored=(1, 2), train_s=0.5,
+           peak_mib=10.0):
     return {"scores": scores, "objective": list(objective), "iterations": list(iterations),
-            "gaps": list(gaps), "live_atoms": list(live), "stored_atoms": list(stored), "train_s": train_s}
+            "gaps": list(gaps), "live_atoms": list(live), "stored_atoms": list(stored), "train_s": train_s,
+            "peak_mib": peak_mib}
 
 
 def test_relative_change_of_fixed_scores():
@@ -61,3 +63,21 @@ def test_class_changes_count_rows_whose_argmax_moves():
     assert decision_diff.class_changes(parent, parent) == 0
     s = decision_diff.compare(record(parent, [5.0, 4.0]), record(change, [5.0, 4.0]))
     assert "predicted-class changes 1 of 3 rows" in decision_diff.render("fixed", s)
+
+
+def test_compare_keeps_each_sides_traced_peak():
+    parent = record(np.ones((2, 2)).tolist(), [5.0, 4.0], peak_mib=37.7)
+    change = record(np.ones((2, 2)).tolist(), [5.0, 4.0], peak_mib=34.52)
+    s = decision_diff.compare(parent, change)
+    assert (s["peak_mib_parent"], s["peak_mib_change"]) == (37.7, 34.52)
+    assert "traced peak MiB parent 37.7 change 34.5" in decision_diff.render("fixed", s)
+
+
+def test_worker_traces_a_second_training(monkeypatch):
+    # the worker on this tree and one tiny configuration: it times one
+    # training and reports the tracemalloc peak of another, which holds at
+    # least the two domain Grams of 48 source and 24 target rows (6 classes)
+    monkeypatch.setattr(decision_diff, "CONFIGS", {"tiny": (8, 4, {"t_max": 2})})
+    rec = decision_diff.train_side(decision_diff.REPO)["tiny"]
+    assert rec["train_s"] > 0
+    assert rec["peak_mib"] >= 8 * (48**2 + 24**2) / 2**20

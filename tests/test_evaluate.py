@@ -332,7 +332,8 @@ def test_shared_kernel_between_arms():
     hfa_models = train_multiclass(source, train_t, cfg)
     base = svm_t_baseline(train_t, cfg)
     kernels = {m.kernel for _, m in hfa_models} | {m.kernel for _, m in base}
-    assert kernels == {prepare_kernels(source.X, train_t.X, cfg).kernel_target}
+    _, (spec_t, _) = prepare_kernels(source.X, train_t.X, cfg)
+    assert kernels == {spec_t}
     assert accuracy(hfa_models, test_t) == run.hfa.accuracies[0]
     assert accuracy(base, test_t) == run.svm_t.accuracies[0]
 

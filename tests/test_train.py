@@ -13,7 +13,7 @@ from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
 from hfa.linalg import symmetrize
 from hfa.svm import DegenerateProblemError, solve_dual
-from linear_oracle import build_KH_kernelized, hfa_train_linear, linear_factors
+from linear_oracle import block_gram, build_KH_kernelized, hfa_train_linear, linear_factors
 from metric_oracle import DenseMetric, gram_root, lifted, psd_project, trace_cap
 
 
@@ -41,7 +41,7 @@ def test_tiny_budget_reduces_to_uncoupled_svm():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     y = np.concatenate([source.y, target.y]).astype(float)
-    ref = solve_dual(pk.base, y, cfg.C, tol=1e-9)
+    ref = solve_dual(block_gram(pk), y, cfg.C, tol=1e-9)
     assert np.isclose(model.objective_trace[-1], ref.objective, rtol=1e-6)
 
 
@@ -56,7 +56,7 @@ def test_metric_stays_feasible_every_iteration():
     model = hfa_train(source, target, cfg, monitor=monitor)
     assert len(seen) == len(model.objective_trace)
     assert [it for it, _, _ in seen] == list(range(len(seen)))
-    lift = gram_root(prepare_kernels(source.X, target.X, cfg).base)
+    lift = gram_root(block_gram(prepare_kernels(source.X, target.X, cfg)))
     for _, metric, obj in seen:
         t = metric.trace
         eigs = np.linalg.eigvalsh(lifted(metric, lift).matrix)
@@ -96,7 +96,7 @@ def test_metric_feasible_along_alternation(problem):
     if path == "explicit":
         base, lift = linear_factors(source.X.T, target.X.T)
     else:
-        base = prepare_kernels(source.X, target.X, cfg).base
+        base = block_gram(prepare_kernels(source.X, target.X, cfg))
         lift = gram_root(base)
     norm_M = np.linalg.norm(base, 2)
     dual = lift.T @ probe
@@ -238,6 +238,52 @@ def test_halving_loop_ends_when_every_trial_raises_the_objective():
     assert model.saddle_gap == step_1.gap
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_binary_problems())
+def test_working_kernel_is_the_metric_kernel(problem):
+    # the trainer steps the working kernel itself, K <- (1-t)K + tV, and never
+    # forms L'HL; every kernel that produced an accepted solution equals
+    # F + L'HL = F + scale F + (F C')W(C F) of the metric the monitor sees
+    # with that solution, up to round-off
+    source, target, path, cfg, _ = problem
+    if path == "explicit":
+        F = linear_factors(source.X.T, target.X.T)[0]
+    else:
+        F = block_gram(prepare_kernels(source.X, target.X, cfg))
+    solved, checked = {}, []
+
+    def record(K, *args, **kwargs):
+        sol = solve_dual(K, *args, **kwargs)
+        solved[id(sol.alpha)] = (sol.alpha, np.array(K))
+        return sol
+
+    def monitor(it, metric, step):
+        alpha, K = solved[id(step.alpha)]
+        assert alpha is step.alpha
+        C, w = metric.atoms, metric.weights
+        U = F @ C.T
+        want = F + metric.scale * F + (U * w) @ U.T
+        # Round-off bound. Every working kernel's entries are at most
+        # max|F| (1 + lam), as |L'HL|_ij <= sqrt(F_ii F_jj) trace(H), and
+        # each of the it + 1 accepted steps rounds each entry a few times
+        # (the products and the sum of (1-t)K + tV). u = F c, here and in the
+        # trainer (blockwise), rounds at n eps |F||c|, which is far above |u|
+        # where c lies mostly in directions F cuts (linear kernel, n > d);
+        # its product lam uu' carries that into the entries at the weight the
+        # atom holds now. 2,500 drawn problems came within 0.99 of one eps
+        # times this scale; the bound allows 8.
+        A = np.abs(F) @ np.abs(C.T)
+        scale = (it + 1) * np.max(np.abs(F)) * (1.0 + cfg.lam)
+        scale += len(F) * float(w @ np.max(A, axis=0, initial=0.0) ** 2)
+        assert np.max(np.abs(K - want)) <= 8 * np.finfo(float).eps * scale
+        checked.append(it)
+
+    with mock.patch.object(hfa.core, "solve_dual", record):
+        train = hfa_train_linear if path == "explicit" else hfa_train
+        model = train(source, target, cfg, monitor=monitor)
+    assert checked == list(range(len(model.objective_trace)))
+
+
 def test_training_is_deterministic():
     source, target = binary_pair(seed=3)
     cfg = HfaConfig(C=2.0, lam=1.0, t_max=15)
@@ -372,8 +418,9 @@ def test_objective_trace_starts_at_uncoupled_budget_spread():
     pk = prepare_kernels(source.X, target.X, cfg)
     model = hfa_train(source, target, cfg, kernels=pk)
     n = len(source) + len(target)
-    S = gram_root(pk.base)
-    K0 = symmetrize(pk.base + (cfg.lam / n) * S @ S)
+    F = block_gram(pk)
+    S = gram_root(F)
+    K0 = symmetrize(F + (cfg.lam / n) * S @ S)
     y = np.concatenate([source.y, target.y]).astype(float)
     ref = solve_dual(K0, y, cfg.C, tol=1e-8)
     assert np.isclose(model.objective_trace[0], ref.objective, rtol=1e-5)
@@ -389,8 +436,9 @@ def test_learned_atoms_are_unit_and_weighted(family):
     target, _ = sample_protocol(pool, 5, seed=0)
     cfg = HfaConfig(kernel_family=family)
     pk = prepare_kernels(source.X, target.X, cfg)
+    F = block_gram(pk)
     for c in range(6):
         metric = hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=pk).metric
         C = metric.atoms
         assert len(C) >= 1 and np.all(metric.weights > 0)
-        assert np.max(np.abs(np.einsum("ij,ij->i", C @ pk.base, C) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.einsum("ij,ij->i", C @ F, C) - 1.0)) <= 1e-12

@@ -13,9 +13,11 @@ first 200 rows of the target pool. Per configuration the script prints
 the largest change in decision values relative to the parent's largest
 |f|, the largest relative change of the final objective, how many scored
 rows change their predicted (argmax) class, each side's training
-seconds (train_multiclass, timed in its worker), and per class on each
-side the outer iterations, the certified saddle gap, the live atoms
-(metric weights above 0) and the stored atoms.
+seconds (train_multiclass, timed in its worker), each side's tracemalloc
+peak of train_multiclass (from a second, untimed training, so tracing
+does not slow the timed one), and per class on each side the outer
+iterations, the certified saddle gap, the live atoms (metric weights
+above 0) and the stored atoms.
 
 Standard library plus numpy.
 """
@@ -49,7 +51,7 @@ CONFIGS = {
 # the child process: reads CONFIGS as JSON on stdin and writes one JSON
 # record per configuration; it uses only names both sides define
 WORKER = """
-import json, sys, time
+import json, sys, time, tracemalloc
 import numpy as np
 from hfa.core import HfaConfig
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
@@ -62,10 +64,15 @@ for name, (per_source, per_target, kwargs) in json.load(sys.stdin).items():
     start = time.perf_counter()
     models = train_multiclass(source, target, HfaConfig(**kwargs))
     seconds = time.perf_counter() - start
+    tracemalloc.start()
+    train_multiclass(source, target, HfaConfig(**kwargs))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     _, scores = decision_matrix(models, pool.X[:%d])
     out[name] = {
         "scores": scores.tolist(),
         "train_s": seconds,
+        "peak_mib": peak / 2**20,
         "objective": [float(m.objective_trace[-1]) for _, m in models],
         "iterations": [len(m.objective_trace) for _, m in models],
         "gaps": [float(m.saddle_gap) for _, m in models],
@@ -105,7 +112,8 @@ def compare(parent: dict, change: dict) -> dict:
         "rows": len(parent["scores"]),
         "objective_rel": max_objective_change(parent["objective"], change["objective"]),
         "same_iterations": parent["iterations"] == change["iterations"],
-        **{f"{key}_{side}": record[key] for key in ("train_s", "iterations", "gaps", "live_atoms", "stored_atoms")
+        **{f"{key}_{side}": record[key]
+           for key in ("train_s", "peak_mib", "iterations", "gaps", "live_atoms", "stored_atoms")
            for side, record in (("parent", parent), ("change", change))},
     }
 
@@ -129,6 +137,7 @@ def render(name: str, summary: dict) -> str:
         f"final objective max rel diff {summary['objective_rel']:.2e}",
         f"  predicted-class changes {summary['class_changes']} of {summary['rows']} rows",
         f"  training seconds parent {summary['train_s_parent']:.3f} change {summary['train_s_change']:.3f}",
+        f"  traced peak MiB parent {summary['peak_mib_parent']:.1f} change {summary['peak_mib_change']:.1f}",
         f"  outer iterations parent {summary['iterations_parent']} change {summary['iterations_change']}"
         + ("" if summary["same_iterations"] else "  (differ)"),
         f"  certified gaps parent {gaps['parent']}",
