@@ -17,7 +17,7 @@ with TemporaryDirectory() as tmp:
     tmp = Path(tmp)
 
     dense = tmp / "demo.csv"
-    data = Dataset("demo", np.array([[1.0, 0.0, 2.5], [0.0, -3.0, 0.0]]), np.array([0, 1]))
+    data = Dataset(np.array([[1.0, 0.0, 2.5], [0.0, -3.0, 0.0]]), np.array([0, 1]))
     save_dense_csv(data, dense)
     print(dense.read_text(), end="")
     back = load_dense_csv(dense)
@@ -30,7 +30,7 @@ with TemporaryDirectory() as tmp:
 
 # PCA keeps the fewest axes reaching the requested energy fraction
 rng = np.random.default_rng(3)
-wide = Dataset("wide", rng.standard_normal((40, 2)) @ rng.standard_normal((2, 10)), np.zeros(40, dtype=int))
+wide = Dataset(rng.standard_normal((40, 2)) @ rng.standard_normal((2, 10)), np.zeros(40, dtype=int))
 projected, basis = pca_fit_transform(wide, energy=0.9)
 print(f"10-D data on a 2-D plane, energy 0.9 -> kept {projected.dim} axes, "
       f"retained energy {basis.retained_energy:.4f}")

@@ -72,4 +72,4 @@ def pca_fit_transform(dataset: Dataset, energy: float) -> tuple[Dataset, PcaBasi
         k = int(np.searchsorted(ratios, energy - 1e-12)) + 1
         k = min(k, w.size)
     basis = PcaBasis(mean=mean, components=V[:, :k].T, eigenvalues=w)
-    return Dataset(dataset.domain, Xc @ V[:, :k], dataset.y), basis
+    return Dataset(Xc @ V[:, :k], dataset.y), basis

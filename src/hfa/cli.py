@@ -30,7 +30,7 @@ from hfa.data import (
     standardize_apply,
     standardize_pair,
 )
-from hfa.evaluate import decision_matrix, render_report, run_experiment, train_multiclass
+from hfa.evaluate import _check_feasible, decision_matrix, render_report, run_experiment, train_multiclass
 from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
@@ -63,7 +63,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Resolved settings for one invocation; see CONFIG_KEYS for file keys."""
+    """Resolved settings for one invocation; see CONFIG_KEYS for file keys.
+    Range-checks the protocol values and base_seed, as HfaConfig and SyntheticSpec check theirs."""
 
     hfa: HfaConfig = HfaConfig()
     synthetic: SyntheticSpec = SyntheticSpec()
@@ -75,6 +76,16 @@ class CliConfig:
     target: str | None = None
     model: str | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        if min(self.per_class_target) < 1:
+            raise ValueError("per_class_target must be positive")
+        if self.per_class_source is not None and self.per_class_source < 1:
+            raise ValueError("per_class_source must be none or positive")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
 
 # config-file key -> (CliConfig section, or None for its own fields; field; value parser)
@@ -95,9 +106,8 @@ CONFIG_KEYS = {
     "paths.model": (None, "model", str),
     "paths.out": (None, "out", str),
 }
-# data.py postpones annotations, so each field's type arrives as its name
-CONFIG_KEYS.update((f"synthetic.{f.name}", ("synthetic", f.name, {"int": int, "float": float}[f.type]))
-                   for f in fields(SyntheticSpec))
+# every SyntheticSpec field is a size or a seed: an int
+CONFIG_KEYS.update((f"synthetic.{f.name}", ("synthetic", f.name, int)) for f in fields(SyntheticSpec))
 
 # argparse dest (the flag's name) -> the config keys its flag sets; --seed
 # is both the generation seed and the experiment base seed
@@ -110,7 +120,7 @@ FLAG_KEYS = {
 
 
 def _set(cfg: CliConfig, key: str, value) -> CliConfig:
-    """cfg with one config key changed; HfaConfig and SyntheticSpec check the value."""
+    """cfg with one config key changed; HfaConfig, SyntheticSpec and CliConfig check the value."""
     section, name, _ = CONFIG_KEYS[key]
     if section is None:
         return replace(cfg, **{name: value})
@@ -140,7 +150,7 @@ def load_config_file(path, cfg: CliConfig) -> CliConfig:
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
-    """Defaults, overlaid by the config file, overlaid by flags."""
+    """Defaults, overlaid by the config file, overlaid by flags parsed as their config keys are."""
     cfg = CliConfig()
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
@@ -149,7 +159,7 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         if value is not None:
             try:
                 for key in keys:
-                    cfg = _set(cfg, key, _parse_int_list(value) if dest == "per_class_target" else value)
+                    cfg = _set(cfg, key, CONFIG_KEYS[key][2](value))
             except ValueError as exc:
                 raise ValueError(f"bad value for --{dest.replace('_', '-')}: {exc}") from exc
     return cfg
@@ -257,8 +267,8 @@ def cmd_predict(cfg: CliConfig) -> None:
     model_set = load_model_set(model_path)
     test = _load_dataset(_require_path(cfg.target, "--target"), training=False)
     d_t = model_set.models[0][1].dim
-    if len(test) and test.dim != d_t:
-        raise ValueError(f"test features have dimension {test.dim}, model expects target dimension {d_t}")
+    if test.dim != d_t:
+        raise ValueError(f"{cfg.target} has {test.dim} features, model {model_path} expects target dimension {d_t}")
     count, X = len(test), test.X
     del test  # X then holds the only copy of the query rows, which standardizing replaces
     if "standardize" in model_set.metadata:
@@ -272,6 +282,8 @@ def cmd_predict(cfg: CliConfig) -> None:
 def cmd_experiment(cfg: CliConfig) -> None:
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
+    for m in cfg.per_class_target:  # every size fits the target pool before the first one trains
+        _check_feasible(target, m, "target", need_rest=True)
     blocks = []
     for m in cfg.per_class_target:
         run = run_experiment(
@@ -303,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key = value settings file")
-    common.add_argument("--seed", type=int, metavar="N", help="generation seed / experiment base seed")
+    common.add_argument("--seed", metavar="N", help="generation seed / experiment base seed")
     common.add_argument("--out", metavar="PATH", help="output artifact path")
     common.add_argument("--source", metavar="PATH", help="source dataset file")
     common.add_argument("--target", metavar="PATH", help="target dataset file")
     common.add_argument("--model", metavar="PATH", help="model file to write or read")
     common.add_argument("--per-class-target", metavar="LIST",
                         help="target training samples per class, comma separated")
-    common.add_argument("--per-class-source", type=int, metavar="N",
+    common.add_argument("--per-class-source", metavar="N",
                         help="source training samples per class (default: all)")
-    common.add_argument("--trials", type=int, metavar="N", help="experiment repetitions")
-    common.add_argument("--lambda", type=float, metavar="X", help="metric trace budget")
-    common.add_argument("--C", type=float, metavar="X", help="SVM regularization")
-    common.add_argument("--kernel", choices=("linear", "rbf"), help="kernel family")
-    common.add_argument("--gamma", type=float, metavar="X", help="RBF bandwidth (default: per-domain median rule)")
+    common.add_argument("--trials", metavar="N", help="experiment repetitions")
+    common.add_argument("--lambda", metavar="X", help="metric trace budget")
+    common.add_argument("--C", metavar="X", help="SVM regularization")
+    common.add_argument("--kernel", metavar="{linear,rbf}", help="kernel family")
+    common.add_argument("--gamma", metavar="X", help="RBF bandwidth (default: per-domain median rule)")
     sub.add_parser("generate", parents=[common], help="write a synthetic source/target dataset pair")
     sub.add_parser("train", parents=[common], help="train one-vs-rest models and save them")
     sub.add_parser("predict", parents=[common], help="score a test file with a saved model set")

@@ -42,9 +42,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-sample feature matrix with integer labels and a domain tag."""
+    """Feature rows X and one integer label per row; which domain they are
+    is fixed by the argument a Dataset is passed as."""
 
-    domain: str
     X: np.ndarray
     y: np.ndarray
 
@@ -77,12 +77,12 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.domain, self.X[idx], self.y[idx])
+        return Dataset(self.X[idx], self.y[idx])
 
     def binary_view(self, positive_class: int) -> "Dataset":
         """Relabel as +1 for positive_class, -1 for everything else."""
         y = np.where(self.y == positive_class, 1, -1)
-        return Dataset(self.domain, self.X, y)
+        return Dataset(self.X, y)
 
 
 def _dense_header(path, reader) -> int:
@@ -156,7 +156,7 @@ def load_dense_csv(path) -> Dataset:
         return _load_dense_csv_lines(path)
     if lines and y.min() < 0:
         return _load_dense_csv_lines(path)
-    return Dataset(path.stem, X, y)
+    return Dataset(X, y)
 
 
 def _plain_body_lines(path) -> int | None:
@@ -211,7 +211,7 @@ def _load_dense_csv_lines(path) -> Dataset:
             labels.append(label)
             rows.append(values)
     X = np.array(rows, dtype=float) if rows else np.empty((0, dim))
-    return Dataset(path.stem, X, np.array(labels, dtype=np.int64))
+    return Dataset(X, np.array(labels, dtype=np.int64))
 
 
 def save_dense_csv(dataset: Dataset, path) -> None:
@@ -283,7 +283,7 @@ def load_sparse(path) -> Dataset:
     for i, row in enumerate(entries):
         for idx, val in row:
             X[i, idx - 1] = val
-    return Dataset(path.stem, X, np.array(labels, dtype=np.int64))
+    return Dataset(X, np.array(labels, dtype=np.int64))
 
 
 def sample_protocol(dataset: Dataset, per_class: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -307,31 +307,36 @@ def sample_protocol(dataset: Dataset, per_class: int, seed: int) -> tuple[Datase
     return dataset.subset(train_idx), dataset.subset(np.flatnonzero(~mask))
 
 
+# the generator's latent geometry, the same for every SyntheticSpec (see its docstring)
+_CLASS_SEP = 4.5
+_PAIR_SPLIT = 1.4
+_WITHIN_PAIR_STD = 0.6
+_NUISANCE_STD = 3.0
+_NOISE_STD = 1.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shared-latent two-domain generator settings.
+    """Sizes and seed of the shared-latent two-domain generator.
 
-    Both domains observe the same class structure through fixed random
-    injective maps from a common latent space, so adaptation across the
-    differing feature dimensions is possible in principle.  Classes come
-    in pairs: each pair shares an anchor on a circle of radius class_sep
-    in the first two latent coordinates and its two members sit at
-    +-pair_split along the third, with within_pair_std spread on that
-    axis.  Remaining latent coordinates carry class-independent variance
-    nuisance_std.  A small training sample must spend capacity modelling
-    the nuisance directions before it can resolve the pair axis, so the
-    pairs are where a larger auxiliary sample genuinely helps.
+    Fixed random injective maps take one latent space (latent_dim
+    coordinates) into d_s source and d_t target features, so both domains
+    share the class structure. Its geometry is fixed by the module
+    constants: classes come in pairs, each pair sharing an anchor at
+    radius _CLASS_SEP in latent coordinates 0-1, its members at
+    +-_PAIR_SPLIT along coordinate 2 with spread _WITHIN_PAIR_STD there;
+    an odd class out sits at the origin. Further coordinates carry
+    class-independent spread _NUISANCE_STD, so a small sample must model
+    them before it can resolve the pair axis, which a larger auxiliary
+    sample helps with. Every feature adds noise of spread _NOISE_STD.
+    Each domain draws source_per_class or target_per_class samples of
+    each of num_classes classes; seed fixes every draw.
     """
 
     latent_dim: int = 5
     num_classes: int = 6
     d_s: int = 30
     d_t: int = 20
-    class_sep: float = 4.5
-    pair_split: float = 1.4
-    within_pair_std: float = 0.6
-    nuisance_std: float = 3.0
-    noise_std: float = 1.0
     seed: int = 0
     source_per_class: int = 100
     target_per_class: int = 50
@@ -343,10 +348,8 @@ class SyntheticSpec:
             raise ValueError("dimensions must be positive")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        if not self.class_sep > 0 or not self.noise_std >= 0:
-            raise ValueError("class_sep must be positive and noise_std nonnegative")
-        if not (self.pair_split > 0 and self.within_pair_std > 0 and self.nuisance_std > 0):
-            raise ValueError("pair_split, within_pair_std and nuisance_std must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.source_per_class < 1 or self.target_per_class < 1:
             raise ValueError("per-class counts must be positive")
 
@@ -357,27 +360,25 @@ def _latent_layout(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     anchors = spec.num_classes // 2
     for a in range(anchors):
         angle = 2.0 * np.pi * a / anchors
-        anchor = spec.class_sep * np.array([np.cos(angle), np.sin(angle)])
+        anchor = _CLASS_SEP * np.array([np.cos(angle), np.sin(angle)])
         means[2 * a, :2] = anchor
         means[2 * a + 1, :2] = anchor
-        means[2 * a, 2] = spec.pair_split
-        means[2 * a + 1, 2] = -spec.pair_split
+        means[2 * a, 2] = _PAIR_SPLIT
+        means[2 * a + 1, 2] = -_PAIR_SPLIT
     # odd class count: the leftover class sits alone at the origin
     sds = np.ones(spec.latent_dim)
-    sds[2] = spec.within_pair_std
-    sds[3:] = spec.nuisance_std
+    sds[2] = _WITHIN_PAIR_STD
+    sds[3:] = _NUISANCE_STD
     return means, sds
 
 
-def _draw_domain(rng, means, sds, A, per_class, noise_std, tag) -> Dataset:
+def _draw_domain(rng, means, sds, A, per_class) -> Dataset:
     num_classes, latent = means.shape
     y = np.repeat(np.arange(num_classes), per_class)
     z = means[y] + sds * rng.standard_normal((y.size, latent))
-    X = z @ A.T
-    if noise_std > 0:
-        X = X + noise_std * rng.standard_normal(X.shape)
+    X = z @ A.T + _NOISE_STD * rng.standard_normal((y.size, A.shape[0]))
     order = rng.permutation(y.size)
-    return Dataset(tag, X[order], y[order])
+    return Dataset(X[order], y[order])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -393,8 +394,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     means, sds = _latent_layout(spec)
     A_s = rng.standard_normal((spec.d_s, spec.latent_dim))
     A_t = rng.standard_normal((spec.d_t, spec.latent_dim))
-    source = _draw_domain(rng, means, sds, A_s, spec.source_per_class, spec.noise_std, "source")
-    target = _draw_domain(rng, means, sds, A_t, spec.target_per_class, spec.noise_std, "target")
+    source = _draw_domain(rng, means, sds, A_s, spec.source_per_class)
+    target = _draw_domain(rng, means, sds, A_t, spec.target_per_class)
     return source, target
 
 
@@ -440,4 +441,4 @@ def standardize_pair(source: Dataset, target: Dataset) -> tuple[Dataset, Dataset
             raise ValueError(f"{domain} feature {int(np.argmin(finite))} overflows standardization: rescale it")
         fitted.append((Z, mean, scale))
     (Zs, _, _), (Zt, mean_t, scale_t) = fitted
-    return Dataset(source.domain, Zs, source.y), Dataset(target.domain, Zt, target.y), mean_t, scale_t
+    return Dataset(Zs, source.y), Dataset(Zt, target.y), mean_t, scale_t

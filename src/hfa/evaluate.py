@@ -232,7 +232,7 @@ def run_experiment(
         train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
         if cfg.standardize:
             train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
-            test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
+            test_t = Dataset(standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
         if gram_s is None or per_class_source is not None:
             gram_s = _domain_gram(cfg, train_s.X, "source")
         gram_t = _domain_gram(cfg, train_t.X, "target")
@@ -240,8 +240,8 @@ def run_experiment(
         acc_h.append(accuracy(models, test_t))
         acc_t.append(accuracy(svm_t_baseline(train_t, cfg, gram_t), test_t))
     return ExperimentRun(
-        hfa=ExperimentReport("hfa", np.array(acc_h), seeds, dict(echo, method="hfa")),
-        svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, dict(echo, method="svm_t")),
+        hfa=ExperimentReport("hfa", np.array(acc_h), seeds, echo),
+        svm_t=ExperimentReport("svm_t", np.array(acc_t), seeds, echo),
     )
 
 
@@ -253,8 +253,6 @@ def render_report(report: ExperimentReport) -> str:
     """
     lines = [f"method = {report.method}"]
     for key, value in report.config.items():
-        if key == "method":
-            continue
         lines.append(f"{key} = {'none' if value is None else value}")
     lines.append("trial\tseed\taccuracy")
     for t, (seed, acc) in enumerate(zip(report.seeds, report.accuracies)):

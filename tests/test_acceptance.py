@@ -59,8 +59,8 @@ def random_binary_pair(rng, ns, nt, ds, dt):
         y = np.concatenate([ys, yt])
         if np.any(y > 0) and np.any(y < 0):
             break
-    source = Dataset("s", rng.standard_normal((ns, ds)), ys)
-    target = Dataset("t", rng.standard_normal((nt, dt)), yt)
+    source = Dataset(rng.standard_normal((ns, ds)), ys)
+    target = Dataset(rng.standard_normal((nt, dt)), yt)
     return source, target
 
 

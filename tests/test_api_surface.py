@@ -39,12 +39,20 @@ def test_library_imports_nothing_from_tests():
     assert not offenders, offenders
 
 
-def _loaded_names(paths, attributes_only=False) -> set[str]:
+def _loaded_names(paths, attributes_only=False, copied_into=None) -> set[str]:
     """Names read as a Name or an Attribute anywhere in the given files;
-    import statements and __all__ strings are not reads."""
+    import statements and __all__ strings are not reads. With copied_into,
+    a class name, an argument passed straight into a call of that class
+    (Dataset(d.X, d.y)) is copied, not read."""
     used = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        copied = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", "")) == copied_into
+                  for arg in [*node.args, *(kw.value for kw in node.keywords)]}
+        for node in ast.walk(tree):
+            if id(node) in copied:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -71,9 +79,10 @@ DATACLASSES = sorted(
 
 @pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
 def test_every_field_is_read_outside_tests(cls):
-    # a field that nothing outside the tests reads is state kept for no one
+    # a field that nothing outside the tests reads is state kept for no one;
+    # copying it into the next instance of its own class is not reading it
     root = SRC.parents[1]
     paths = sorted(SRC.glob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
-    read = _loaded_names(paths, attributes_only=True)
+    read = _loaded_names(paths, attributes_only=True, copied_into=cls.__name__)
     unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
     assert not unread, f"{cls.__name__} declares fields nothing outside tests reads: {unread}"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfa.core
-from hfa.cli import CliConfig, build_parser, main, resolve_config
+from hfa.cli import FLAG_KEYS, CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, sample_protocol, save_dense_csv
 from hfa.evaluate import decision_matrix, train_multiclass
@@ -193,7 +193,7 @@ def test_overflowing_features_fail_naming_domain_and_remedy(corpus, tmp_path, co
     X[:rows, 0] = 1e200  # rows None: the whole column, so every experiment split has it
     paths = {d: corpus / f"{d}.csv" for d in ("source", "target")}
     paths[domain] = tmp_path / f"{domain}.csv"
-    save_dense_csv(Dataset(data.domain, X, data.y), paths[domain])
+    save_dense_csv(Dataset(X, data.y), paths[domain])
     argv = [command, "--kernel", kernel, "--source", str(paths["source"]), "--target", str(paths["target"]),
             "--out", str(tmp_path / "out"), "--trials", "1"]
     proc = run_child(argv)
@@ -232,7 +232,7 @@ def test_standardized_train_writes_only_what_predict_loads(corpus, tmp_path, row
     if rows is None:
         X[0, 0] = 1.5 * value  # not constant: a constant column standardizes to 0
     target, model, config = tmp_path / "target.csv", tmp_path / "model.json", tmp_path / "std.cfg"
-    save_dense_csv(Dataset(data.domain, X, data.y), target)
+    save_dense_csv(Dataset(X, data.y), target)
     config.write_text("data.standardize = true\n", encoding="utf-8")
     train = run_child(["train", "--config", config, "--kernel", "linear", "--source", corpus / "source.csv",
                        "--target", target, "--out", model])
@@ -256,7 +256,7 @@ def test_standardized_constant_column_trains(corpus, tmp_path):
     X = data.X.copy()
     X[:, 0] = 1e200
     target, model, config = tmp_path / "target.csv", tmp_path / "model.json", tmp_path / "std.cfg"
-    save_dense_csv(Dataset(data.domain, X, data.y), target)
+    save_dense_csv(Dataset(X, data.y), target)
     config.write_text("data.standardize = true\n", encoding="utf-8")
     code, err = run_main(["train", "--config", config, "--kernel", "linear", "--source", corpus / "source.csv",
                           "--target", target, "--out", model])
@@ -274,7 +274,7 @@ FEATURES = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308),
 
 
 @st.composite
-def csv_domain(draw, domain):
+def csv_domain(draw):
     """A two-class domain with 2-6 rows per class and 1-3 features, some
     of them constant columns."""
     counts = [draw(st.integers(2, 6)) for _ in range(2)]
@@ -283,7 +283,7 @@ def csv_domain(draw, domain):
                                min_size=sum(counts), max_size=sum(counts))))
     constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
     X[:, constant] = X[0, constant]
-    return Dataset(domain, X, np.repeat([0, 1], counts))
+    return Dataset(X, np.repeat([0, 1], counts))
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -298,7 +298,7 @@ def run_main(argv) -> tuple[int, str]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(csv_domain("source"), csv_domain("target"), st.booleans(), st.sampled_from(["linear", "rbf"]))
+@given(csv_domain(), csv_domain(), st.booleans(), st.sampled_from(["linear", "rbf"]))
 def test_every_model_train_writes_predict_loads(source, target, standardize, kernel):
     # either train fails with exactly one error line and writes no file, or
     # predict loads what train wrote and scores every target row finitely
@@ -347,7 +347,7 @@ def test_predict_file_of_several_blocks_matches_joined_lines(corpus, tmp_path):
     n_t, d_t = ms.models[0][1].X.shape
     rows = 5 * hfa.core._row_blocks(n_t, 10**6)[0][1] // 2
     rng = np.random.default_rng(3)
-    save_dense_csv(Dataset("t", rng.standard_normal((rows, d_t)), rng.integers(0, 2, rows)), tmp_path / "q.csv")
+    save_dense_csv(Dataset(rng.standard_normal((rows, d_t)), rng.integers(0, 2, rows)), tmp_path / "q.csv")
     out = tmp_path / "preds.csv"
     assert main(["predict", "--model", str(corpus / "model.json"), "--target", str(tmp_path / "q.csv"),
                  "--out", str(out)]) == 0
@@ -416,7 +416,7 @@ def test_predict_empty_test_file(corpus, tmp_path):
 
 def test_predict_dimension_mismatch(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    save_dense_csv(Dataset("x", np.zeros((2, 5)), np.zeros(2, dtype=int)), bad)
+    save_dense_csv(Dataset(np.zeros((2, 5)), np.zeros(2, dtype=int)), bad)
     out = tmp_path / "preds.csv"
     code = main(["predict", "--model", str(corpus / "model.json"),
                  "--target", str(bad), "--out", str(out)])
@@ -425,6 +425,17 @@ def test_predict_dimension_mismatch(corpus, tmp_path, capsys):
     assert "dimension 8" in err  # names the expected target dimension
     assert not out.exists()  # failed run leaves no artifact
     assert not list(tmp_path.glob("*.part"))
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_predict_query_width_names_both_files(corpus, tmp_path, capsys, rows):
+    query = tmp_path / "query.csv"
+    save_dense_csv(Dataset(np.zeros((rows, 2)), np.zeros(rows, dtype=int)), query)
+    model = corpus / "model.json"
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(model), "--target", str(query), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {query} has 2 features, model {model} expects target dimension 8\n"
+    assert not out.exists()
 
 
 def test_experiment_writes_both_arms(corpus, tmp_path):
@@ -547,6 +558,14 @@ def test_config_out_of_range_value_names_file_line_and_key(corpus, tmp_path, cap
     ("--C", "inf", "C must be positive and finite"),
     ("--lambda", "inf", "lam must be positive and finite"),
     ("--gamma", "inf", "kernel_gamma must be positive and finite"),
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--trials", "0", "trials must be positive"),
+    ("--per-class-target", "3,0", "per_class_target must be positive"),
+    ("--per-class-source", "0", "per_class_source must be none or positive"),
+    # a flag's value is parsed by its config key's parser, not by argparse
+    ("--kernel", "poly", "unknown kernel family 'poly'"),
+    ("--seed", "abc", "invalid literal for int()"),
+    ("--gamma", "wide", "could not convert string to float"),
 ])
 def test_flag_out_of_range_value_names_flag(corpus, tmp_path, capsys, flag, value, message):
     out = tmp_path / "out.json"
@@ -574,6 +593,57 @@ def test_flag_out_of_range_value_names_flag(corpus, tmp_path, capsys, flag, valu
 def test_each_flag_lands_in_its_field(flags, want):
     # and nowhere else: every other setting keeps its default
     assert resolve_config(build_parser().parse_args(["experiment", *flags])) == want
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gamma", "median"),
+    ("--per-class-source", "none"),
+    ("--kernel", "linear"),
+    ("--per-class-target", "2,3"),
+    ("--seed", "7"),
+])
+def test_flag_value_resolves_as_its_config_lines(tmp_path, flag, value):
+    # a flag accepts exactly the spellings of the config keys it sets
+    conf = tmp_path / "conf.txt"
+    conf.write_text("".join(f"{key} = {value}\n" for key in FLAG_KEYS[flag[2:].replace("-", "_")]),
+                    encoding="utf-8")
+    by_flag = resolve_config(build_parser().parse_args(["train", flag, value]))
+    assert by_flag == resolve_config(build_parser().parse_args(["train", "--config", str(conf)]))
+
+
+@pytest.mark.parametrize("line", [
+    "protocol.trials = 0",
+    "protocol.per_class_target = 3,-1",
+    "protocol.per_class_source = 0",
+    "protocol.base_seed = -1",
+    "synthetic.seed = -1",
+])
+@pytest.mark.parametrize("command", ["generate", "train", "experiment"])
+def test_protocol_and_seed_values_checked_as_read(corpus, tmp_path, capsys, command, line):
+    # under every subcommand, whether or not it uses the value
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"{line}\n", encoding="utf-8")
+    paths = ["--out", str(tmp_path)] if command == "generate" else [
+        "--source", str(corpus / "source.csv"), "--target", str(corpus / "target.csv"), "--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(conf), *paths]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"error: {conf}:1: bad value for {key}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.txt"]  # nothing written
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("3,500", "target class 0 has 10 samples, needs 500"),
+    ("3,10", "target pool leaves no held-out samples at 10 per class"),
+])
+def test_experiment_checks_every_size_before_training(corpus, tmp_path, capsys, sizes, message):
+    out = tmp_path / "report.txt"
+    with mock.patch("hfa.evaluate.hfa_train", side_effect=AssertionError("trained")):
+        code = main(["experiment", "--source", str(corpus / "source.csv"), "--target", str(corpus / "target.csv"),
+                     "--per-class-target", sizes, "--trials", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_config_comments_and_paths(corpus, tmp_path):
@@ -608,7 +678,7 @@ def test_standardize_survives_train_predict(tmp_path, capsys):
                          source_per_class=10, target_per_class=6, seed=2)
     source, target = generate_synthetic(spec)
     # shift one feature so raw and standardized predictions must differ
-    shifted = Dataset("t", target.X * np.array([1, 1, 1, 1, 40.0]), target.y)
+    shifted = Dataset(target.X * np.array([1, 1, 1, 1, 40.0]), target.y)
     save_dense_csv(source, tmp_path / "s.csv")
     save_dense_csv(shifted, tmp_path / "t.csv")
     conf = tmp_path / "conf.txt"

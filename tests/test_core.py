@@ -214,7 +214,7 @@ def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
     rng = np.random.default_rng(12)
     Xs, Xt = rng.standard_normal((14, 3)), rng.standard_normal((11, 4))
     cfg = HfaConfig(kernel_family=family)
-    target = Dataset("target", Xt, np.arange(11) % 3)
+    target = Dataset(Xt, np.arange(11) % 3)
     eigh, gram_matrix_ = np.linalg.eigh, hfa.core.gram_matrix
     with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy, \
             mock.patch.object(hfa.core, "gram_matrix", side_effect=gram_matrix_) as grams_built:
@@ -230,8 +230,8 @@ def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
 def train_on(kernels):
     """hfa_train on a 4-row source and 3-row target pair handed these kernels;
     both refuse before anything reads the rows."""
-    source = Dataset("source", np.zeros((4, 3)), np.array([1, -1, 1, -1]))
-    target = Dataset("target", np.zeros((3, 4)), np.array([1, -1, 1]))
+    source = Dataset(np.zeros((4, 3)), np.array([1, -1, 1, -1]))
+    target = Dataset(np.zeros((3, 4)), np.array([1, -1, 1]))
     return hfa_train(source, target, HfaConfig(), kernels=kernels)
 
 

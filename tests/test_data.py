@@ -27,7 +27,7 @@ from pca import pca_fit_transform  # demos/pca.py
 
 def small_dataset():
     X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    return Dataset("toy", X, np.array([0, 1, 1, 2]))
+    return Dataset(X, np.array([0, 1, 1, 2]))
 
 
 # ---------------------------------------------------------------- Dataset
@@ -42,13 +42,13 @@ def test_dataset_basic_accessors():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset("d", np.zeros(3), np.zeros(3, dtype=int))
+        Dataset(np.zeros(3), np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
-        Dataset("d", np.zeros((3, 2)), np.zeros(2, dtype=int))
+        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
-        Dataset("d", np.zeros((2, 2)), np.array([0.5, 1.0]))
+        Dataset(np.zeros((2, 2)), np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        Dataset("d", np.array([[np.nan, 0.0]]), np.array([0]))
+        Dataset(np.array([[np.nan, 0.0]]), np.array([0]))
 
 
 def test_dataset_subset_and_binary_view():
@@ -66,14 +66,13 @@ def test_dataset_subset_and_binary_view():
 
 def test_dense_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    ds = Dataset("rt", rng.standard_normal((13, 5)), rng.integers(0, 4, size=13))
+    ds = Dataset(rng.standard_normal((13, 5)), rng.integers(0, 4, size=13))
     path = tmp_path / "rt.csv"
     save_dense_csv(ds, path)
     back = load_dense_csv(path)
     # repr round-trips doubles exactly
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
-    assert back.domain == "rt"
 
 
 def test_dense_csv_bytes_match_csv_writer(tmp_path):
@@ -83,7 +82,7 @@ def test_dense_csv_bytes_match_csv_writer(tmp_path):
     X = np.array([[-0.0, 1e-300, 1e16], [5e-324, -1.7976931348623157e308, 0.1], [1.0, -2.5, 3e-7]])
     y = np.array([0, 2**63 - 1, 123456789012])
     path = tmp_path / "w.csv"
-    save_dense_csv(Dataset("w", X, y), path)
+    save_dense_csv(Dataset(X, y), path)
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["label", "f0", "f1", "f2"])
@@ -223,7 +222,7 @@ def test_dense_csv_load_holds_one_copy_of_the_rows(tmp_path):
     # peak stays well under two copies of the rows (numpy's (label, row)
     # records and X at once came to 2.2 X.nbytes)
     rng = np.random.default_rng(24)
-    data = Dataset("query", rng.standard_normal((6000, 20)), rng.integers(0, 6, 6000))
+    data = Dataset(rng.standard_normal((6000, 20)), rng.integers(0, 6, 6000))
     path = tmp_path / "query.csv"
     save_dense_csv(data, path)
     tracemalloc.start()
@@ -429,7 +428,7 @@ def test_pca_output_dim_matches_oracle():
         n, d = int(rng.integers(5, 40)), int(rng.integers(2, 12))
         X = rng.standard_normal((n, d)) * rng.uniform(0.1, 4.0, size=d)
         energy = float(rng.uniform(0.3, 1.0))
-        ds = Dataset("p", X, np.zeros(n, dtype=int))
+        ds = Dataset(X, np.zeros(n, dtype=int))
         proj, basis = pca_fit_transform(ds, energy)
         assert proj.dim == pca_k_oracle(X, energy)
         assert basis.retained_energy >= energy - 1e-9
@@ -439,14 +438,14 @@ def test_pca_full_energy_keeps_numerical_rank():
     rng = np.random.default_rng(3)
     n, d = 8, 20  # rank limited by samples
     X = rng.standard_normal((n, d))
-    proj, _ = pca_fit_transform(Dataset("p", X, np.zeros(n, dtype=int)), 1.0)
+    proj, _ = pca_fit_transform(Dataset(X, np.zeros(n, dtype=int)), 1.0)
     assert proj.dim == n - 1
 
 
 def test_pca_projected_covariance_is_diagonal():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((60, 7)) @ rng.standard_normal((7, 7))
-    ds = Dataset("p", X, np.zeros(60, dtype=int))
+    ds = Dataset(X, np.zeros(60, dtype=int))
     proj, basis = pca_fit_transform(ds, 0.95)
     cov = proj.X.T @ proj.X / (len(ds) - 1)
     off = cov - np.diag(np.diag(cov))
@@ -457,14 +456,14 @@ def test_pca_projected_covariance_is_diagonal():
 def test_pca_transform_reproduces_training_projection():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((25, 6))
-    ds = Dataset("p", X, np.zeros(25, dtype=int))
+    ds = Dataset(X, np.zeros(25, dtype=int))
     proj, basis = pca_fit_transform(ds, 0.8)
     assert np.allclose(basis.transform(X), proj.X, atol=1e-12)
 
 
 def test_pca_flat_data_collapses_to_one_axis():
     X = np.ones((5, 4)) * 2.5
-    proj, basis = pca_fit_transform(Dataset("p", X, np.zeros(5, dtype=int)), 0.9)
+    proj, basis = pca_fit_transform(Dataset(X, np.zeros(5, dtype=int)), 0.9)
     assert proj.dim == 1
     assert np.allclose(proj.X, 0.0)
     assert basis.retained_energy == 1.0
@@ -486,7 +485,7 @@ def test_pca_rejects_bad_arguments():
 def test_protocol_counts_and_partition():
     rng = np.random.default_rng(21)
     y = np.repeat([0, 1, 2], [30, 25, 40])
-    ds = Dataset("d", rng.standard_normal((y.size, 3)), y)
+    ds = Dataset(rng.standard_normal((y.size, 3)), y)
     for seed in range(100):
         train, rest = sample_protocol(ds, 5, seed)
         assert train.class_counts() == {0: 5, 1: 5, 2: 5}
@@ -496,7 +495,7 @@ def test_protocol_counts_and_partition():
 
 def test_protocol_is_deterministic_in_seed():
     ds = small_dataset()
-    big = Dataset("d", np.tile(ds.X, (10, 1)), np.tile(ds.y, 10))
+    big = Dataset(np.tile(ds.X, (10, 1)), np.tile(ds.y, 10))
     a_train, a_rest = sample_protocol(big, 3, 42)
     b_train, b_rest = sample_protocol(big, 3, 42)
     assert np.array_equal(a_train.X, b_train.X)
@@ -508,7 +507,7 @@ def test_protocol_is_deterministic_in_seed():
 def test_protocol_preserves_row_order():
     rng = np.random.default_rng(2)
     X = np.arange(50, dtype=float)[:, None]
-    ds = Dataset("d", X, rng.integers(0, 2, size=50))
+    ds = Dataset(X, rng.integers(0, 2, size=50))
     train, rest = sample_protocol(ds, 4, 0)
     assert np.all(np.diff(train.X[:, 0]) > 0)
     assert np.all(np.diff(rest.X[:, 0]) > 0)
@@ -530,7 +529,6 @@ def test_synthetic_shapes_and_priors():
     assert target.X.shape == (spec.num_classes * spec.target_per_class, spec.d_t)
     assert source.class_counts() == {c: spec.source_per_class for c in range(spec.num_classes)}
     assert target.class_counts() == {c: spec.target_per_class for c in range(spec.num_classes)}
-    assert source.domain == "source" and target.domain == "target"
 
 
 def test_synthetic_deterministic_in_seed():
@@ -549,8 +547,6 @@ def test_synthetic_rejects_noninjective_maps():
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(num_classes=1)
-    with pytest.raises(ValueError):
-        SyntheticSpec(class_sep=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(source_per_class=0)
 
@@ -592,12 +588,11 @@ def test_standardize_constant_column_is_exactly_zero(value):
 
 def test_standardize_pair_scales_each_domain_by_its_own_fit():
     rng = np.random.default_rng(18)
-    source = Dataset("s", rng.standard_normal((9, 3)) * 4.0 + 1.0, np.arange(9) % 2)
-    target = Dataset("t", rng.standard_normal((5, 2)) * [0.5, 30.0], np.arange(5) % 2)
+    source = Dataset(rng.standard_normal((9, 3)) * 4.0 + 1.0, np.arange(9) % 2)
+    target = Dataset(rng.standard_normal((5, 2)) * [0.5, 30.0], np.arange(5) % 2)
     zs, zt, mean_t, scale_t = standardize_pair(source, target)
     assert np.array_equal(zs.X, standardize_apply(source.X, *standardize_fit(source.X)))
     assert np.array_equal(zt.X, standardize_apply(target.X, mean_t, scale_t))
     for fitted, want in zip((mean_t, scale_t), standardize_fit(target.X)):
         assert np.array_equal(fitted, want)
-    assert (zs.domain, zt.domain) == ("s", "t")
     assert np.array_equal(zs.y, source.y) and np.array_equal(zt.y, target.y)

@@ -137,7 +137,7 @@ def test_decision_matrix_memory_is_one_block():
 
 def test_single_class_target_rejected():
     source, target = tiny_pools()
-    one = Dataset("t", target.X, np.zeros(len(target), dtype=int))
+    one = Dataset(target.X, np.zeros(len(target), dtype=int))
     with pytest.raises(ValueError, match="2 classes"):
         train_multiclass(source, one, FAST)
     with pytest.raises(ValueError, match="2 classes"):
@@ -146,7 +146,7 @@ def test_single_class_target_rejected():
 
 def one_row(label, dim=3):
     """A single all-zero row labeled `label`: accuracy 1.0 means it is classified as `label`."""
-    return Dataset("t", np.zeros((1, dim)), np.array([label]))
+    return Dataset(np.zeros((1, dim)), np.array([label]))
 
 
 def test_classify_argmax_and_ties():
@@ -172,13 +172,13 @@ def test_classify_matches_sign_rule_in_binary_case():
 
 def test_accuracy_all_correct_and_fixture():
     models = [(0, constant_model(1.0)), (1, constant_model(-1.0))]
-    test = Dataset("t", np.zeros((4, 3)), np.zeros(4, dtype=int))
+    test = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int))
     assert accuracy(models, test) == 1.0
     # constant predictor says class 0; hand count: 2 of 5 rows are class 0
-    mixed = Dataset("t", np.zeros((5, 3)), np.array([0, 1, 1, 0, 1]))
+    mixed = Dataset(np.zeros((5, 3)), np.array([0, 1, 1, 0, 1]))
     assert accuracy(models, mixed) == pytest.approx(2 / 5)
     with pytest.raises(ValueError, match="nonempty"):
-        accuracy(models, Dataset("t", np.zeros((0, 3)), np.zeros(0, dtype=int)))
+        accuracy(models, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
 
 
 def test_one_vs_rest_models_train_as_they_do_alone():
@@ -199,13 +199,13 @@ def test_one_vs_rest_models_train_as_they_do_alone():
 def test_svm_t_baseline_rejects_overflowing_features():
     # a linear Gram of finite rows near 1e200 overflows; the target domain's
     # factoring names it before any solve
-    target = Dataset("target", np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
+    target = Dataset(np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError, match="^target features overflow the linear kernel: .*data.standardize = true$"):
         svm_t_baseline(target, HfaConfig(kernel_family="linear"))
 
 
 def test_overflow_remedy_leaves_out_standardizing_when_it_is_set():
-    target = Dataset("target", np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
+    target = Dataset(np.array([[1e200], [2e200], [-1e200], [3.0]]), np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError, match="^target features overflow the linear kernel: rescale them$"):
         svm_t_baseline(target, HfaConfig(kernel_family="linear", standardize=True))
 
@@ -269,7 +269,7 @@ def test_run_experiment_deterministic_and_paired():
     assert np.array_equal(run1.svm_t.accuracies, run2.svm_t.accuracies)
     assert run1.hfa.seeds == (7, 8) == run1.svm_t.seeds
     assert run1.hfa.config["protocol.per_class_target"] == 3
-    assert run1.svm_t.config["method"] == "svm_t"
+    assert run1.svm_t.method == "svm_t"
     assert run1.paired_gains().shape == (2,)
 
 
@@ -357,6 +357,6 @@ def test_run_experiment_factors_each_domain_once(monkeypatch, per_class_source, 
         train_s = source if per_class_source is None else sample_protocol(source, per_class_source, seed)[0]
         if standardize:
             train_s, train_t, mean_t, scale_t = standardize_pair(train_s, train_t)
-            test_t = Dataset(test_t.domain, standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
+            test_t = Dataset(standardize_apply(test_t.X, mean_t, scale_t), test_t.y)
         assert accuracy(train_multiclass(train_s, train_t, cfg), test_t) == run.hfa.accuracies[t]
         assert accuracy(svm_t_baseline(train_t, cfg), test_t) == run.svm_t.accuracies[t]

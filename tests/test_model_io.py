@@ -16,9 +16,9 @@ from hfa.model_io import ModelFormatError, load_model_set, save_model_set
 
 def small_model(seed=0):
     rng = np.random.default_rng(seed)
-    source = Dataset("s", rng.standard_normal((12, 6)),
+    source = Dataset(rng.standard_normal((12, 6)),
                      np.where(rng.standard_normal(12) > 0, 1, -1))
-    target = Dataset("t", rng.standard_normal((7, 4)),
+    target = Dataset(rng.standard_normal((7, 4)),
                      np.where(rng.standard_normal(7) > 0, 1, -1))
     if abs(int(np.sum(source.y)) + int(np.sum(target.y))) == 19:
         return small_model(seed + 100)

@@ -40,6 +40,6 @@ def test_compare_fixed_records(tmp_path):
 
 def test_commands_cover_every_train_and_its_predict():
     names = [name for name, _, _ in output_diff.COMMANDS]
-    assert names[0] == "generate" and len(names) == len(set(names)) == 13
+    assert names[0] == "generate" and len(names) == len(set(names)) == 14
     for train in (n for n in names if n.startswith("train-")):
         assert "predict-" + train[len("train-"):] in names

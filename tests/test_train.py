@@ -32,7 +32,7 @@ def binary_pair(seed=0, n_s=25, n_t=8, d_s=6, d_t=4):
 
     Xs, ys = draw(A_s, n_s, d_s)
     Xt, yt = draw(A_t, n_t, d_t)
-    return Dataset("source", Xs, ys), Dataset("target", Xt, yt)
+    return Dataset(Xs, ys), Dataset(Xt, yt)
 
 
 def test_tiny_budget_reduces_to_uncoupled_svm():
@@ -73,8 +73,8 @@ def small_binary_problems(draw):
     d_s, d_t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.permutation(np.r_[1, -1, np.where(rng.random(n_s + n_t - 2) < 0.5, 1, -1)])
-    source = Dataset("source", rng.standard_normal((n_s, d_s)) * draw(st.sampled_from([0.1, 1.0, 10.0])), y[:n_s])
-    target = Dataset("target", rng.standard_normal((n_t, d_t)), y[n_s:])
+    source = Dataset(rng.standard_normal((n_s, d_s)) * draw(st.sampled_from([0.1, 1.0, 10.0])), y[:n_s])
+    target = Dataset(rng.standard_normal((n_t, d_t)), y[n_s:])
     path = draw(st.sampled_from(["rbf", "linear", "explicit"]))
     cfg = HfaConfig(C=10.0 ** draw(st.floats(-1.0, 1.0)), lam=10.0 ** draw(st.floats(-2.0, 2.0)),
                     kernel_family="rbf" if path == "rbf" else "linear", t_max=15)
@@ -177,7 +177,7 @@ def test_metric_feasible_along_alternation(problem):
 # run the property test's checks on the path the free-set Newton steps in
 # solve_dual take.
 def test_metric_feasible_along_alternation_seed_13():
-    source = Dataset("source", np.array([
+    source = Dataset(np.array([
         [4.10513909e+00, 6.08383639e+00, -7.05943312e+00, -1.16587850e+00, 7.24191291e+00],
         [-9.45475096e+00, -2.46434836e-01, 1.99982649e+00, 6.29595845e+00, 7.50071056e+00],
         [-6.45575923e+00, 5.51368163e+00, -1.39135650e+01, 2.44846003e+00, 3.73834210e+00],
@@ -189,7 +189,7 @@ def test_metric_feasible_along_alternation_seed_13():
         [7.86051239e+00, 3.06258657e+00, -8.09229201e+00, -1.32395472e+01, 2.32414417e+01],
         [-2.83345072e+00, 2.60215174e+00, -1.68112616e+01, 2.71494828e+01, 7.98261990e+00],
     ]), np.array([1, -1, -1, 1, -1, 1, 1, 1, 1, 1]))
-    target = Dataset("target", np.array([[-0.0409109], [-0.19416863], [0.67579045], [0.0444809],
+    target = Dataset(np.array([[-0.0409109], [-0.19416863], [0.67579045], [0.0444809],
                                          [-1.07270852], [-0.24105572], [0.17661461]]),
                      np.array([-1, 1, 1, -1, 1, -1, 1]))
     cfg = HfaConfig(C=1.0, lam=100.0, kernel_family="linear", t_max=15)
@@ -201,10 +201,10 @@ def test_metric_feasible_along_alternation_seed_13():
 
 
 def test_metric_feasible_along_alternation_seed_38():
-    source = Dataset("source", np.array([[-7.69521347], [-4.51747758], [10.16091883], [-0.67946039],
+    source = Dataset(np.array([[-7.69521347], [-4.51747758], [10.16091883], [-0.67946039],
                                          [-17.61562177], [17.54595222], [15.25313012], [-3.93086112]]),
                      np.array([-1, 1, 1, 1, -1, 1, -1, 1]))
-    target = Dataset("target", np.array([[0.59876858], [0.97675364]]), np.array([-1, -1]))
+    target = Dataset(np.array([[0.59876858], [0.97675364]]), np.array([-1, -1]))
     cfg = HfaConfig(C=10.0, lam=100.0, kernel_family="linear", t_max=15)
     probe = np.array([-1.64876429, -2.1568037])
     test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "explicit", cfg, probe))
@@ -332,11 +332,11 @@ def test_shared_kernels_size_mismatch():
 
 def test_label_validation():
     source, target = binary_pair(seed=7)
-    zero_one = Dataset("source", source.X, np.where(source.y > 0, 1, 0))
+    zero_one = Dataset(source.X, np.where(source.y > 0, 1, 0))
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         hfa_train(zero_one, target, HfaConfig())
-    all_pos = Dataset("source", source.X, np.ones(len(source), dtype=int))
-    pos_t = Dataset("target", target.X, np.ones(len(target), dtype=int))
+    all_pos = Dataset(source.X, np.ones(len(source), dtype=int))
+    pos_t = Dataset(target.X, np.ones(len(target), dtype=int))
     with pytest.raises(DegenerateProblemError):
         hfa_train(all_pos, pos_t, HfaConfig())
 
@@ -358,9 +358,9 @@ def test_linear_and_kernelized_objectives_agree():
     rng = np.random.default_rng(21)
     for trial in range(4):
         n_s, n_t, d_s, d_t = 10, 5, 14, 9
-        source = Dataset("s", rng.standard_normal((n_s, d_s)),
+        source = Dataset(rng.standard_normal((n_s, d_s)),
                          np.sign(rng.standard_normal(n_s)).astype(int))
-        target = Dataset("t", rng.standard_normal((n_t, d_t)),
+        target = Dataset(rng.standard_normal((n_t, d_t)),
                          np.sign(rng.standard_normal(n_t)).astype(int))
         if abs(int(np.sum(source.y)) + int(np.sum(target.y))) == n_s + n_t:
             continue

@@ -42,9 +42,16 @@ EXPERIMENTS = {
     "experiment-3-source10": ["--per-class-target", "3", "--per-class-source", "10", "--trials", "3"],
 }
 
+# every synthetic.* key, with an odd class count, so the fixed latent
+# geometry is compared beyond the defaults, the class alone at the origin too
+SYNTHETIC = {"latent_dim": 4, "num_classes": 5, "d_s": 9, "d_t": 6, "seed": 11,
+             "source_per_class": 12, "target_per_class": 7}
+
 # (record name, hfa arguments, output files), run in this order
 COMMANDS = (
-    [("generate", ["generate", "--out", "."], ["source.csv", "target.csv"])]
+    [("generate", ["generate", "--out", "."], ["source.csv", "target.csv"]),
+     ("generate-synthetic-keys", ["generate", "--config", "synthetic.cfg", "--source", "gen-source.csv",
+                                  "--target", "gen-target.csv"], ["gen-source.csv", "gen-target.csv"])]
     + [(f"train-{name}", ["train", *DATA, *flags, "--out", f"{name}.json"], [f"{name}.json"])
        for name, flags in TRAINS.items()]
     + [(f"predict-{name}", ["predict", "--model", f"{name}.json", "--target", "target.csv",
@@ -63,6 +70,8 @@ def run_side(root: Path, work: Path) -> Path:
     """Run COMMANDS in `work` with root/src on the path; returns the records directory."""
     work.mkdir(parents=True)
     (work / "standardize.cfg").write_text("data.standardize = true\n", encoding="utf-8")
+    lines = [f"synthetic.{key} = {value}\n" for key, value in SYNTHETIC.items()]
+    (work / "synthetic.cfg").write_text("".join(lines), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     records = work / "records"
