@@ -6,7 +6,8 @@ SyntheticSpec and CliConfig, then a flat "key = value" config file
 is applied, so a bad file value fails naming its file, line and key, and
 a bad flag value naming its flag. Output files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact; exit status is 0 only when
-the requested artifact was fully written.
+the requested artifact was fully written. `predict` parses, scores and
+writes a plain dense CSV query one row block at a time (cmd_predict).
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import HfaConfig
+from hfa.core import HfaConfig, _row_blocks
 from hfa.data import (
     Dataset,
     SyntheticSpec,
+    _dense_csv_dim,
+    _NotPlain,
+    _plain_blocks,
+    _plain_body_lines,
     generate_synthetic,
     load_dense_csv,
     load_sparse,
@@ -34,10 +39,6 @@ from hfa.evaluate import _check_feasible, decision_matrix, render_report, run_ex
 from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
-
-# prediction rows formatted per block: the text of one block, not of the
-# whole predictions file, is held at once
-_WRITE_ROWS = 1024
 
 
 def _parse_optional_float(text: str):
@@ -251,32 +252,69 @@ def _target_standardization(metadata: dict, path, d_t: int) -> tuple[np.ndarray,
     return vectors[0], vectors[1]
 
 
-def _write_predictions(path, classes: np.ndarray, scores: np.ndarray) -> None:
-    """One CSV line per row, formatted a block of _WRITE_ROWS rows at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,predicted_class," + ",".join(f"score_class{c}" for c in classes) + "\n")
-        for start in range(0, len(scores), _WRITE_ROWS):
-            block = scores[start : start + _WRITE_ROWS]
-            predicted = classes[np.argmax(block, axis=1)].tolist()
-            for i, (label, row) in enumerate(zip(predicted, block.tolist()), start):
-                fh.write(f"{i},{label},{','.join(map(repr, row))}\n")
+def _write_predictions(fh, models, blocks, standardize) -> None:
+    """Score each (start, X) block of query rows, first standardized by the
+    (mean, scale) pair standardize unless it is None, and write its CSV
+    lines, numbered from start; the header line goes with the block at 0."""
+    for start, X in blocks:
+        if standardize is not None:
+            X = standardize_apply(X, *standardize)
+        classes, scores = decision_matrix(models, X)
+        if start == 0:
+            fh.write("row,predicted_class," + ",".join(f"score_class{c}" for c in classes) + "\n")
+        predicted = classes[np.argmax(scores, axis=1)].tolist()
+        for i, (label, row) in enumerate(zip(predicted, scores.tolist()), start):
+            fh.write(f"{i},{label},{','.join(map(repr, row))}\n")
 
 
 def cmd_predict(cfg: CliConfig) -> None:
+    """Score the query a block of _row_blocks rows at a time. A dense CSV's
+    width and the model's standardization are checked before its body is
+    read; a plain body (hfa.data._plain_body_lines) is then parsed, scored
+    and written one block at a time. A sparse file or any other body is
+    loaded whole first, and so is a plain one again, from the top of the
+    output, if a block of it is one _plain_blocks gives up on."""
     model_path = _require_path(cfg.model, "--model")
     model_set = load_model_set(model_path)
-    test = _load_dataset(_require_path(cfg.target, "--target"), training=False)
-    d_t = model_set.models[0][1].dim
-    if test.dim != d_t:
-        raise ValueError(f"{cfg.target} has {test.dim} features, model {model_path} expects target dimension {d_t}")
-    count, X = len(test), test.X
-    del test  # X then holds the only copy of the query rows, which standardizing replaces
-    if "standardize" in model_set.metadata:
-        X = standardize_apply(X, *_target_standardization(model_set.metadata, model_path, d_t))
-    classes, scores = decision_matrix(list(model_set.models), X)
+    query = _require_path(cfg.target, "--target")
+    models = list(model_set.models)
+    n_t, d_t = models[0][1].X.shape
+
+    def checked(dim: int):
+        """The width check, then the model's (mean, scale) standardization or None."""
+        if dim != d_t:
+            raise ValueError(f"{query} has {dim} features, model {model_path} expects target dimension {d_t}")
+        if "standardize" in model_set.metadata:
+            return _target_standardization(model_set.metadata, model_path, d_t)
+        return None
+
+    dim = lines = X = None
+    if Path(query).suffix.lower() == ".csv" and Path(query).exists():
+        dim = _dense_csv_dim(Path(query))
+    if dim is not None:
+        standardize = checked(dim)
+        lines = _plain_body_lines(query)
+    if lines is None:
+        X = _load_dataset(query, training=False).X
+        standardize = checked(X.shape[1])
+
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if X is None:
+                try:
+                    blocks = _plain_blocks(Path(query), dim, _row_blocks(n_t, lines))
+                    _write_predictions(fh, models, ((start, rows) for start, rows, _ in blocks), standardize)
+                    return
+                except _NotPlain:
+                    fh.seek(0)
+                    fh.truncate()
+            rows = X if X is not None else _load_dataset(query, training=False).X
+            blocks = ((start, rows[start:stop]) for start, stop in _row_blocks(n_t, len(rows)))
+            _write_predictions(fh, models, blocks, standardize)
+
     out = cfg.out if cfg.out is not None else "predictions.csv"
-    _atomic(out, lambda tmp: _write_predictions(tmp, classes, scores))
-    print(f"wrote {out}: {count} predictions")
+    _atomic(out, write)
+    print(f"wrote {out}: {lines if X is None else len(X)} predictions")
 
 
 def cmd_experiment(cfg: CliConfig) -> None:

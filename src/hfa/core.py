@@ -124,7 +124,7 @@ def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
         raise DegenerateProblemError("both classes must appear across the two domains")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterStep(DualSolution):
     """An outer iteration as the trainer's monitor sees it: the accepted
     dual solution, the certified relative saddle gap after the iteration,
@@ -249,7 +249,7 @@ def _alternate(Ks: np.ndarray, Kt: np.ndarray, order: int, y: np.ndarray, cfg: H
     return metric, sol, m, np.array(objective), gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelExpansion:
     """Deployed predictor f(x) = k(X, x)' coef + bias over stored target rows X.
 
@@ -326,7 +326,7 @@ def _decision_columns(expansions, X) -> np.ndarray:
     return scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HfaModel(KernelExpansion):
     """Trained kernelized model over one binary source/target pair: the
     deployed kernel expansion over the target training rows, plus what

@@ -3,13 +3,18 @@
 Two on-disk formats are supported and documented in the README: a dense
 CSV with header "label,f0,...,f{d-1}", and a sparse text format with
 lines "label idx:val ..." (1-based, strictly ascending indices) plus an
-optional leading "#dim N" line.
+optional leading "#dim N" line. A non-finite feature value (nan, inf,
+or a number such as 1e400 that overflows) is a ParseError naming its line.
+Dense CSV is parsed numpy-first: a plain body is read by one block reader,
+_plain_blocks, which load_dense_csv runs over blocks of _BLOCK_ROWS lines
+and `hfa predict` over its scoring blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +45,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature rows X and one integer label per row; which domain they are
     is fixed by the argument a Dataset is passed as."""
@@ -119,44 +124,35 @@ def load_dense_csv(path) -> Dataset:
     The accepted files, their values and every error are those of the
     per-line parser, _load_dense_csv_lines; parsing is numpy-first. After
     the header check, a body made only of plain number bytes, with no
-    line longer than csv's field limit, is parsed by numpy in blocks of
-    _BLOCK_ROWS lines into one C-contiguous X, sized from the line count.
-    Any other body, any file numpy rejects or warns on, and any file numpy
-    reads but the per-line parser would not (numpy skips blank lines, so
-    its row count differs from the line count, and reads negative labels)
-    are parsed line by line.
+    line longer than csv's field limit, is parsed by _plain_blocks in
+    blocks of _BLOCK_ROWS lines into one C-contiguous X, sized from the
+    line count. Any other body, and any body _plain_blocks gives up on,
+    is parsed line by line.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            dim = _dense_header(path, csv.reader(fh))
-    except UnicodeDecodeError:
-        # the per-line parser may meet a bad row before the bad byte
-        return _load_dense_csv_lines(path)
-    lines = _plain_body_lines(path)
+    dim = _dense_csv_dim(path)
+    lines = _plain_body_lines(path) if dim is not None else None
     if lines is None:
         return _load_dense_csv_lines(path)
     X, y = np.empty((lines, dim)), np.empty(lines, dtype=np.int64)
-    row, stop = [("y", np.int64), ("X", np.float64, (dim,))], 0
+    bounds = [(start, min(start + _BLOCK_ROWS, lines)) for start in range(0, lines, _BLOCK_ROWS)]
     try:
-        with warnings.catch_warnings(), open(path, encoding="utf-8") as fh:
-            warnings.simplefilter("error")
-            next(fh)  # the header
-            for start in range(0, lines, _BLOCK_ROWS):
-                block = list(itertools.islice(fh, _BLOCK_ROWS))
-                body = np.loadtxt(block, delimiter=",", comments=None, dtype=row, ndmin=1)
-                stop = start + body.shape[0]
-                if body.shape[0] != len(block) or stop > lines:
-                    return _load_dense_csv_lines(path)
-                X[start:stop], y[start:stop] = body["X"], body["y"]
-                del block, body  # before the next block is read
-            if stop != lines or next(fh, None) is not None:
-                return _load_dense_csv_lines(path)
-    except (ValueError, Warning):
-        return _load_dense_csv_lines(path)
-    if lines and y.min() < 0:
+        for start, X_block, y_block in _plain_blocks(path, dim, bounds):
+            X[start : start + len(y_block)], y[start : start + len(y_block)] = X_block, y_block
+    except _NotPlain:
         return _load_dense_csv_lines(path)
     return Dataset(X, y)
+
+
+def _dense_csv_dim(path) -> int | None:
+    """The feature count a dense CSV's header declares (ParseError if the
+    header is malformed), or None if the file's first bytes are not UTF-8:
+    the per-line parser may meet a bad row before the bad byte."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _dense_header(path, csv.reader(fh))
+    except UnicodeDecodeError:
+        return None
 
 
 def _plain_body_lines(path) -> int | None:
@@ -186,6 +182,41 @@ def _plain_body_lines(path) -> int | None:
                 return lines
 
 
+class _NotPlain(Exception):
+    """A block of a dense CSV body that numpy would not read as the per-line parser does."""
+
+
+def _plain_blocks(path, dim: int, bounds):
+    """Yield (start, X, y) for each (start, stop) of bounds, which split the
+    lines after a dim-feature header in order, as np.loadtxt parses them:
+    X C-contiguous, y int64. The body must be one _plain_body_lines counted.
+
+    Raises _NotPlain at the first block numpy rejects or warns on, or reads
+    other than the per-line parser would: numpy skips blank lines, so its
+    row count differs from the line count, reads negative labels, and reads
+    1e400 as inf. Also raises it after the last block if lines remain.
+    """
+    row = [("y", np.int64), ("X", np.float64, (dim,))]
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the header
+        for start, stop in bounds:
+            block = list(itertools.islice(fh, stop - start))
+            try:
+                with warnings.catch_warnings():  # not held across the yield
+                    warnings.simplefilter("error")
+                    body = np.loadtxt(block, delimiter=",", comments=None, dtype=row, ndmin=1) \
+                        if block else np.empty(0, dtype=row)
+            except (ValueError, Warning):
+                raise _NotPlain from None
+            X, y = np.ascontiguousarray(body["X"]), body["y"].copy()
+            del block, body  # before the caller reads the next block
+            if len(y) != stop - start or (len(y) and y.min() < 0) or not np.isfinite(X).all():
+                raise _NotPlain
+            yield start, X, y
+        if next(fh, None) is not None:
+            raise _NotPlain
+
+
 def _load_dense_csv_lines(path) -> Dataset:
     """The per-line dense CSV parser: csv.reader and one float() per value."""
     path = Path(path)
@@ -208,6 +239,9 @@ def _load_dense_csv_lines(path) -> Dataset:
                 values = [float(tok) for tok in row[1:]]
             except ValueError:
                 raise ParseError(path, line, "non-numeric feature value") from None
+            for tok, value in zip(row[1:], values):
+                if not math.isfinite(value):
+                    raise ParseError(path, line, f"non-finite feature value {tok!r}")
             labels.append(label)
             rows.append(values)
     X = np.array(rows, dtype=float) if rows else np.empty((0, dim))
@@ -271,6 +305,8 @@ def load_sparse(path) -> Dataset:
                     raise ParseError(path, lineno, f"indices must ascend, got {idx} after {prev}")
                 if declared_dim is not None and idx > declared_dim:
                     raise ParseError(path, lineno, f"index {idx} exceeds declared dimension {declared_dim}")
+                if not math.isfinite(val):
+                    raise ParseError(path, lineno, f"non-finite feature value in {tok!r}")
                 row.append((idx, val))
                 prev = idx
             labels.append(label)

@@ -122,7 +122,7 @@ def accuracy(models, test: Dataset) -> float:
     return float(np.mean(predicted == test.y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """Per-trial accuracies for one method arm plus their aggregates."""
 
@@ -157,7 +157,7 @@ class ExperimentReport:
         return float(np.std(self.accuracies, ddof=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentRun:
     """Both arms of one experiment, trained on identical splits."""
 

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformMetric:
     """PSD metric scale * I + sum_k weights[k] * h_k h_k' of order `order`, with a trace budget.
 

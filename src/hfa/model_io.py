@@ -115,7 +115,7 @@ def _shared_from(payload: dict, path) -> tuple[np.ndarray, KernelSpec]:
     return X, spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSet:
     """One-vs-rest model collection plus free-form metadata.
 

@@ -59,7 +59,7 @@ class DegenerateProblemError(ValueError):
     """Raised when the training labels contain only one class."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSolution:
     """Optimal multipliers with the bias and dual objective value.
 

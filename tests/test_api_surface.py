@@ -4,8 +4,10 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hfa
@@ -86,3 +88,25 @@ def test_every_field_is_read_outside_tests(cls):
     read = _loaded_names(paths, attributes_only=True, copied_into=cls.__name__)
     unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
     assert not unread, f"{cls.__name__} declares fields nothing outside tests reads: {unread}"
+
+
+def _holds_array(tp) -> bool:
+    """Whether a resolved annotation is an ndarray, or a record or container type holding one."""
+    if tp is np.ndarray:
+        return True
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return any(_holds_array(hints[f.name]) for f in dataclasses.fields(tp))
+    return any(_holds_array(arg) for arg in typing.get_args(tp))
+
+
+@pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_records_holding_arrays_compare_by_identity(cls):
+    # the __eq__ a dataclass generates compares field tuples, which raises on
+    # an ndarray field (its truth value is ambiguous), and frozen=True's
+    # __hash__ hashes the fields (TypeError): such a record declares eq=False.
+    # Records of plain values keep eq, since _check_shared compares kernels.
+    if _holds_array(cls):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    else:
+        assert cls.__eq__ is not object.__eq__, cls

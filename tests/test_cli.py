@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import hfa.core
 from hfa.cli import FLAG_KEYS, CliConfig, build_parser, main, resolve_config
-from hfa.core import HfaConfig
-from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, sample_protocol, save_dense_csv
+from hfa.core import HfaConfig, KernelExpansion
+from hfa.data import (Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, sample_protocol, save_dense_csv,
+                      standardize_apply)
 from hfa.evaluate import decision_matrix, train_multiclass
-from hfa.model_io import load_model_set
+from hfa.linalg import KernelSpec
+from hfa.model_io import load_model_set, save_model_set
+from test_data import dense_csv_texts
 
 
 @pytest.fixture(scope="module")
@@ -351,12 +356,139 @@ def test_predict_file_of_several_blocks_matches_joined_lines(corpus, tmp_path):
     out = tmp_path / "preds.csv"
     assert main(["predict", "--model", str(corpus / "model.json"), "--target", str(tmp_path / "q.csv"),
                  "--out", str(out)]) == 0
-    classes, scores = decision_matrix(list(ms.models), load_dense_csv(tmp_path / "q.csv").X)
+    assert out.read_bytes() == _joined_predictions(ms, load_dense_csv(tmp_path / "q.csv").X)
+
+
+def _joined_predictions(model_set, X) -> bytes:
+    """The predictions file of rows X, scored whole by decision_matrix
+    (standardized first if the model says so) and built as one string."""
+    if "standardize" in model_set.metadata:
+        params = model_set.metadata["standardize"]
+        X = standardize_apply(X, np.array(params["target_mean"]), np.array(params["target_scale"]))
+    classes, scores = decision_matrix(list(model_set.models), X)
     predicted = classes[np.argmax(scores, axis=1)]
     lines = ["row,predicted_class," + ",".join(f"score_class{c}" for c in classes)]
     for i, (label, row) in enumerate(zip(predicted.tolist(), scores.tolist())):
         lines.append(f"{i},{label},{','.join(map(repr, row))}")
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def width_models(tmp_path_factory):
+    """A saved two-class rbf model set for each query width 1-3."""
+    root = tmp_path_factory.mktemp("width_models")
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((6, d))
+        models = [(c, KernelExpansion(X, KernelSpec("rbf", 0.5), rng.standard_normal(6), 0.1 * c)) for c in (0, 1)]
+        save_model_set(models, root / f"m{d}.json", {})
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=dense_csv_texts())
+def test_streaming_predict_matches_whole_file_scoring(width_models, text):
+    # hfa predict streams a plain body block by block; whatever the body, it
+    # writes the bytes of the whole file loaded by load_dense_csv and scored
+    # by decision_matrix, or fails with load_dense_csv's message and leaves
+    # neither the predictions file nor its .part
+    dim = text.splitlines()[0].count(",")
+    with tempfile.TemporaryDirectory() as tmp:
+        query, out = Path(tmp) / "q.csv", Path(tmp) / "p.csv"
+        query.write_bytes(text.encode("utf-8"))
+        model = width_models / f"m{dim}.json"
+        code, err = run_main(["predict", "--model", model, "--target", query, "--out", out])
+        try:
+            X = load_dense_csv(query).X
+        except Exception as exc:
+            assert (code, err) == (1, f"error: {exc}\n")
+            assert not out.exists() and not list(Path(tmp).glob("*.part"))
+            return
+        assert code == 0, err
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # extreme rows overflow the kernel, as in the command
+            assert out.read_bytes() == _joined_predictions(load_model_set(model), X)
+
+
+def _query(tmp_path, rows, d, seed=3) -> Path:
+    rng = np.random.default_rng(seed)
+    path = tmp_path / f"q{rows}.csv"
+    save_dense_csv(Dataset(rng.standard_normal((rows, d)), rng.integers(0, 2, rows)), path)
+    return path
+
+
+def test_predict_traced_peak_stays_within_one_block(corpus, tmp_path, capsys):
+    # predict holds one scoring block of the query at a time: its lines as
+    # read, its parsed and standardized rows, its n_t x rows kernel (twice,
+    # as _sq_dists holds two) and its output lines. Beyond what a header-only
+    # query peaks at, 2 and 16 blocks of rows stay within that one block's
+    # bytes; a loaded X and score matrix grow past it
+    n_t, d_t = load_model_set(corpus / "model.json").models[0][1].X.shape
+    block = hfa.core._row_blocks(n_t, 10**6)[0][1]
+
+    def traced_peak(query):
+        tracemalloc.start()
+        try:
+            assert main(["predict", "--model", str(corpus / "model.json"), "--target", str(query),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fixed = traced_peak(_query(tmp_path, 0, d_t))
+    for rows in (2 * block, 16 * block):
+        query = _query(tmp_path, rows, d_t)
+        line = max(sys.getsizeof(text) for text in query.read_text(encoding="utf-8").splitlines(keepends=True))
+        bound = fixed + block * (2 * line + 2 * 8 * (d_t + 1) + 2 * 8 * n_t)
+        assert traced_peak(query) <= bound, rows
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, token, message", [
+    (1, "x", "non-numeric feature value"),
+    (0, "-1", "negative label -1"),
+    (1, "1e400", "non-finite feature value '1e400'"),
+])
+def test_predict_fault_in_last_block_leaves_no_file(corpus, tmp_path, capsys, field, token, message):
+    # the first blocks are scored and written before the last one fails:
+    # the run still fails with the per-line parser's error and writes nothing
+    n_t, d_t = load_model_set(corpus / "model.json").models[0][1].X.shape
+    block = hfa.core._row_blocks(n_t, 10**6)[0][1]
+    rows = 3 * block + 10
+    query = _query(tmp_path, rows, d_t)
+    lines = query.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[rows - 2].split(",")
+    fields[field] = token
+    lines[rows - 2] = ",".join(fields)
+    query.write_text("".join(lines), encoding="utf-8", newline="")
+    out = tmp_path / "preds.csv"
+    assert len(hfa.core._row_blocks(n_t, rows)) == 3
+    assert main(["predict", "--model", str(corpus / "model.json"), "--target", str(query), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {query}:{rows - 1}: {message}\n"
+    assert not out.exists() and not list(tmp_path.glob("*.part"))
+
+
+def test_standardized_predict_streams_byte_identically(corpus, tmp_path):
+    (tmp_path / "std.cfg").write_text("data.standardize = true\n", encoding="utf-8")
+    model = tmp_path / "std.json"
+    assert main(["train", "--config", str(tmp_path / "std.cfg"), "--source", str(corpus / "source.csv"),
+                 "--target", str(corpus / "target.csv"), "--out", str(model)]) == 0
+    ms = load_model_set(model)
+    n_t, d_t = ms.models[0][1].X.shape
+    rows = 5 * hfa.core._row_blocks(n_t, 10**6)[0][1] // 2
+    query, out = _query(tmp_path, rows, d_t), tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(model), "--target", str(query), "--out", str(out)]) == 0
+    assert out.read_bytes() == _joined_predictions(ms, load_dense_csv(query).X)
+
+
+def test_predict_checks_width_before_reading_rows(corpus, tmp_path, capsys):
+    # a query of the wrong width whose first row is also malformed fails on
+    # the width, which the header gives before any row is read
+    query = tmp_path / "query.csv"
+    query.write_text("label,f0,f1\n1,x,2\n", encoding="utf-8")
+    model = corpus / "model.json"
+    assert main(["predict", "--model", str(model), "--target", str(query), "--out", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {query} has 2 features, model {model} expects target dimension 8\n"
 
 
 def _with_standardize(corpus, tmp_path, params):

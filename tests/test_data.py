@@ -111,6 +111,12 @@ def test_dense_csv_header_only_gives_empty_dataset(tmp_path):
         ("label,f0\nabc,2\n", 2, "not an integer"),
         ("label,f0\n-1,2\n", 2, "negative label"),
         ("label,f0\n1,two\n", 2, "non-numeric"),
+        # non-finite values: numpy reads 1e400 as inf and hands the file to
+        # the per-line parser, which names the value; nan is not plain bytes
+        ("label,f0\n1,2\n1,1e400\n", 3, "non-finite feature value '1e400'"),
+        pytest.param("label,f0\n" + "1,2\n" * 300 + "1,-1e400\n", 302, "non-finite feature value '-1e400'",
+                     id="-1e400 in the second block"),
+        ("label,f0,f1\n1,2,3\n1,4,nan\n", 3, "non-finite feature value 'nan'"),
     ],
 )
 def test_dense_csv_errors_name_the_line(tmp_path, text, line, fragment):
@@ -286,6 +292,8 @@ def test_sparse_skips_blank_lines(tmp_path):
         ("1 1:1.0\n#dim 5\n", 2, "unknown directive"),
         ("#wat\n", 1, "unknown directive"),
         ("1\n", 1, "no dimension"),
+        ("1 1:2.0\n2 1:1.0 2:1e400\n", 2, "non-finite feature value in '2:1e400'"),
+        ("1 1:inf\n", 1, "non-finite feature value in '1:inf'"),
     ],
 )
 def test_sparse_errors_name_the_line(tmp_path, text, line, fragment):

@@ -4,6 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from hfa.core import _row_blocks
+from hfa.data import SyntheticSpec
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))  # output_diff imports bench_pairs from its own directory
 _spec = importlib.util.spec_from_file_location("output_diff", TOOLS / "output_diff.py")
@@ -40,6 +43,16 @@ def test_compare_fixed_records(tmp_path):
 
 def test_commands_cover_every_train_and_its_predict():
     names = [name for name, _, _ in output_diff.COMMANDS]
-    assert names[0] == "generate" and len(names) == len(set(names)) == 14
+    assert names[0] == "generate" and len(names) == len(set(names)) == 15
     for train in (n for n in names if n.startswith("train-")):
         assert "predict-" + train[len("train-"):] in names
+
+
+def test_block_predict_query_spans_three_row_blocks():
+    # predict-standardize-blocks scores the synthetic-keys target file with
+    # the model trained on the default target rows: of its width, and long
+    # enough for 3 of predict's row blocks
+    spec = SyntheticSpec()
+    rows = output_diff.SYNTHETIC["num_classes"] * output_diff.SYNTHETIC["target_per_class"]
+    assert output_diff.SYNTHETIC["d_t"] == spec.d_t
+    assert len(_row_blocks(spec.num_classes * spec.target_per_class, rows)) >= 3

@@ -43,9 +43,11 @@ EXPERIMENTS = {
 }
 
 # every synthetic.* key, with an odd class count, so the fixed latent
-# geometry is compared beyond the defaults, the class alone at the origin too
-SYNTHETIC = {"latent_dim": 4, "num_classes": 5, "d_s": 9, "d_t": 6, "seed": 11,
-             "source_per_class": 12, "target_per_class": 7}
+# geometry is compared beyond the defaults, the class alone at the origin too.
+# Its target file is also a query for the standardize model: of that model's
+# width, d_t = 20, and 800 rows, 3 of predict's row blocks over its 300 target rows
+SYNTHETIC = {"latent_dim": 4, "num_classes": 5, "d_s": 9, "d_t": 20, "seed": 11,
+             "source_per_class": 12, "target_per_class": 160}
 
 # (record name, hfa arguments, output files), run in this order
 COMMANDS = (
@@ -57,6 +59,8 @@ COMMANDS = (
     + [(f"predict-{name}", ["predict", "--model", f"{name}.json", "--target", "target.csv",
                             "--out", f"{name}.csv"], [f"{name}.csv"])
        for name in TRAINS]
+    + [("predict-standardize-blocks", ["predict", "--model", "standardize.json", "--target", "gen-target.csv",
+                                       "--out", "standardize-blocks.csv"], ["standardize-blocks.csv"])]
     + [(f"{name}{suffix}", ["experiment", *DATA, *flags, *config, "--out", f"{name}{suffix}.txt"],
         [f"{name}{suffix}.txt"])
        for name, flags in EXPERIMENTS.items()
