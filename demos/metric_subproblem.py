@@ -23,7 +23,6 @@ import numpy as np
 
 from hfa.core import HfaConfig, prepare_kernels
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
-from hfa.linalg import symmetrize
 from hfa.metric import initial_metric
 from hfa.svm import solve_dual
 
@@ -42,7 +41,8 @@ C, lam = cfg.C, cfg.lam
 def solve(H, warm=None):
     U = M @ H.atoms.T
     # the product (U * w) @ U' need not be exactly symmetric, as solve_dual requires
-    K = symmetrize(base + H.scale * M + (U * H.weights) @ U.T)
+    K = base + H.scale * M + (U * H.weights) @ U.T
+    K = 0.5 * (K + K.T)
     return solve_dual(K, y, C, 1e-9, warm_start=warm)
 
 

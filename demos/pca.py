@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa import Dataset
-from hfa.linalg import symmetrize
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,8 @@ def pca_fit_transform(dataset: Dataset, energy: float) -> tuple[Dataset, PcaBasi
         raise ValueError("PCA needs at least 2 samples")
     mean = dataset.X.mean(axis=0)
     Xc = dataset.X - mean
-    cov = symmetrize(Xc.T @ Xc / (n - 1))
+    cov = Xc.T @ Xc / (n - 1)
+    cov = 0.5 * (cov + cov.T)
     w, V = np.linalg.eigh(cov)
     w, V = w[::-1], V[:, ::-1]  # descending
     cutoff = (w[0] if w[0] > 0 else 0.0) * 1e-12

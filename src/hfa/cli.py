@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import HfaConfig, _row_blocks
+from hfa.core import HfaConfig, _decision_columns, _row_blocks
 from hfa.data import (
     Dataset,
     SyntheticSpec,
@@ -35,7 +35,7 @@ from hfa.data import (
     standardize_apply,
     standardize_pair,
 )
-from hfa.evaluate import _check_feasible, decision_matrix, render_report, run_experiment, train_multiclass
+from hfa.evaluate import _check_feasible, _model_columns, render_report, run_experiment, train_multiclass
 from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
@@ -252,14 +252,15 @@ def _target_standardization(metadata: dict, path, d_t: int) -> tuple[np.ndarray,
     return vectors[0], vectors[1]
 
 
-def _write_predictions(fh, models, blocks, standardize) -> None:
+def _write_predictions(fh, classes, expansions, blocks, standardize) -> None:
     """Score each (start, X) block of query rows, first standardized by the
-    (mean, scale) pair standardize unless it is None, and write its CSV
-    lines, numbered from start; the header line goes with the block at 0."""
+    (mean, scale) pair standardize unless it is None, by the model set of
+    hfa.evaluate._model_columns, and write its CSV lines, numbered from
+    start; the header line goes with the block at 0."""
     for start, X in blocks:
         if standardize is not None:
             X = standardize_apply(X, *standardize)
-        classes, scores = decision_matrix(models, X)
+        scores = _decision_columns(expansions, X)
         if start == 0:
             fh.write("row,predicted_class," + ",".join(f"score_class{c}" for c in classes) + "\n")
         predicted = classes[np.argmax(scores, axis=1)].tolist()
@@ -277,8 +278,8 @@ def cmd_predict(cfg: CliConfig) -> None:
     model_path = _require_path(cfg.model, "--model")
     model_set = load_model_set(model_path)
     query = _require_path(cfg.target, "--target")
-    models = list(model_set.models)
-    n_t, d_t = models[0][1].X.shape
+    classes, expansions = _model_columns(model_set.models)
+    n_t, d_t = expansions[0].X.shape
 
     def checked(dim: int):
         """The width check, then the model's (mean, scale) standardization or None."""
@@ -303,14 +304,14 @@ def cmd_predict(cfg: CliConfig) -> None:
             if X is None:
                 try:
                     blocks = _plain_blocks(Path(query), dim, _row_blocks(n_t, lines))
-                    _write_predictions(fh, models, ((start, rows) for start, rows, _ in blocks), standardize)
+                    _write_predictions(fh, classes, expansions, ((s, rows) for s, rows, _ in blocks), standardize)
                     return
                 except _NotPlain:
                     fh.seek(0)
                     fh.truncate()
             rows = X if X is not None else _load_dataset(query, training=False).X
             blocks = ((start, rows[start:stop]) for start, stop in _row_blocks(n_t, len(rows)))
-            _write_predictions(fh, models, blocks, standardize)
+            _write_predictions(fh, classes, expansions, blocks, standardize)
 
     out = cfg.out if cfg.out is not None else "predictions.csv"
     _atomic(out, write)

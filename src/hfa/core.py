@@ -27,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from hfa.data import Dataset
-from hfa.linalg import KernelSpec, cross_gram, gram_matrix, median_heuristic_gamma
+from hfa.linalg import KernelSpec, cross_gram, kernel_gram
 from hfa.metric import TransformMetric, initial_metric
 from hfa.svm import DegenerateProblemError, DualSolution, solve_dual
 
 # most halvings of a Frank-Wolfe step (600 random small problems needed 17)
 _MAX_HALVINGS = 60
+# float64 machine epsilon
+_EPS = float(np.finfo(float).eps)
 # bytes of one n_t x rows float64 cross-kernel block when scoring query
 # rows: prediction memory is bounded by a block, not by the query's length
 _BLOCK_BYTES = 1 << 18
@@ -98,11 +100,7 @@ def _domain_gram(cfg: HfaConfig, X: np.ndarray, domain: str) -> tuple[KernelSpec
     and a remedy: standardizing, unless cfg.standardize already asks for it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if cfg.kernel_family == "linear":
-                spec = KernelSpec("linear")
-            else:
-                spec = KernelSpec("rbf", median_heuristic_gamma(X) if cfg.kernel_gamma is None else cfg.kernel_gamma)
-            return spec, gram_matrix(spec, X)
+            return kernel_gram(cfg.kernel_family, cfg.kernel_gamma, X)
     except FloatingPointError:
         remedy = "rescale them" if cfg.standardize else "rescale them or set data.standardize = true"
         raise ValueError(f"{domain} features overflow the {cfg.kernel_family} kernel: {remedy}") from None
@@ -112,6 +110,16 @@ def prepare_kernels(source_X: np.ndarray, target_X: np.ndarray, cfg: HfaConfig):
     """((spec_s, Ks), (spec_t, Kt)): each domain's kernel and Gram from _domain_gram,
     which every model on the same rows shares; nothing joins them (see _alternate)."""
     return _domain_gram(cfg, source_X, "source"), _domain_gram(cfg, target_X, "target")
+
+
+def _check_kernels(kernels, n_s: int, n_t: int) -> None:
+    """Raise ValueError unless a caller's Grams have orders n_s and n_t and are finite and exactly symmetric."""
+    (_, Ks), (_, Kt) = kernels
+    if Ks.shape != (n_s, n_s) or Kt.shape != (n_t, n_t):
+        raise ValueError("precomputed kernels do not match the training sample counts")
+    for domain, K in (("source", Ks), ("target", Kt)):
+        if not (np.all(np.isfinite(K)) and np.array_equal(K, K.T)):
+            raise ValueError(f"the {domain} Gram must be finite and exactly symmetric")
 
 
 def _validate_binary_pair(source: Dataset, target: Dataset) -> None:
@@ -184,6 +192,11 @@ def _alternate(Ks: np.ndarray, Kt: np.ndarray, order: int, y: np.ndarray, cfg: H
         V[n_s:, n_s:] += Kt
         return V
 
+    # beta'M beta rounds at n eps (|beta|'r)^2 with r = sqrt(diag M), as
+    # |M_ij| <= r_i r_j for PSD M; a beta whose value is below that has v = 0
+    # up to round-off, and scaling it to c'Mc = 1 would blow noise up into an
+    # atom
+    root_diag = np.sqrt(np.abs(np.concatenate([np.diagonal(Ks), np.diagonal(Kt)])))
     K = (1.0 + lam / order) * vertex(np.zeros(len(y)))
     sol = solve_dual(K, y, cfg.C)
     lower = -np.inf
@@ -237,7 +250,7 @@ def _alternate(Ks: np.ndarray, Kt: np.ndarray, order: int, y: np.ndarray, cfg: H
                 sol = solve_dual(K, y, cfg.C, warm_start=sol.alpha)
         m = gram(sol.beta)
         norm2 = float(sol.beta @ m)
-        if norm2 > 0.0:
+        if norm2 > len(y) * _EPS * float(np.abs(sol.beta) @ root_diag) ** 2:
             c = sol.beta / np.sqrt(norm2)
         else:  # v = 0, so M beta = 0 up to round-off: no direction, and slope 0
             c = m = np.zeros_like(m)
@@ -358,8 +371,9 @@ def hfa_train(
     kernels : ((KernelSpec, ndarray), (KernelSpec, ndarray)), optional
         prepare_kernels's pair, shared by several relabelings of the same
         samples (one-vs-rest). Each Gram must have its domain's sample count
-        as its order and be finite and exactly symmetric (both checked here),
-        as the trainer builds its working kernels from them unchecked.
+        as its order and be finite and exactly symmetric, as the trainer
+        builds its working kernels from them unchecked: a pair given here is
+        checked once, and one built here is checked where it is built.
     monitor : callable, optional
         monitor(iteration, metric, step), called once per outer iteration
         including the initial solve, after its step. step is an OuterStep:
@@ -371,16 +385,18 @@ def hfa_train(
     -------
     HfaModel
     """
+    if kernels is not None:
+        _check_kernels(kernels, len(source), len(target))
+    return _train_binary(source, target, cfg, kernels, monitor)
+
+
+def _train_binary(source: Dataset, target: Dataset, cfg: HfaConfig, kernels, monitor) -> HfaModel:
+    """hfa_train, its kernels None (built here) or a pair _check_kernels passed."""
     _validate_binary_pair(source, target)
-    n_s, n_t = len(source), len(target)
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
     (_, Ks), (spec_t, Kt) = kernels
-    if Ks.shape != (n_s, n_s) or Kt.shape != (n_t, n_t):
-        raise ValueError("precomputed kernels do not match the training sample counts")
-    for domain, K in (("source", Ks), ("target", Kt)):
-        if not (np.all(np.isfinite(K)) and np.array_equal(K, K.T)):
-            raise ValueError(f"the {domain} Gram must be finite and exactly symmetric")
+    n_s = len(source)
     y = np.concatenate([source.y, target.y]).astype(float)
     metric, sol, m, trace, gap = _alternate(Ks, Kt, len(y), y, cfg, monitor)
     # H v = L g, and the target rows of L'L g are Kt g_t

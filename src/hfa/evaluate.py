@@ -17,10 +17,11 @@ from hfa.core import (
     HfaConfig,
     HfaModel,
     KernelExpansion,
+    _check_kernels,
     _check_shared,
     _decision_columns,
     _domain_gram,
-    hfa_train,
+    _train_binary,
     prepare_kernels,
 )
 from hfa.data import Dataset, sample_protocol, standardize_apply, standardize_pair
@@ -53,7 +54,8 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
         hfa_train's monitor, for every class in turn.
     kernels : ((KernelSpec, ndarray), (KernelSpec, ndarray)), optional
         The pair of (kernel, Gram) that prepare_kernels returns, as
-        hfa_train takes it; built here when not given.
+        hfa_train takes it; built here when not given. A pair given here is
+        checked once, before any class trains, not once per class.
 
     Returns
     -------
@@ -66,10 +68,9 @@ def train_multiclass(source: Dataset, target: Dataset, cfg: HfaConfig = HfaConfi
     classes = sorted(source.class_counts().keys() | present.keys())
     if kernels is None:
         kernels = prepare_kernels(source.X, target.X, cfg)
-    return [
-        (c, hfa_train(source.binary_view(c), target.binary_view(c), cfg, kernels=kernels, monitor=monitor))
-        for c in classes
-    ]
+    else:
+        _check_kernels(kernels, len(source), len(target))
+    return [(c, _train_binary(source.binary_view(c), target.binary_view(c), cfg, kernels, monitor)) for c in classes]
 
 
 def svm_t_baseline(target: Dataset, cfg: HfaConfig = HfaConfig(),
@@ -104,11 +105,17 @@ def decision_matrix(models, X) -> tuple[np.ndarray, np.ndarray]:
     from the loop its decision_function runs, so scores are bit-identical
     to per-model calls.
     """
+    classes, expansions = _model_columns(models)
+    return classes, _decision_columns(expansions, X)
+
+
+def _model_columns(models) -> tuple[np.ndarray, list[KernelExpansion]]:
+    """decision_matrix's models sorted by class and checked: (classes, their expansions)."""
     if not models:
         raise ValueError("model list must be nonempty")
     models = sorted(models, key=lambda cm: cm[0])
     _check_shared(models)
-    return np.array([c for c, _ in models]), _decision_columns([e for _, e in models], X)
+    return np.array([c for c, _ in models]), [e for _, e in models]
 
 
 def accuracy(models, test: Dataset) -> float:

@@ -1,8 +1,10 @@
-"""Kernel Gram blocks and symmetrization.
+"""Kernels: a domain's checked Gram and rectangular cross-kernel blocks.
 
-Everything here works on dense float64 arrays. gram_matrix symmetrizes
-its Gram as (M + M') / 2 and checks it finite before returning, so the
-trainer builds its working kernels from it with no further check.
+Everything here works on dense float64 arrays. kernel_gram builds each
+domain's Gram from one distance array and checks it finite and exactly
+symmetric where it is built, so the trainer builds its working kernels
+from it with no further check (hfa.core checks a Gram pair that a caller
+hands in, once per training call).
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import numpy as np
 
 __all__ = [
     "KernelSpec",
-    "gram_matrix",
+    "kernel_gram",
     "cross_gram",
-    "median_heuristic_gamma",
-    "symmetrize",
 ]
 
 
@@ -50,28 +50,32 @@ def _as_sample_matrix(X) -> np.ndarray:
     return X
 
 
-def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Gram matrix of row samples X under spec, returned symmetrized.
+def kernel_gram(family: str, gamma: float | None, X) -> tuple[KernelSpec, np.ndarray]:
+    """(KernelSpec, Gram) of row samples X (n >= 1) for a kernel family,
+    from one distance array. For rbf, gamma None takes the median rule from
+    the same distances: 1 / median(||x_i - x_j||^2) over distinct pairs, or
+    1.0 when that is not positive (one sample, or all coincident).
 
-    Parameters
-    ----------
-    spec : KernelSpec
-    X : array_like, shape (n, d)
-        One sample per row, n >= 1.
-
-    Returns
-    -------
-    ndarray, shape (n, n)
-        Finite and exactly symmetric, as solve_dual requires; PSD up to
-        round-off; rbf entries lie in (0, 1]. A linear kernel on features
-        large enough to overflow (above about 1e154) raises ValueError.
+    X is copied to C-contiguous rows first, so that X @ X.T is one symmetric
+    product; the loaders, Dataset.subset, standardize_apply and
+    generate_synthetic all give such rows. The Gram is then checked finite
+    and exactly symmetric, as solve_dual requires; rbf entries lie in
+    (0, 1]. A linear kernel on features above about 1e154 overflows.
     """
-    X = _as_sample_matrix(X)
+    X = np.ascontiguousarray(_as_sample_matrix(X))
     if X.shape[0] == 0:
         raise ValueError("empty sample set")
-    K = symmetrize(cross_gram(spec, X, X))
-    _check_finite(K)
-    return K
+    if family == "linear":
+        spec, K = KernelSpec("linear"), X @ X.T
+    else:
+        d2 = _sq_dists(X, X)
+        spec = KernelSpec(family, _median_gamma(d2) if gamma is None else gamma)
+        K = _rbf(d2, spec.gamma)
+    if not np.all(np.isfinite(K)):
+        raise ValueError("Gram has non-finite entries")
+    if not np.array_equal(K, K.T):
+        raise ValueError("Gram is not exactly symmetric")
+    return spec, K
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -85,65 +89,43 @@ def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _rbf(d2: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * max(d2, 0)), computed in d2's own array."""
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
+
+
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     """Rectangular kernel block k(x_i, z_j), shape (len(X), len(Z))."""
-    X = _as_sample_matrix(X)
-    Z = _as_sample_matrix(Z)
+    X, Z = _as_sample_matrix(X), _as_sample_matrix(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch {X.shape[1]} vs {Z.shape[1]}")
     if spec.family == "linear":
         return X @ Z.T
-    d2 = _sq_dists(X, Z)
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -spec.gamma
-    return np.exp(d2, out=d2)
+    return _rbf(_sq_dists(X, Z), spec.gamma)
 
 
-def median_heuristic_gamma(X) -> float:
-    """Bandwidth 1 / median(||x_i - x_j||^2) over distinct pairs.
-
-    Falls back to 1.0 when the median is not positive (all points
-    coincident or a single sample).
-    """
-    X = _as_sample_matrix(X)
-    n = X.shape[0]
-    if n < 2:
-        return 1.0
-    pairs = _sq_dists(X, X)[np.triu_indices(n, k=1)]
-    med = _median(pairs)
-    if med <= 0.0:
-        return 1.0
-    return 1.0 / med
+def _median_gamma(d2: np.ndarray) -> float:
+    """The median rule's bandwidth from the n x n squared distances d2: 1 /
+    the median of its strict upper triangle, or 1.0 when that median is not
+    positive (n < 2, or all points coincident)."""
+    rows = np.arange(len(d2))
+    med = _median(d2[rows[:, None] < rows]) if len(d2) > 1 else 0.0  # the distinct pairs, row by row
+    return 1.0 if med <= 0.0 else 1.0 / med
 
 
 def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-D float array, bit for bit.
+    """np.median of a non-empty 1-D float array, bit for bit; partitions
+    values in place.
 
     The same partition and np.mean as np.median, with its NaN check done
     here: np.median's own check imports numpy.ma (about 13 ms) on first use.
     """
     n = values.size
     half = n // 2
-    kth = [half, -1] if n % 2 else [half - 1, half, -1]
-    part = np.partition(values, kth)
+    values.partition([half, -1] if n % 2 else [half - 1, half, -1])
     # NaN sorts last, so a NaN anywhere lands in the last slot
-    if np.isnan(part[-1]):
-        return float(part[-1])
-    return float(np.mean(part[half - 1 + n % 2 : half + 1]))
-
-
-def symmetrize(M) -> np.ndarray:
-    """(M + M') / 2."""
-    M = np.asarray(M, dtype=float)
-    _check_square(M)
-    return 0.5 * (M + M.T)
-
-
-def _check_square(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-
-
-def _check_finite(M: np.ndarray) -> None:
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
+    if np.isnan(values[-1]):
+        return float(values[-1])
+    return float(np.mean(values[half - 1 + n % 2 : half + 1]))

@@ -13,10 +13,10 @@ Smola & Murty, ICML 2003), solved through a Cholesky factor of the free
 kernel block, with a min-norm eigendecomposition only for a block that is
 singular or near it. solve_dual is the one entry. It checks its
 labels and box bound on every call, but takes K as given: the code that
-builds a kernel makes it finite and exactly symmetric (gram_matrix checks
-each domain Gram, hfa_train checks the Grams it is handed, and the
-trainer's working kernels are exactly symmetric by construction), so no
-solve pays for an n x n scan or copy.
+builds a kernel makes it finite and exactly symmetric (kernel_gram checks
+each domain Gram, hfa_train and train_multiclass a caller's pair once per
+call, and the trainer's working kernels are exactly symmetric by
+construction), so no solve pays for an n x n scan or copy.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ import numpy as np
 import hfa.core
 from hfa.core import HfaConfig, _validate_binary_pair
 from hfa.data import Dataset
-from hfa.linalg import symmetrize
 from hfa.metric import TransformMetric
+from gram_oracle import symmetrize
 
 
 def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:

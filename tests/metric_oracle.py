@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfa.linalg import KernelSpec, _check_finite, _check_square, symmetrize
+from hfa.linalg import KernelSpec
 from hfa.metric import TransformMetric
+from gram_oracle import check_finite, check_square, symmetrize
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
         M ~= V @ diag(w) @ V.T.
     """
     M = np.asarray(M, dtype=float)
-    _check_square(M)
-    _check_finite(M)
+    check_square(M)
+    check_finite(M)
     w, V = np.linalg.eigh(symmetrize(M))
     return w[::-1], V[:, ::-1]
 

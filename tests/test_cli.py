@@ -769,7 +769,7 @@ def test_protocol_and_seed_values_checked_as_read(corpus, tmp_path, capsys, comm
 ])
 def test_experiment_checks_every_size_before_training(corpus, tmp_path, capsys, sizes, message):
     out = tmp_path / "report.txt"
-    with mock.patch("hfa.evaluate.hfa_train", side_effect=AssertionError("trained")):
+    with mock.patch("hfa.evaluate._train_binary", side_effect=AssertionError("trained")):
         code = main(["experiment", "--source", str(corpus / "source.csv"), "--target", str(corpus / "target.csv"),
                      "--per-class-target", sizes, "--trials", "1", "--out", str(out)])
     assert code == 1

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import hfa.core
+import hfa.evaluate
+import hfa.linalg
 from hfa.core import HfaConfig, hfa_train, prepare_kernels, _domain_gram
 from hfa.data import Dataset
-from hfa.evaluate import svm_t_baseline
-from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
+from hfa.evaluate import svm_t_baseline, train_multiclass
+from hfa.linalg import KernelSpec
 from hfa.metric import TransformMetric
 from linear_oracle import (
     _block_diag,
@@ -20,6 +22,7 @@ from linear_oracle import (
     build_KH_linear,
     linear_factors,
 )
+from gram_oracle import gram_matrix, median_heuristic_gamma, old_domain_gram
 from metric_oracle import DenseMetric, gram_root, lifted, unit_atoms
 
 
@@ -210,16 +213,19 @@ def test_prepare_kernels_contract():
 @pytest.mark.parametrize("family", ["rbf", "linear"])
 def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
     # the metric reads each Gram itself, so neither arm decomposes it, and a
-    # standalone target-only baseline builds its one Gram and nothing else
+    # standalone target-only baseline builds its one Gram and nothing else;
+    # the rbf median rule and Gram read one _sq_dists(X, X) per domain
     rng = np.random.default_rng(12)
     Xs, Xt = rng.standard_normal((14, 3)), rng.standard_normal((11, 4))
     cfg = HfaConfig(kernel_family=family)
     target = Dataset(Xt, np.arange(11) % 3)
-    eigh, gram_matrix_ = np.linalg.eigh, hfa.core.gram_matrix
+    eigh, kernel_gram, sq_dists = np.linalg.eigh, hfa.core.kernel_gram, hfa.linalg._sq_dists
     with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy, \
-            mock.patch.object(hfa.core, "gram_matrix", side_effect=gram_matrix_) as grams_built:
+            mock.patch.object(hfa.core, "kernel_gram", side_effect=kernel_gram) as grams_built, \
+            mock.patch.object(hfa.linalg, "_sq_dists", side_effect=sq_dists) as dists:
         prepare_kernels(Xs, Xt, cfg)
-        assert (spy.call_count, grams_built.call_count) == (0, 2)
+        assert (spy.call_count, grams_built.call_count, dists.call_count) == (0, 2, 2 if family == "rbf" else 0)
+        assert all(X is Z for X, Z in (call.args for call in dists.call_args_list))
         grams_built.reset_mock()
         svm_t_baseline(target, cfg)
     # the SMO solves may take Newton steps (eigh inside hfa.svm), so the
@@ -227,25 +233,32 @@ def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
     assert grams_built.call_count == 1
 
 
-def train_on(kernels):
-    """hfa_train on a 4-row source and 3-row target pair handed these kernels;
-    both refuse before anything reads the rows."""
-    source = Dataset(np.zeros((4, 3)), np.array([1, -1, 1, -1]))
-    target = Dataset(np.zeros((3, 4)), np.array([1, -1, 1]))
-    return hfa_train(source, target, HfaConfig(), kernels=kernels)
+def refusals(kernels) -> list[str]:
+    """The errors of hfa_train and of train_multiclass on a 4-row source and
+    3-row target pair handed these kernels. Both must refuse before any
+    class trains, so their monitor is never called."""
+    source = Dataset(np.zeros((4, 3)), np.array([1, 0, 1, 0]))
+    target = Dataset(np.zeros((3, 4)), np.array([1, 0, 1]))
+    steps, errors = [], []
+    for train in (lambda **k: hfa_train(source.binary_view(1), target.binary_view(1), **k),
+                  lambda **k: train_multiclass(source, target, **k)):
+        with pytest.raises(ValueError) as refused:
+            train(cfg=HfaConfig(), kernels=kernels, monitor=lambda *step: steps.append(step))
+        errors.append(str(refused.value))
+    assert steps == []
+    return errors
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("domain", ["source", "target"])
 def test_non_finite_domain_gram_fails_fast(domain, value):
     # the trainer builds working kernels from the two Grams unchecked, so
-    # hfa_train refuses a non-finite one
+    # hfa_train and train_multiclass refuse a non-finite one
     Ks, Kt, _ = grams(np.random.default_rng(4), 4, 3)
     bad = (Ks if domain == "source" else Kt).copy()
     bad[1, 2] = bad[2, 1] = value
     kernels = ((None, bad), (None, Kt)) if domain == "source" else ((None, Ks), (None, bad))
-    with pytest.raises(ValueError, match=f"the {domain} Gram must be finite and exactly symmetric"):
-        train_on(kernels)
+    assert refusals(kernels) == [f"the {domain} Gram must be finite and exactly symmetric"] * 2
 
 
 @pytest.mark.parametrize("domain", ["source", "target"])
@@ -254,6 +267,42 @@ def test_asymmetric_domain_gram_fails_fast(domain):
     bad = (Ks if domain == "source" else Kt).copy()
     bad[0, 1] = np.nextafter(bad[0, 1], np.inf)
     kernels = ((None, bad), (None, Kt)) if domain == "source" else ((None, Ks), (None, bad))
-    with pytest.raises(ValueError, match=f"the {domain} Gram must be finite and exactly symmetric"):
-        train_on(kernels)
+    assert refusals(kernels) == [f"the {domain} Gram must be finite and exactly symmetric"] * 2
+
+
+def test_a_given_gram_pair_is_checked_once_per_call():
+    # the classes share one pair, checked before the first trains; a pair
+    # built by prepare_kernels was checked where it was built
+    rng = np.random.default_rng(6)
+    source = Dataset(rng.standard_normal((9, 3)), np.arange(9) % 3)
+    target = Dataset(rng.standard_normal((6, 4)), np.arange(6) % 3)
+    cfg = HfaConfig(t_max=2)
+    kernels = prepare_kernels(source.X, target.X, cfg)
+    with mock.patch.object(hfa.evaluate, "_check_kernels", side_effect=hfa.core._check_kernels) as checked:
+        train_multiclass(source, target, cfg, kernels=kernels)
+        assert checked.call_count == 1
+        train_multiclass(source, target, cfg)
+        assert checked.call_count == 1
+    with mock.patch.object(hfa.core, "_check_kernels", side_effect=hfa.core._check_kernels) as checked:
+        hfa_train(source.binary_view(0), target.binary_view(0), cfg, kernels=kernels)
+        hfa_train(source.binary_view(0), target.binary_view(0), cfg)
+    assert checked.call_count == 1
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+@pytest.mark.parametrize("X", [
+    np.random.default_rng(8).standard_normal((1, 4)),
+    np.random.default_rng(9).standard_normal((2, 3)),
+    np.ones((6, 5)),  # coincident rows: the median is 0, so gamma falls back to 1.0
+    np.random.default_rng(10).standard_normal((72, 20)),
+    np.random.default_rng(11).standard_normal((660, 30)),
+], ids=["n1", "n2", "coincident", "n72", "n660"])
+def test_domain_grams_keep_the_old_routes_bits(family, X):
+    # one distance array gives the same gamma and Gram, bit for bit, as the
+    # two of the route before it, with its product symmetrized
+    old_spec, old_K = old_domain_gram(family, X)
+    for spec, K in prepare_kernels(X, X, HfaConfig(kernel_family=family)):
+        assert repr(spec) == repr(old_spec)  # a float's repr round-trips its bits
+        assert K.tobytes() == old_K.tobytes()
+    assert family == "linear" or (spec.gamma == 1.0) == (len(np.unique(X, axis=0)) == 1)
 

@@ -25,8 +25,9 @@ from hfa.evaluate import (
     svm_t_baseline,
     train_multiclass,
 )
-from hfa.linalg import KernelSpec, cross_gram, gram_matrix
+from hfa.linalg import KernelSpec, cross_gram
 from hfa.svm import solve_dual
+from gram_oracle import gram_matrix
 
 
 def constant_model(score, dim=3):
@@ -283,7 +284,7 @@ def test_run_experiment_infeasible_before_training(monkeypatch):
     source, target = tiny_pools(seed=4)
     calls = []
     import hfa.evaluate as ev
-    monkeypatch.setattr(ev, "hfa_train", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(ev, "_train_binary", lambda *a, **k: calls.append(1))
     with pytest.raises(ValueError, match="target class"):
         run_experiment(source, target, FAST, per_class_target=100, trials=2, base_seed=0)
     with pytest.raises(ValueError, match="held-out"):
@@ -345,8 +346,8 @@ def test_run_experiment_factors_each_domain_once(monkeypatch, per_class_source, 
     # every trial trains on whole has its Gram built once per experiment
     source, target = tiny_pools(seed=4)
     cfg = HfaConfig(t_max=4, standardize=standardize)
-    rows, gram_matrix_ = [], hfa.core.gram_matrix
-    monkeypatch.setattr(hfa.core, "gram_matrix", lambda spec, X: rows.append(len(X)) or gram_matrix_(spec, X))
+    rows, kernel_gram = [], hfa.core.kernel_gram
+    monkeypatch.setattr(hfa.core, "kernel_gram", lambda *args: rows.append(len(args[-1])) or kernel_gram(*args))
     run = run_experiment(source, target, cfg, per_class_target=3, trials=3, base_seed=0,
                          per_class_source=per_class_source)
     # 3 target rows per class over 3 classes; the source has 5 or 12 per class

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from hfa.linalg import (
-    KernelSpec,
-    _median,
-    cross_gram,
-    gram_matrix,
-    median_heuristic_gamma,
-    symmetrize,
-)
+import hfa.linalg
+from hfa.linalg import KernelSpec, _median, cross_gram, kernel_gram
+from gram_oracle import gram_matrix, median_heuristic_gamma, symmetrize
 from metric_oracle import frobenius_inner, kernel_value, psd_project, sym_eigen, trace_cap
 
 
@@ -64,7 +59,7 @@ def test_gram_matrix_matches_pairwise_loop():
         assert_allclose(K, brute, atol=1e-12)
         assert np.array_equal(K, K.T)
         # at this size a column-strided view gives a product that is not
-        # exactly symmetric until gram_matrix symmetrizes it
+        # exactly symmetric; kernel_gram copies it to C-contiguous rows first
         strided = gram_matrix(spec, rng.standard_normal((660, 8))[:, ::2])
         assert np.array_equal(strided, strided.T)
 
@@ -88,6 +83,17 @@ def test_gram_matrix_errors():
     # checked where it is built, since the dual solver does not scan it
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         gram_matrix(KernelSpec("linear"), [[1e200, 1.0], [1.0, -1e200]])
+
+
+def test_kernel_gram_checks_its_symmetry(monkeypatch):
+    # kernel_gram relies on X @ X.T of C-contiguous rows being exactly
+    # symmetric, and checks it rather than assuming it
+    X = np.random.default_rng(3).standard_normal((5, 2))
+    skewed = hfa.linalg._sq_dists(X, X)
+    skewed[0, 1] += 0.5
+    monkeypatch.setattr(hfa.linalg, "_sq_dists", lambda X, Z: skewed.copy())
+    with pytest.raises(ValueError, match="Gram is not exactly symmetric"):
+        kernel_gram("rbf", None, X)
 
 
 def test_cross_gram_matches_pairwise_loop():

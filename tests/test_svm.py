@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from gram_oracle import gram_matrix, median_heuristic_gamma
 from qp_oracle import dual_objectives, project_box_hyperplane, random_problems, solve_qp_batch
 
-from hfa.linalg import KernelSpec, gram_matrix, median_heuristic_gamma
+from hfa.linalg import KernelSpec
 import hfa.svm
 from hfa.svm import DegenerateProblemError, _free_set_step, _newton_direction, solve_dual
 

@@ -11,8 +11,8 @@ import hfa.core
 import hfa.svm
 from hfa.core import HfaConfig, hfa_train, prepare_kernels
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
-from hfa.linalg import symmetrize
 from hfa.svm import DegenerateProblemError, solve_dual
+from gram_oracle import symmetrize
 from linear_oracle import block_gram, build_KH_kernelized, hfa_train_linear, linear_factors
 from metric_oracle import DenseMetric, gram_root, lifted, psd_project, trace_cap
 
@@ -208,6 +208,29 @@ def test_metric_feasible_along_alternation_seed_38():
     cfg = HfaConfig(C=10.0, lam=100.0, kernel_family="linear", t_max=15)
     probe = np.array([-1.64876429, -2.1568037])
     test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "explicit", cfg, probe))
+
+
+def test_metric_feasible_along_alternation_null_direction():
+    # a draw (at full precision; rounded to 8 digits it passes) whose every
+    # dual solution has beta'M beta about 5e-19 of its round-off scale
+    # (|beta|' sqrt(diag M))^2: v = L beta is round-off, and normalizing it
+    # to c'Mc = 1 made an atom of norm 1.3e7 whose energy the factors no
+    # longer reproduce
+    source = Dataset(np.array([
+        [-18.110184472131298, -1.06124173609212], [5.360219604277255, 7.541668372340158],
+        [-16.487296810787853, 8.186445415747638], [0.3503304412628711, -3.8150978408386726],
+        [8.254798404489339, 13.759146839216822], [-5.997114143740962, 4.63780788824274],
+        [-11.392401533271556, -1.8897380315285357], [-4.723821316927237, 5.194484197145202],
+        [10.935830296118631, 19.338008045180914], [-7.2289780221379, -2.911653975575237],
+        [-12.002183868922936, 5.441642478788648],
+    ]), np.array([1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1]))
+    target = Dataset(np.array([[-0.4681259541616219], [-0.7053482043788261]]), np.array([-1, -1]))
+    cfg = HfaConfig(C=1.0, lam=1.0, kernel_family="linear", t_max=15)
+    probe = np.array([-1.494523220658971, -0.1438329688327683, 0.601790036535786, -0.6452583604114266,
+                      -0.25315209669956973, 0.11734009805730006, -1.041910118774318, -1.354767205468071,
+                      1.2342013502370197, 0.49437122454214105, 0.1637641422529544, 0.5832364900395721,
+                      0.6684514794522258])
+    test_metric_feasible_along_alternation.hypothesis.inner_test((source, target, "linear", cfg, probe))
 
 
 def test_halving_loop_ends_when_every_trial_raises_the_objective():
