@@ -16,13 +16,14 @@ value, so P - max L bounds the distance to it. This script checks dP/dt
 at t = 0 against a finite difference, then takes eight steps from the
 scaled identity, the trainer's start point, with the trainer's rule:
 t = 1 unless the slope there is positive, else the better of t = 1 and
-the secant root (hfa.core._alternate also halves t if P would rise).
+the secant root (hfa.evaluate._alternate also halves t if P would rise).
 """
 
 import numpy as np
 
-from hfa.core import HfaConfig, prepare_kernels
+from hfa.core import HfaConfig
 from hfa.data import SyntheticSpec, generate_synthetic, sample_protocol
+from hfa.evaluate import prepare_kernels
 from hfa.metric import initial_metric
 from hfa.svm import solve_dual
 

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hfa.core import HfaConfig, _decision_columns, _row_blocks
+from hfa.core import HfaConfig, _decision_columns, _model_columns, _row_blocks
 from hfa.data import (
     Dataset,
     SyntheticSpec,
     _dense_csv_dim,
+    _name_bad_utf8_line,
     _NotPlain,
     _plain_blocks,
     _plain_body_lines,
@@ -35,7 +36,6 @@ from hfa.data import (
     standardize_apply,
     standardize_pair,
 )
-from hfa.evaluate import _check_feasible, _model_columns, render_report, run_experiment, train_multiclass
 from hfa.model_io import ModelFormatError, _require, _vector, load_model_set, save_model_set
 
 __all__ = ["CliConfig", "main"]
@@ -131,7 +131,7 @@ def _set(cfg: CliConfig, key: str, value) -> CliConfig:
 def load_config_file(path, cfg: CliConfig) -> CliConfig:
     """Apply a flat "key = value" file to cfg; unknown keys are rejected."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with _name_bad_utf8_line(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -183,6 +183,8 @@ def _load_dataset(path, training: bool = True) -> Dataset:
     """Dense CSV for .csv files, the sparse text format otherwise. A training
     file needs a data row; a query file for predict may have none."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"dataset file {path} is a directory")
     if not path.exists():
         raise FileNotFoundError(f"dataset file {path} does not exist")
     data = load_dense_csv(path) if path.suffix.lower() == ".csv" else load_sparse(path)
@@ -220,6 +222,8 @@ def cmd_generate(cfg: CliConfig) -> None:
 
 
 def cmd_train(cfg: CliConfig) -> None:
+    from hfa.evaluate import train_multiclass  # the trainer loads only where it trains
+
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
     out = cfg.out if cfg.out is not None else (cfg.model if cfg.model is not None else "model.json")
@@ -255,8 +259,8 @@ def _target_standardization(metadata: dict, path, d_t: int) -> tuple[np.ndarray,
 def _write_predictions(fh, classes, expansions, blocks, standardize) -> None:
     """Score each (start, X) block of query rows, first standardized by the
     (mean, scale) pair standardize unless it is None, by the model set of
-    hfa.evaluate._model_columns, and write its CSV lines, numbered from
-    start; the header line goes with the block at 0."""
+    hfa.core._model_columns, and write its CSV lines, numbered from start;
+    the header line goes with the block at 0."""
     for start, X in blocks:
         if standardize is not None:
             X = standardize_apply(X, *standardize)
@@ -290,7 +294,7 @@ def cmd_predict(cfg: CliConfig) -> None:
         return None
 
     dim = lines = X = None
-    if Path(query).suffix.lower() == ".csv" and Path(query).exists():
+    if Path(query).suffix.lower() == ".csv" and Path(query).is_file():
         dim = _dense_csv_dim(Path(query))
     if dim is not None:
         standardize = checked(dim)
@@ -319,6 +323,8 @@ def cmd_predict(cfg: CliConfig) -> None:
 
 
 def cmd_experiment(cfg: CliConfig) -> None:
+    from hfa.evaluate import _check_feasible, render_report, run_experiment
+
     source = _load_dataset(_require_path(cfg.source, "--source"))
     target = _load_dataset(_require_path(cfg.target, "--target"))
     for m in cfg.per_class_target:  # every size fits the target pool before the first one trains

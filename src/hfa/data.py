@@ -16,6 +16,7 @@ import csv
 import itertools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,8 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed dataset file; message carries path and line number."""
+    """Malformed dataset file, or an input text file that is not UTF-8;
+    message carries path and line number."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
@@ -88,6 +90,22 @@ class Dataset:
         """Relabel as +1 for positive_class, -1 for everything else."""
         y = np.where(self.y == positive_class, 1, -1)
         return Dataset(self.X, y)
+
+
+@contextmanager
+def _name_bad_utf8_line(path):
+    """Turn a UnicodeDecodeError raised in the block into a ParseError at the
+    first line of path (split at \\n, \\r and \\r\\n) that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        lines = Path(path).read_bytes().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, lineno, f"byte {exc.start + 1} is not UTF-8 text ({exc.reason})") from None
+        raise
 
 
 def _dense_header(path, reader) -> int:
@@ -220,7 +238,7 @@ def _plain_blocks(path, dim: int, bounds):
 def _load_dense_csv_lines(path) -> Dataset:
     """The per-line dense CSV parser: csv.reader and one float() per value."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _name_bad_utf8_line(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         dim = _dense_header(path, reader)
         labels: list[int] = []
@@ -265,7 +283,7 @@ def load_sparse(path) -> Dataset:
     labels: list[int] = []
     entries: list[list[tuple[int, float]]] = []
     max_index = 0
-    with open(path, encoding="utf-8") as fh:
+    with _name_bad_utf8_line(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

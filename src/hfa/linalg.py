@@ -1,10 +1,11 @@
 """Kernels: a domain's checked Gram and rectangular cross-kernel blocks.
 
-Everything here works on dense float64 arrays. kernel_gram builds each
-domain's Gram from one distance array and checks it finite and exactly
-symmetric where it is built, so the trainer builds its working kernels
-from it with no further check (hfa.core checks a Gram pair that a caller
-hands in, once per training call).
+Everything here works on dense float64 arrays, and an rbf Gram or block
+is built in one distance array (_sq_dists). kernel_gram builds each
+domain's Gram and checks it finite and exactly symmetric where it is
+built, so the trainer builds its working kernels from it with no further
+check (hfa.evaluate checks a Gram pair that a caller hands in, once per
+training call).
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# bytes of the chunk of norm sums that _sq_dists holds beside its output;
+# numpy (2.4) adds two broadcast buffers of up to this size each. On the
+# 60 x 512 blocks of the predict benchmark, 8-64 KiB ran within 15% of
+# each other and about 40% under the two-array form in a fresh process
+# (x86-64), and 128 KiB as slowly as that form; 32 KiB keeps a chunk's
+# transient under 0.1 MiB
+_CHUNK_BYTES = 1 << 15
 
 __all__ = [
     "KernelSpec",
@@ -79,13 +88,18 @@ def kernel_gram(family: str, gamma: float | None, X) -> tuple[KernelSpec, np.nda
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """||x_i||^2 + ||z_j||^2 - 2 x_i.z_j, which round-off can leave slightly negative."""
+    """||x_i||^2 + ||z_j||^2 - 2 x_i.z_j, which round-off can leave slightly
+    negative, in one array: 2 X Z' is subtracted in place, a chunk of rows
+    at a time, from the sums of squared norms. Each entry rounds as
+    fl(fl(sx_i + sz_j) - 2 c_ij), as with both terms held whole."""
     sx = np.einsum("ij,ij->i", X, X)
     sz = np.einsum("ij,ij->i", Z, Z)
-    cross = X @ Z.T
-    cross *= 2.0
-    d2 = sx[:, None] + sz[None, :]
-    d2 -= cross
+    d2 = X @ Z.T
+    d2 *= 2.0
+    step = max(_CHUNK_BYTES // (8 * max(len(sz), 1)), 1)
+    for r in range(0, len(sx), step):
+        rows = d2[r : r + step]
+        np.subtract(sx[r : r + step, None] + sz, rows, out=rows)
     return d2
 
 

@@ -8,7 +8,7 @@ the metric H:
 with F the working kernel at a zero metric and L the lift of dual
 coefficients into the metric space, minimized over the feasible set
 {H PSD, trace(H) <= budget}. Its minimizer is the rank-1 vertex
-budget * hh', h = v / ||v||. The trainer (hfa.core._alternate) takes
+budget * hh', h = v / ||v||. The trainer (hfa.evaluate._alternate) takes
 Frank-Wolfe steps toward that vertex, each mapping H to
 (1 - t) * H + t * budget * hh' with t in [0, 1], from a scaled identity,
 so H is always

@@ -51,6 +51,12 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+    except IsADirectoryError:
+        raise ModelFormatError(f"model file {path} is a directory") from None
+    except (FileNotFoundError, NotADirectoryError):
+        raise ModelFormatError(f"model file {path} does not exist") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: byte {exc.start + 1} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):

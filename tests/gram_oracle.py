@@ -7,7 +7,9 @@ thin adapters over the same production code, so the tests that pin their
 values keep testing it. symmetrize and its square check serve the dense
 oracles. old_domain_gram is the route kernel_gram replaced, kept to show
 that kernel_gram gives the same bits: the median over _sq_dists(X, X) at
-np.triu_indices, then symmetrize(cross_gram(spec, X, X)).
+np.triu_indices, then symmetrize(cross_gram(spec, X, X)). two_array_sq_dists
+is _sq_dists as it was before it subtracted in place, one row chunk at a
+time: the same two roundings, with both terms held whole.
 """
 
 import numpy as np
@@ -61,3 +63,15 @@ def old_domain_gram(family: str, X) -> tuple[KernelSpec, np.ndarray]:
     K = symmetrize(cross_gram(spec, X, X))
     check_finite(K)
     return spec, K
+
+
+def two_array_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """fl(fl(||x_i||^2 + ||z_j||^2) - 2 x_i.z_j) from two block-sized arrays:
+    every norm sum, then 2 X Z' subtracted from them."""
+    sx = np.einsum("ij,ij->i", X, X)
+    sz = np.einsum("ij,ij->i", Z, Z)
+    cross = X @ Z.T
+    cross *= 2.0
+    d2 = sx[:, None] + sz[None, :]
+    d2 -= cross
+    return d2

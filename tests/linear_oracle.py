@@ -8,7 +8,7 @@ over the per-domain Gram square roots K^(1/2). This module keeps the explicit fo
 for cross-checking at small scale: the augmentation maps, the working
 kernel of the explicit path from a dense metric matrix and of the
 kernelized path from a factored one, and a trainer that runs the
-library's own Frank-Wolfe loop (hfa.core._alternate) on the explicit
+library's own Frank-Wolfe loop (hfa.evaluate._alternate) on the explicit
 factors. The loop reads the metric through M = L'L only, which on both
 paths is the block-diagonal F of the path's two domain Grams:
 L = blockdiag(Xs, Xt) makes M = blockdiag(Xs'Xs, Xt'Xt) here, and
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import hfa.core
-from hfa.core import HfaConfig, _validate_binary_pair
+import hfa.evaluate
+from hfa.core import HfaConfig
 from hfa.data import Dataset
 from hfa.metric import TransformMetric
 from gram_oracle import symmetrize
@@ -159,10 +159,10 @@ def hfa_train_linear(
 ) -> LinearHfaModel:
     """Train the explicit path directly on raw features (linear kernel),
     through the library's own outer loop."""
-    _validate_binary_pair(source, target)
+    hfa.evaluate._validate_binary_pair(source, target)
     y = np.concatenate([source.y, target.y]).astype(float)
     Gs, Gt = linear_grams(source.X.T, target.X.T)
-    metric, sol, _, trace, gap = hfa.core._alternate(Gs, Gt, source.dim + target.dim, y, cfg, monitor)
+    metric, sol, _, trace, gap = hfa.evaluate._alternate(Gs, Gt, source.dim + target.dim, y, cfg, monitor)
     return LinearHfaModel(
         source=source,
         target=target,

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hfa.core import HfaConfig, hfa_train, prepare_kernels
+from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, load_sparse, sample_protocol
-from hfa.evaluate import run_experiment
+from hfa.evaluate import hfa_train, prepare_kernels, run_experiment
 from hfa.metric import initial_metric
 from hfa.svm import solve_dual
 from linear_oracle import (

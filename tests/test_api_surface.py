@@ -110,3 +110,25 @@ def test_records_holding_arrays_compare_by_identity(cls):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
     else:
         assert cls.__eq__ is not object.__eq__, cls
+
+
+def test_package_names_load_with_their_module():
+    # a bare `import hfa` imports no submodule; each exported name then
+    # loads its module on first use, as the very object that module defines
+    import os
+    import subprocess
+    import sys
+
+    script = "import sys, hfa; print(sorted(m for m in sys.modules if m.startswith('hfa')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['hfa']"
+    for name in hfa.__all__:
+        assert name in dir(hfa), name
+        if name != "__version__":
+            value = getattr(hfa, name)
+            assert value.__module__.startswith("hfa."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        hfa.no_such_name

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfa.core
+import hfa.evaluate
 from hfa.cli import FLAG_KEYS, CliConfig, build_parser, main, resolve_config
 from hfa.core import HfaConfig, KernelExpansion
 from hfa.data import (Dataset, SyntheticSpec, generate_synthetic, load_dense_csv, sample_protocol, save_dense_csv,
@@ -136,13 +137,13 @@ def test_train_progress_lines_on_stderr(corpus, tmp_path, capsys, monkeypatch, f
     # below C n = 50), so every Frank-Wolfe step is halved until the
     # halvings run out, the step is t = 0 and the alternation ends
     if forced:
-        solve = hfa.core.solve_dual
+        solve = hfa.evaluate.solve_dual
 
         def higher(K, y, C, warm_start=None):
             sol = solve(K, y, C, warm_start=warm_start)
             return sol if warm_start is None else replace(sol, objective=sol.objective + 1e6)
 
-        monkeypatch.setattr(hfa.core, "solve_dual", higher)
+        monkeypatch.setattr(hfa.evaluate, "solve_dual", higher)
     source, target = load_dense_csv(corpus / "source.csv"), load_dense_csv(corpus / "target.csv")
     want = _expected_progress(source, target, HfaConfig())
     capsys.readouterr()
@@ -156,7 +157,7 @@ def test_train_progress_lines_on_stderr(corpus, tmp_path, capsys, monkeypatch, f
     halvings = [line for line in err if "halved" in line]
     if forced:
         # two classes, each stopped at iteration 1 after the full halving run
-        assert len(halvings) == 2 * hfa.core._MAX_HALVINGS
+        assert len(halvings) == 2 * hfa.evaluate._MAX_HALVINGS
         assert [line.split()[1] for line in err if "objective" in line] == ["0", "1", "0", "1"]
     else:
         assert not halvings
@@ -168,6 +169,36 @@ def test_train_missing_input_fails(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--source", "--model"])
+def test_missing_or_directory_input_names_the_file(corpus, tmp_path, capsys, flag):
+    # a dataset or model path that is missing or is a directory fails naming
+    # the file, as a missing dataset always did, not with a raw OS error
+    kind = "model" if flag == "--model" else "dataset"
+    command = "predict" if flag == "--model" else "train"
+    (tmp_path / "dir.csv").mkdir()
+    for path, problem in ((tmp_path / "absent.csv", "does not exist"), (tmp_path / "dir.csv", "is a directory")):
+        args = {"--source": str(corpus / "source.csv"), "--target": str(corpus / "target.csv"),
+                "--model": str(corpus / "model.json"), "--out": str(tmp_path / "out"), flag: str(path)}
+        assert main([command, *(x for item in args.items() for x in item)]) == 1
+        assert capsys.readouterr().err == f"error: {kind} file {path} {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_that_is_not_utf8_names_the_file(corpus, tmp_path, capsys):
+    bad_model, bad_data = tmp_path / "bad.json", tmp_path / "bad.csv"
+    bad_model.write_bytes(b"\xff{}")
+    bad_data.write_bytes(b"label,f0\n1,\xff\n")
+    target, out = str(corpus / "target.csv"), str(tmp_path / "out")
+    assert main(["predict", "--model", str(bad_model), "--target", target, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {bad_model}: byte 1 is not UTF-8 text (invalid start byte)\n"
+    assert main(["train", "--source", str(bad_data), "--target", target, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {bad_data}:2: byte 3 is not UTF-8 text (invalid start byte)\n"
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_bytes(b"hfa.C = 2\r\nhfa.lambda = \xb5\r\n")
+    assert main(["generate", "--config", str(bad_config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {bad_config}:2: byte 14 is not UTF-8 text (invalid start byte)\n"
 
 
 def run_child(argv):
@@ -633,6 +664,40 @@ def test_commands_leave_numpy_ma_unimported(corpus, tmp_path):
     assert proc.returncode == 0, proc.stderr
     # (numpy.ma, logging) after train, experiment, predict
     assert proc.stdout.splitlines()[-1] == "[(False, False), (False, False), (False, False)]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "{corpus}/model.json", "--target", "{corpus}/target.csv", "--out", "{tmp}/p.csv"],
+    ["generate", "--out", "{tmp}"],
+    ["--help"],
+], ids=lambda argv: argv[0])
+def test_commands_load_neither_solver_metric_nor_trainer(corpus, tmp_path, argv):
+    """predict, generate and --help import none of hfa.svm, hfa.metric and
+    hfa.evaluate, which only training runs; a fresh interpreter is needed,
+    because another test may already have imported them into this one."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in argv]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from hfa.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main({argv!r})
+            except SystemExit as exc:  # --help
+                code = exc.code
+        assert code == 0, code
+        print(" ".join(m for m in sys.modules if m.startswith("hfa")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "hfa.cli" in loaded and not {"hfa.svm", "hfa.metric", "hfa.evaluate"} & loaded, loaded
 
 
 def test_flag_overrides_config_file(corpus, tmp_path):

@@ -5,12 +5,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import hfa.core
 import hfa.evaluate
 import hfa.linalg
-from hfa.core import HfaConfig, hfa_train, prepare_kernels, _domain_gram
+from hfa.core import HfaConfig
 from hfa.data import Dataset
-from hfa.evaluate import svm_t_baseline, train_multiclass
+from hfa.evaluate import _domain_gram, hfa_train, prepare_kernels, svm_t_baseline, train_multiclass
 from hfa.linalg import KernelSpec
 from hfa.metric import TransformMetric
 from linear_oracle import (
@@ -219,9 +218,9 @@ def test_prepare_kernels_and_svm_t_baseline_factor_nothing(family):
     Xs, Xt = rng.standard_normal((14, 3)), rng.standard_normal((11, 4))
     cfg = HfaConfig(kernel_family=family)
     target = Dataset(Xt, np.arange(11) % 3)
-    eigh, kernel_gram, sq_dists = np.linalg.eigh, hfa.core.kernel_gram, hfa.linalg._sq_dists
+    eigh, kernel_gram, sq_dists = np.linalg.eigh, hfa.evaluate.kernel_gram, hfa.linalg._sq_dists
     with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy, \
-            mock.patch.object(hfa.core, "kernel_gram", side_effect=kernel_gram) as grams_built, \
+            mock.patch.object(hfa.evaluate, "kernel_gram", side_effect=kernel_gram) as grams_built, \
             mock.patch.object(hfa.linalg, "_sq_dists", side_effect=sq_dists) as dists:
         prepare_kernels(Xs, Xt, cfg)
         assert (spy.call_count, grams_built.call_count, dists.call_count) == (0, 2, 2 if family == "rbf" else 0)
@@ -278,12 +277,12 @@ def test_a_given_gram_pair_is_checked_once_per_call():
     target = Dataset(rng.standard_normal((6, 4)), np.arange(6) % 3)
     cfg = HfaConfig(t_max=2)
     kernels = prepare_kernels(source.X, target.X, cfg)
-    with mock.patch.object(hfa.evaluate, "_check_kernels", side_effect=hfa.core._check_kernels) as checked:
+    with mock.patch.object(hfa.evaluate, "_check_kernels", side_effect=hfa.evaluate._check_kernels) as checked:
         train_multiclass(source, target, cfg, kernels=kernels)
         assert checked.call_count == 1
         train_multiclass(source, target, cfg)
         assert checked.call_count == 1
-    with mock.patch.object(hfa.core, "_check_kernels", side_effect=hfa.core._check_kernels) as checked:
+    with mock.patch.object(hfa.evaluate, "_check_kernels", side_effect=hfa.evaluate._check_kernels) as checked:
         hfa_train(source.binary_view(0), target.binary_view(0), cfg, kernels=kernels)
         hfa_train(source.binary_view(0), target.binary_view(0), cfg)
     assert checked.call_count == 1

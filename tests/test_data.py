@@ -305,6 +305,27 @@ def test_sparse_errors_name_the_line(tmp_path, text, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "loader,data,line,column",
+    [
+        (load_dense_csv, b"label,f\xff0\n1,2\n", 1, 8),
+        (load_dense_csv, b"label,f0\r\n1,2\r\n1,\xe92\r\n", 3, 3),
+        # far past the first read of the header check and the plain-body scan
+        pytest.param(load_dense_csv, b"label,f0\n" + b"1,2\n" * 30000 + b"1,2\xff\n", 30002, 4,
+                     id="dense past 64 KB"),
+        (load_sparse, b"1 1:2\r1 1:\xe2\x82\n", 2, 5),
+        (load_sparse, b"\xfe1 1:2\n", 1, 1),
+    ],
+)
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, loader, data, line, column):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: byte {column} is not UTF-8 text (")
+
+
 SPARSE_BLANKS = ["", " ", "\t", "  \t "]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

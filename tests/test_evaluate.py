@@ -7,7 +7,7 @@ import pytest
 
 import hfa.core
 from hfa import evaluate
-from hfa.core import HfaConfig, KernelExpansion, _domain_gram, hfa_train, prepare_kernels
+from hfa.core import HfaConfig, KernelExpansion
 from hfa.data import (
     Dataset,
     SyntheticSpec,
@@ -18,8 +18,11 @@ from hfa.data import (
 )
 from hfa.evaluate import (
     ExperimentReport,
+    _domain_gram,
     accuracy,
     decision_matrix,
+    hfa_train,
+    prepare_kernels,
     render_report,
     run_experiment,
     svm_t_baseline,
@@ -346,8 +349,8 @@ def test_run_experiment_factors_each_domain_once(monkeypatch, per_class_source, 
     # every trial trains on whole has its Gram built once per experiment
     source, target = tiny_pools(seed=4)
     cfg = HfaConfig(t_max=4, standardize=standardize)
-    rows, kernel_gram = [], hfa.core.kernel_gram
-    monkeypatch.setattr(hfa.core, "kernel_gram", lambda *args: rows.append(len(args[-1])) or kernel_gram(*args))
+    rows, kernel_gram = [], hfa.evaluate.kernel_gram
+    monkeypatch.setattr(hfa.evaluate, "kernel_gram", lambda *args: rows.append(len(args[-1])) or kernel_gram(*args))
     run = run_experiment(source, target, cfg, per_class_target=3, trials=3, base_seed=0,
                          per_class_source=per_class_source)
     # 3 target rows per class over 3 classes; the source has 5 or 12 per class

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 import hfa.linalg
 from hfa.linalg import KernelSpec, _median, cross_gram, kernel_gram
-from gram_oracle import gram_matrix, median_heuristic_gamma, symmetrize
+from gram_oracle import gram_matrix, median_heuristic_gamma, symmetrize, two_array_sq_dists
 from metric_oracle import frobenius_inner, kernel_value, psd_project, sym_eigen, trace_cap
 
 
@@ -94,6 +94,36 @@ def test_kernel_gram_checks_its_symmetry(monkeypatch):
     monkeypatch.setattr(hfa.linalg, "_sq_dists", lambda X, Z: skewed.copy())
     with pytest.raises(ValueError, match="Gram is not exactly symmetric"):
         kernel_gram("rbf", None, X)
+
+
+# X has chunks * (rows of X in one chunk) + extra rows and Z has m: below,
+# at and above one chunk, several chunks, 1 x 1, chunks of one row (a row
+# of Z's longer than a chunk), the 0-row query hfa predict scores for an
+# empty body, and no rows of X
+@pytest.mark.parametrize("chunks, extra, m", [(1, -1, 64), (1, 0, 64), (1, 1, 64), (3, 5, 64),
+                                              (0, 1, 1), (0, 3, 5000), (0, 60, 0), (0, 0, 7)])
+def test_sq_dists_matches_the_two_array_formula(chunks, extra, m):
+    # the in-place chunked subtraction rounds each entry as the two-array
+    # formula does, bit for bit
+    n = chunks * (hfa.linalg._CHUNK_BYTES // (8 * max(m, 1))) + extra
+    rng = np.random.default_rng(n + m)
+    X, Z = 3.0 * rng.standard_normal((n, 7)), rng.standard_normal((m, 7)) + 1.0
+    d2 = hfa.linalg._sq_dists(X, Z)
+    assert d2.shape == (n, m) and d2.flags.c_contiguous
+    assert np.array_equal(d2, two_array_sq_dists(X, Z))
+    assert np.array_equal(hfa.linalg._sq_dists(X, X), two_array_sq_dists(X, X))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 300])
+def test_kernel_gram_from_chunked_distances_is_exactly_symmetric(n):
+    # an rbf Gram over several chunks is exactly symmetric, and is the
+    # median rule and exponential of the two-array distances
+    X = np.random.default_rng(n).standard_normal((n, 5))
+    K = kernel_gram("rbf", None, X)[1]
+    assert np.array_equal(K, K.T)
+    d2 = two_array_sq_dists(X, X)
+    gamma = 1.0 / np.median(d2[np.triu_indices(n, k=1)]) if n > 1 else 1.0
+    assert np.array_equal(K, np.exp(-gamma * np.maximum(d2, 0.0)))
 
 
 def test_cross_gram_matches_pairwise_loop():

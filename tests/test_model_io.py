@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfa.core import HfaConfig, KernelExpansion, hfa_train
+from hfa.core import HfaConfig, KernelExpansion
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic
-from hfa.evaluate import decision_matrix, train_multiclass
+from hfa.evaluate import decision_matrix, hfa_train, train_multiclass
 from hfa.linalg import KernelSpec
 from hfa.model_io import ModelFormatError, load_model_set, save_model_set
 
@@ -255,6 +255,23 @@ def test_malformed_json(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="JSON object"):
         load_model_set(path)
+
+
+def test_unreadable_model_file_names_it(tmp_path):
+    # a missing path, a directory and bytes that are not UTF-8 each fail
+    # with a ModelFormatError naming the file, not a bare OS or codec error
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "hfa-model-set",\xff}')
+    (tmp_path / "dir.json").mkdir()
+    cases = [
+        (tmp_path / "absent.json", f"model file {tmp_path / 'absent.json'} does not exist"),
+        (tmp_path / "dir.json", f"model file {tmp_path / 'dir.json'} is a directory"),
+        (bad, f"{bad}: byte 28 is not UTF-8 text (invalid start byte)"),
+    ]
+    for path, message in cases:
+        with pytest.raises(ModelFormatError) as info:
+            load_model_set(path)
+        assert str(info.value) == message
 
 
 def test_missing_field(tmp_path):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hfa.core
+import hfa.evaluate
 import hfa.svm
-from hfa.core import HfaConfig, hfa_train, prepare_kernels
+from hfa.core import HfaConfig
 from hfa.data import Dataset, SyntheticSpec, generate_synthetic, sample_protocol
+from hfa.evaluate import hfa_train, prepare_kernels
 from hfa.svm import DegenerateProblemError, solve_dual
 from gram_oracle import symmetrize
 from linear_oracle import block_gram, build_KH_kernelized, hfa_train_linear, linear_factors
@@ -125,7 +126,7 @@ def test_metric_feasible_along_alternation(problem):
         assert abs(metric.energy(dual, base @ dual) - dual @ coupling @ dual) <= 1e-12 * t * norm_M * norm**2
         assert np.max(np.abs(base @ metric.apply(dual, base @ dual) - coupling @ dual)) <= 1e-12 * t * norm_M * norm
 
-    with mock.patch.object(hfa.core, "solve_dual", record):
+    with mock.patch.object(hfa.evaluate, "solve_dual", record):
         train = hfa_train_linear if path == "explicit" else hfa_train
         model = train(source, target, cfg, monitor=monitor)
     # one solve per accepted step plus at most one more line-search trial,
@@ -246,12 +247,12 @@ def test_halving_loop_ends_when_every_trial_raises_the_objective():
         sol = solve_dual(K, y, C, warm_start=warm_start)
         return sol if warm_start is None else replace(sol, objective=sol.objective + 1e6)
 
-    with mock.patch.object(hfa.core, "solve_dual", higher):
+    with mock.patch.object(hfa.evaluate, "solve_dual", higher):
         model = hfa_train(source, target, cfg, monitor=lambda it, metric, step: steps.append((metric, step)))
     (metric_0, step_0), (metric_1, step_1) = steps
     assert step_0.halved == ()
     halved = step_1.halved
-    assert len(halved) == hfa.core._MAX_HALVINGS and halved[0] <= 0.5
+    assert len(halved) == hfa.evaluate._MAX_HALVINGS and halved[0] <= 0.5
     assert all(b == a / 2 for a, b in zip(halved, halved[1:]))
     # the t = 1 trial, at most one secant trial, then one trial per halving
     assert calls[0] is False and all(calls[1:])
@@ -301,7 +302,7 @@ def test_working_kernel_is_the_metric_kernel(problem):
         assert np.max(np.abs(K - want)) <= 8 * np.finfo(float).eps * scale
         checked.append(it)
 
-    with mock.patch.object(hfa.core, "solve_dual", record):
+    with mock.patch.object(hfa.evaluate, "solve_dual", record):
         train = hfa_train_linear if path == "explicit" else hfa_train
         model = train(source, target, cfg, monitor=monitor)
     assert checked == list(range(len(model.objective_trace)))
